@@ -38,6 +38,7 @@ from .solver import (
     SchemeKind,
     SolveReport,
     Termination,
+    compare_limits,
     run,
     vi_residual,
     write_trace_csv,
@@ -188,15 +189,7 @@ def cmd_compare(args, out=None, err=None) -> int:
         which = ", ".join(str(scheme) for scheme, _ in not_converged)
         print(f"error: run did not converge for: {which}", file=err)
         return EXIT_NOT_CONVERGED
-    distance = float(
-        np.sqrt(
-            np.dot(
-                setup.space.weights
-                * (reports[0].final_point - reports[1].final_point),
-                reports[0].final_point - reports[1].final_point,
-            )
-        )
-    )
+    distance = compare_limits(reports[0], reports[1])
     print(f"limit distance: {distance:.6g}", file=out)
     return EXIT_OK
 

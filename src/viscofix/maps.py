@@ -3,8 +3,11 @@
 Two operator families drive the iterations: nonexpansive maps ``T`` (the
 solve target, fixed points of ``T``) and generalized contractions ``f``
 (the viscosity term, contractive with respect to a modulus function).
-Because neither property can be proven at runtime, both come with seeded
-statistical audits (:func:`check_nonexpansive`, :func:`check_contraction`).
+These properties, and the inverse strong monotonicity of a
+:class:`MonotoneOperatorSpec`, cannot be proven at runtime, so each has a
+seeded statistical audit (:func:`check_nonexpansive`,
+:func:`check_contraction`, :func:`check_inverse_strongly_monotone`).  The
+three share one sampler of seeded random pairs that keeps the worst pair.
 
 Three constructors build the nonexpansive operators used by the
 applications: averaging a strictly pseudocontractive map, the projected
@@ -14,6 +17,7 @@ discretization of a Fredholm integral operator of the second kind.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -231,8 +235,32 @@ class MonotonicityReport:
     witness: Optional[tuple]
 
 
-def _sample_points(rng, space, count, scale=3.0):
-    return rng.standard_normal((count, space.dim)) * scale
+def _worst_pair(space, n_samples, seed, score, worse, start, domain=None):
+    """``(worst, witness)`` of ``score(x, y, dist)`` under the order ``worse``.
+
+    Points come from a seeded normal distribution of scale 3, each projected
+    into ``domain`` when one is given.  Pairs at zero distance are skipped;
+    the first of equally bad pairs is kept, and only values worse than
+    ``start`` are kept at all.
+    """
+    if n_samples < 1:
+        raise InputError(f"n_samples must be >= 1, got {n_samples}")
+    # One draw in C order: every first point, then every second point.
+    xs, ys = np.random.default_rng(seed).standard_normal((2, n_samples, space.dim)) * 3.0
+    worst = start
+    witness = None
+    for x, y in zip(xs, ys):
+        if domain is not None:
+            x = spc.project(space, domain, x)
+            y = spc.project(space, domain, y)
+        dist = spc.norm(space, x - y)
+        if dist == 0.0:
+            continue
+        value = score(x, y, dist)
+        if worse(value, worst):
+            worst = value
+            witness = (x, y)
+    return worst, witness
 
 
 def check_nonexpansive(
@@ -246,25 +274,15 @@ def check_nonexpansive(
     Pairs are drawn from a scaled normal distribution and projected into
     the map's domain.  The report passes when the largest observed ratio
     ``||Tx - Ty|| / ||x - y||`` is at most ``1 + 1e-10``; the witness is
-    the maximizing pair.
+    the first maximizing pair.  ``n_samples`` must be at least 1
+    (:class:`InputError` otherwise).  Pairs that coincide after projection
+    are skipped, so when every pair does, or ``T`` is constant, the ratio
+    is ``0.0`` with no witness.
     """
-    if n_samples < 1:
-        raise InputError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    xs = _sample_points(rng, space, n_samples)
-    ys = _sample_points(rng, space, n_samples)
-    max_ratio = 0.0
-    witness = None
-    for raw_x, raw_y in zip(xs, ys):
-        x = spc.project(space, T.domain, raw_x)
-        y = spc.project(space, T.domain, raw_y)
-        dist = spc.norm(space, x - y)
-        if dist == 0.0:
-            continue
-        ratio = spc.norm(space, T(x) - T(y)) / dist
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness = (x, y)
+    max_ratio, witness = _worst_pair(
+        space, n_samples, seed,
+        lambda x, y, dist: spc.norm(space, T(x) - T(y)) / dist, operator.gt, 0.0, T.domain,
+    )
     return NonexpansivenessReport(
         max_ratio=max_ratio,
         passed=max_ratio <= 1.0 + 1e-10,
@@ -283,23 +301,15 @@ def check_contraction(
     """Audit ``||fx - fy|| <= m(||x - y||)`` on seeded random pairs.
 
     The slack of a pair is ``m(||x - y||) - ||fx - fy||``; the check passes
-    when the worst slack is at least ``-1e-10``.
+    when the worst slack is at least ``-1e-10``, and the witness is the
+    first pair with that slack.  ``n_samples`` must be at least 1
+    (:class:`InputError` otherwise); pairs at zero distance are skipped.
     """
-    if n_samples < 1:
-        raise InputError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    xs = _sample_points(rng, space, n_samples)
-    ys = _sample_points(rng, space, n_samples)
-    worst_slack = np.inf
-    witness = None
-    for x, y in zip(xs, ys):
-        dist = spc.norm(space, x - y)
-        if dist == 0.0:
-            continue
-        slack = f.modulus.value(dist) - spc.norm(space, f(x) - f(y))
-        if slack < worst_slack:
-            worst_slack = slack
-            witness = (x, y)
+    worst_slack, witness = _worst_pair(
+        space, n_samples, seed,
+        lambda x, y, dist: f.modulus.value(dist) - spc.norm(space, f(x) - f(y)),
+        operator.lt, np.inf,
+    )
     return ContractionReport(
         passed=bool(worst_slack >= -1e-10),
         worst_slack=float(worst_slack),
@@ -315,18 +325,19 @@ def check_inverse_strongly_monotone(
     n_samples: int = 1000,
     seed: int = 0,
 ) -> MonotonicityReport:
-    """Spot-check ``<Au - Av, u - v> >= alpha * ||Au - Av||^2`` on pairs."""
-    rng = np.random.default_rng(seed)
-    us = _sample_points(rng, space, n_samples)
-    vs = _sample_points(rng, space, n_samples)
-    worst_slack = np.inf
-    witness = None
-    for u, v in zip(us, vs):
+    """Spot-check ``<Au - Av, u - v> >= alpha * ||Au - Av||^2`` on pairs.
+
+    The slack of a pair is the left side minus the right side; the check
+    passes when the worst slack is at least ``-1e-10``, and the witness is
+    the first pair with that slack.  ``n_samples`` must be at least 1
+    (:class:`InputError` otherwise); pairs at zero distance are skipped.
+    """
+
+    def slack(u, v, _dist):
         du = A(u) - A(v)
-        slack = spc.inner(space, du, u - v) - A.ism_alpha * spc.norm(space, du) ** 2
-        if slack < worst_slack:
-            worst_slack = slack
-            witness = (u, v)
+        return spc.inner(space, du, u - v) - A.ism_alpha * spc.norm(space, du) ** 2
+
+    worst_slack, witness = _worst_pair(space, n_samples, seed, slack, operator.lt, np.inf)
     return MonotonicityReport(
         passed=bool(worst_slack >= -1e-10), worst_slack=float(worst_slack), witness=witness
     )

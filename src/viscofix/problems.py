@@ -122,10 +122,9 @@ def _build_contraction(
         # worst pair for x / (1 + beta||x||) is antipodal, which halves the
         # effective modulus coefficient: ||fx - fy|| <= d / (1 + (beta/2) d)
         modulus = maps.rational_modulus(beta / 2.0)
-        weights = space.weights
 
-        def damped(x, _b=float(beta), _w=weights):
-            return x / (1.0 + _b * np.sqrt(np.dot(_w * x, x)))
+        def damped(x, _b=float(beta), _norm=space.norm):
+            return x / (1.0 + _b * _norm(x))
 
         return GeneralizedContraction(damped, modulus, label=f"rational beta={beta:g}")
     point = space.point(np.asarray(cfg.params["point"], dtype=np.float64))

@@ -169,13 +169,6 @@ class SolveReport:
     message: str = ""
 
 
-def _weighted_norm(space: spc.SpaceDescriptor) -> Callable[[np.ndarray], float]:
-    w = space.weights
-    def nrm(v, _w=w):
-        return math.sqrt(float(np.dot(_w * v, v)))
-    return nrm
-
-
 def _check_params(p: ScheduleParams, where: str) -> None:
     a1, a2, a3, d = p
     if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3) and math.isfinite(d)):
@@ -227,10 +220,8 @@ def _picard_affine_solve(
     t_eval: Callable,
     anchor: np.ndarray,
     u_weight: float,
-    factor: float,
     u0: np.ndarray,
-    inner_tol: float,
-    max_inner: int,
+    cfg: SolverConfig,
     nrm: Callable[[np.ndarray], float],
     record: Optional[list] = None,
 ):
@@ -243,14 +234,16 @@ def _picard_affine_solve(
     constant and one application suffices.  The iteration budget is the
     bound implied by the factor plus a margin of 10, never exceeding
     ``max_inner``; running past it means ``T`` shrank nothing, i.e. it is
-    not the nonexpansive map it was declared to be.
+    not the nonexpansive map it was declared to be.  A non-finite gap fails at once.
     """
+    factor = coef * u_weight
     if factor >= 1.0:
         raise ScheduleRangeError(
             f"inner map contraction factor {factor:g} is not below 1"
         )
+    inner_tol = cfg.inner_tol
     u = u0
-    cap = max_inner
+    cap = cfg.max_inner
     k = 0
     while True:
         k += 1
@@ -260,11 +253,16 @@ def _picard_affine_solve(
         gap = nrm(u_next - u)
         if factor * gap <= inner_tol:
             return u_next, k
+        if not math.isfinite(gap):
+            raise InnerSolveError(
+                f"inner solve gap is {gap!r} at application {k}: T or the "
+                "starting point is not finite"
+            )
         if k == 1 and factor > 0.0 and gap > 0.0:
             certified = math.ceil(
                 math.log(inner_tol / (factor * gap)) / math.log(factor)
             ) + 1
-            cap = min(max_inner, max(certified, 1) + 10)
+            cap = min(cfg.max_inner, max(certified, 1) + 10)
         if k >= cap:
             raise InnerSolveError(
                 f"inner solve exceeded {cap} applications (certified budget for "
@@ -327,22 +325,9 @@ def inner_implicit_solve(
         _check_params(p, "in the supplied weights")
     except ScheduleRangeError as exc:
         raise InputError(str(exc)) from None
+    f_eval = _identity if f is None else f.evaluator
     x = space.point(x_n)
-    fx = x if f is None else f.evaluator(x)
-    base, coef, anchor, u_weight = _inner_pieces(SchemeKind.NEW_IMPLICIT, x, fx, p)
-    return _picard_affine_solve(
-        base,
-        coef,
-        T.evaluator,
-        anchor,
-        u_weight,
-        coef * u_weight,
-        x,
-        cfg.inner_tol,
-        cfg.max_inner,
-        _weighted_norm(space),
-        record,
-    )
+    return _advance(SchemeKind.NEW_IMPLICIT, x, f_eval, T.evaluator, p, cfg, space.norm, record)
 
 
 def _advance(
@@ -353,24 +338,35 @@ def _advance(
     p: ScheduleParams,
     cfg: SolverConfig,
     nrm: Callable[[np.ndarray], float],
+    record: Optional[list] = None,
 ):
+    """``(x_next, inner_iters)`` of one scheme update with weights ``p``."""
     if scheme is SchemeKind.EXPLICIT:
         a = _collapsed_weight(p)
         return a * f_eval(x) + (1.0 - a) * t_eval(x), 0
     fx = x if f_eval is _identity else f_eval(x)
     base, coef, anchor, u_weight = _inner_pieces(scheme, x, fx, p)
-    return _picard_affine_solve(
-        base,
-        coef,
-        t_eval,
-        anchor,
-        u_weight,
-        coef * u_weight,
-        x,
-        cfg.inner_tol,
-        cfg.max_inner,
-        nrm,
-    )
+    return _picard_affine_solve(base, coef, t_eval, anchor, u_weight, x, cfg, nrm, record)
+
+
+def _step(
+    scheme: SchemeKind,
+    x: np.ndarray,
+    n: int,
+    f_eval: Callable,
+    t_eval: Callable,
+    schedule: Schedule,
+    cfg: SolverConfig,
+    nrm: Callable[[np.ndarray], float],
+):
+    """``(p, x_next, inner_iters, ||x_next - T x_next||)`` of the outer step at ``n``.
+
+    Raises :class:`ScheduleRangeError` when the weights at ``n`` leave their ranges.
+    """
+    p = schedule_eval(schedule, n)
+    _check_params(p, f"at n = {n}")
+    x_next, inner_iters = _advance(scheme, x, f_eval, t_eval, p, cfg, nrm)
+    return p, x_next, inner_iters, nrm(x_next - t_eval(x_next))
 
 
 def step(
@@ -390,12 +386,10 @@ def step(
     with the recomputed fixed-point residual.
     """
     scheme = SchemeKind(scheme)
-    p = schedule_eval(schedule, state.n)
-    _check_params(p, f"at n = {state.n}")
     f_eval = _viscosity_eval(scheme, f)
-    nrm = _weighted_norm(space)
-    x_next, inner_iters = _advance(scheme, state.x, f_eval, T.evaluator, p, cfg, nrm)
-    residual = nrm(x_next - T.evaluator(x_next))
+    _, x_next, inner_iters, residual = _step(
+        scheme, state.x, state.n, f_eval, T.evaluator, schedule, cfg, space.norm
+    )
     return IterationState(
         n=state.n + 1, x=x_next, last_inner_iters=inner_iters, residual=residual
     )
@@ -425,30 +419,23 @@ def run(
     """
     scheme = SchemeKind(scheme)
     f_eval = _viscosity_eval(scheme, f)
-    nrm = _weighted_norm(space)
+    nrm = space.norm
     t_eval = T.evaluator
     x = space.point(x1)
-    residual = nrm(x - t_eval(x))
-    n0 = schedule.start_index
-    state = IterationState(n=n0, x=x, last_inner_iters=0, residual=residual)
+    state = IterationState(
+        n=schedule.start_index, x=x, last_inner_iters=0, residual=nrm(x - t_eval(x))
+    )
     if observer is not None:
         observer(state)
     trace: List[TraceRow] = []
-    if residual <= cfg.outer_tol:
-        return SolveReport(
-            final_point=x,
-            termination=Termination.CONVERGED,
-            trace=trace,
-            n_final=n0,
-            final_residual=residual,
-            space=space,
-        )
     for _ in range(cfg.max_outer):
+        if state.residual <= cfg.outer_tol:
+            break
         n = state.n
         try:
-            p = schedule_eval(schedule, n)
-            _check_params(p, f"at n = {n}")
-            x_next, inner_iters = _advance(scheme, state.x, f_eval, t_eval, p, cfg, nrm)
+            p, x_next, inner_iters, residual = _step(
+                scheme, state.x, n, f_eval, t_eval, schedule, cfg, nrm
+            )
         except ScheduleRangeError as exc:
             return SolveReport(
                 final_point=state.x,
@@ -459,7 +446,6 @@ def run(
                 space=space,
                 message=str(exc),
             )
-        residual = nrm(x_next - t_eval(x_next))
         if cfg.record_trace:
             trace.append(
                 TraceRow(
@@ -478,15 +464,15 @@ def run(
         )
         if observer is not None:
             observer(state)
-        if residual <= cfg.outer_tol:
-            return SolveReport(
-                final_point=state.x,
-                termination=Termination.CONVERGED,
-                trace=trace,
-                n_final=state.n,
-                final_residual=residual,
-                space=space,
-            )
+    if state.residual <= cfg.outer_tol:
+        return SolveReport(
+            final_point=state.x,
+            termination=Termination.CONVERGED,
+            trace=trace,
+            n_final=state.n,
+            final_residual=state.residual,
+            space=space,
+        )
     return SolveReport(
         final_point=state.x,
         termination=Termination.MAX_ITERS,

@@ -14,6 +14,7 @@ pairing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -79,6 +80,14 @@ class SpaceDescriptor:
         """Coerce ``coords`` to a point of this space (dimension checked)."""
         return _as_point(coords, self.dim)
 
+    def norm(self, v: np.ndarray) -> float:
+        """Weighted norm ``sqrt(sum_i w_i v_i^2)`` of a point.
+
+        The shape of ``v`` is not checked, unlike :func:`norm`: callers
+        pass arrays they built from points of this space.
+        """
+        return math.sqrt(float(np.dot(self.weights * v, v)))
+
 
 def euclidean(dim: int) -> SpaceDescriptor:
     """Space with unit weights (the usual Euclidean inner product)."""
@@ -126,8 +135,7 @@ def inner(space: SpaceDescriptor, x, y) -> float:
 
 def norm(space: SpaceDescriptor, x) -> float:
     """Norm induced by :func:`inner`."""
-    x = _as_point(x, space.dim)
-    return float(np.sqrt(np.dot(space.weights * x, x)))
+    return space.norm(_as_point(x, space.dim))
 
 
 class ConvexSetBase:
@@ -199,7 +207,7 @@ class Ball(ConvexSetBase):
         if self.center.shape != (space.dim,):
             raise InputError("ball center does not match the space dimension")
         d = x - self.center
-        dist = float(np.sqrt(np.dot(space.weights * d, d)))
+        dist = space.norm(d)
         if dist <= self.radius:
             return x
         return self.center + (self.radius / dist) * d

@@ -25,6 +25,8 @@ from viscofix import (
     trapezoid,
     trapezoid_nodes,
 )
+from viscofix.config import load_run_config
+from viscofix.problems import build_problem
 
 
 # ---------------------------------------------------------------- modulus
@@ -102,9 +104,18 @@ def test_check_nonexpansive_respects_domain():
     assert not check_nonexpansive(sp, NonexpansiveMap(square)).passed
 
 
-def test_check_nonexpansive_rejects_bad_samples():
+@pytest.mark.parametrize(
+    "check, target",
+    [
+        (check_nonexpansive, NonexpansiveMap(lambda x: x)),
+        (check_contraction, GeneralizedContraction(lambda x: 0.25 * x, linear_modulus(0.25))),
+        (check_inverse_strongly_monotone, MonotoneOperatorSpec(lambda x: x, 1.0)),
+    ],
+    ids=["nonexpansive", "contraction", "inverse_strongly_monotone"],
+)
+def test_check_rejects_bad_samples(check, target):
     with pytest.raises(InputError):
-        check_nonexpansive(euclidean(1), NonexpansiveMap(lambda x: x), n_samples=0)
+        check(euclidean(1), target, n_samples=0)
 
 
 def test_check_contraction_linear():
@@ -150,6 +161,22 @@ def test_check_contraction_damped_map_modulus():
     sp = euclidean(1)
     assert not check_contraction(sp, GeneralizedContraction(damped, rational_modulus(1.0))).passed
     assert check_contraction(sp, GeneralizedContraction(damped, rational_modulus(0.5))).passed
+
+
+def test_rational_contraction_from_config(tmp_path):
+    path = tmp_path / "rational.cfg"
+    path.write_text(
+        "[problem]\nkind = fredholm\nkernel = sine\ngrid_size = 16\n"
+        "[contraction]\nkind = rational\nbeta = 2.0\n"
+        "[scheme]\nname = new_implicit\n[schedule]\npreset = halpern-mix\n"
+    )
+    setup = build_problem(load_run_config(path))
+    sp, f = setup.space, setup.f
+    assert not np.all(sp.weights == 1.0)
+    assert check_contraction(sp, f).passed
+    rng = np.random.default_rng(3)
+    for x in [setup.x1, np.zeros(sp.dim)] + list(rng.standard_normal((5, sp.dim)) * 3.0):
+        assert f(x).tobytes() == (x / (1.0 + 2.0 * norm(sp, x))).tobytes()
 
 
 def test_check_inverse_strongly_monotone():

@@ -103,6 +103,22 @@ def test_inner_solve_detects_false_nonexpansiveness():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inner_solve_fails_fast_on_non_finite_map(bad):
+    calls = []
+
+    def broken(x):
+        calls.append(x)
+        return np.full_like(x, bad)
+
+    T = NonexpansiveMap(broken, label="non-finite")
+    with pytest.raises(InnerSolveError, match="at application 1"):
+        inner_implicit_solve(
+            SP1, QUARTER, T, np.array([1.0]), (0.25, 0.25, 0.5), 0.5, SolverConfig()
+        )
+    assert len(calls) == 1
+
+
 def _state(x=1.0, n=2):
     return IterationState(n=n, x=np.array([float(x)]), last_inner_iters=0, residual=0.5)
 
@@ -245,6 +261,46 @@ def test_run_steps_shrink_at_convergence():
     report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, halpern_mix(), np.array([1.0]), cfg)
     assert report.termination is Termination.CONVERGED
     assert report.trace[-1].step_norm <= 10.0 * cfg.outer_tol
+
+
+def _plane():
+    sp = euclidean(2)
+    line = AffineSpan(sp, base=np.zeros(2), directions=[[1.0, 0.0]])
+    T = NonexpansiveMap(lambda x: line.project(sp, x))
+    const = GeneralizedContraction(lambda x: np.array([3.0, 4.0]), linear_modulus(0.0))
+    return sp, T, const
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_step_chain_reproduces_run_bitwise(scheme):
+    sp, T, const = _plane()
+    f = None if scheme in vx.solver.IDENTITY_SCHEMES else const
+    cfg = SolverConfig(outer_tol=1e-2, max_outer=2000)
+    seen = []
+    report = run(sp, scheme, f, T, halpern_mix(), np.array([0.0, 5.0]), cfg, observer=seen.append)
+    assert report.termination is Termination.CONVERGED
+    assert len(report.trace) == len(seen) - 1 >= 1
+    state = seen[0]
+    for expected, row in zip(seen[1:], report.trace):
+        state = step(sp, scheme, state, f, T, halpern_mix(), cfg)
+        assert state.n == expected.n
+        assert state.x.tobytes() == expected.x.tobytes()
+        assert state.residual == row.residual
+        assert state.last_inner_iters == row.inner_iters
+    assert state.x.tobytes() == report.final_point.tobytes()
+
+
+def test_inner_solve_is_the_new_implicit_step_bitwise():
+    sp, T, const = _plane()
+    cfg = SolverConfig()
+    x = np.array([0.7, -2.5])
+    for n in (1, 2, 10, 1000):
+        a1, a2, a3, d = schedule_eval(halpern_mix(), n)
+        u, iters = inner_implicit_solve(sp, const, T, x, (a1, a2, a3), d, cfg)
+        state = IterationState(n=n, x=x, last_inner_iters=0, residual=1.0)
+        new = step(sp, SchemeKind.NEW_IMPLICIT, state, const, T, halpern_mix(), cfg)
+        assert u.tobytes() == new.x.tobytes()
+        assert iters == new.last_inner_iters
 
 
 def test_solver_config_validation():
