@@ -16,7 +16,8 @@ Commands
 
 Exit codes: 0 on success (converged, or findings printed), 1 on
 configuration problems (including schedule range violations), 2 when a
-run fails to converge.
+run stops without converging (iteration budget reached or a non-finite
+iterate).
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _run_configured(
 def _termination_exit(report: SolveReport) -> int:
     if report.termination is Termination.CONVERGED:
         return EXIT_OK
-    if report.termination is Termination.MAX_ITERS:
+    if report.termination in (Termination.MAX_ITERS, Termination.NON_FINITE):
         return EXIT_NOT_CONVERGED
     return EXIT_CONFIG
 

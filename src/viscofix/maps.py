@@ -194,12 +194,22 @@ class FredholmProblem:
     grid_size : int
         Number of trapezoid intervals ``m`` (the grid has ``m + 1`` nodes
         ``t_i = i/m``), at least 2.
+    linear : bool
+        Declares the kernel linear in ``x``: ``Phi(t,s,x) = Phi(t,s,1) * x``
+        for all ``t, s, x``.  The operator then applies the weighted
+        quadrature matrix ``Phi(t_i, t_j, w_j)``, an ``(m+1)^2`` float64
+        array built on the first call of ``T`` and then held by the
+        operator, as one matrix-vector product per call.  The declaration
+        is spot-checked on the same samples as the Lipschitz bound; a
+        violation raises :class:`ConfigurationError`, because it would
+        change the operator, not only the convergence rate.
     """
 
     g: Callable
     kernel: Callable
     lipschitz_bound: float
     grid_size: int
+    linear: bool = False
 
     def __post_init__(self):
         if not (self.lipschitz_bound <= 1.0):
@@ -441,8 +451,9 @@ def fredholm_grid(problem: FredholmProblem):
     return spc.trapezoid(problem.grid_size), spc.trapezoid_nodes(problem.grid_size)
 
 
-def _spot_check_lipschitz(problem: FredholmProblem, nodes: np.ndarray) -> None:
-    # Hypothesis audit only; the solver runs fine either way, so warn.
+def _spot_check_kernel(problem: FredholmProblem, nodes: np.ndarray) -> None:
+    # Hypothesis audit only.  A loose Lipschitz bound only slows the
+    # solver, so it warns; a false linearity declaration changes T, so it raises.
     rng = np.random.default_rng(20240801)
     ts = rng.choice(nodes, size=200)
     ss = rng.choice(nodes, size=200)
@@ -451,11 +462,18 @@ def _spot_check_lipschitz(problem: FredholmProblem, nodes: np.ndarray) -> None:
     keep = xs != ys
     if not np.any(keep):
         return
-    num = np.abs(
-        np.asarray(problem.kernel(ts[keep], ss[keep], xs[keep]), dtype=float)
-        - np.asarray(problem.kernel(ts[keep], ss[keep], ys[keep]), dtype=float)
-    )
-    ratios = num / np.abs(xs[keep] - ys[keep])
+    ts, ss, xs, ys = ts[keep], ss[keep], xs[keep], ys[keep]
+    kx = np.asarray(problem.kernel(ts, ss, xs), dtype=float)
+    if problem.linear:
+        k1 = np.asarray(problem.kernel(ts, ss, 1.0), dtype=float)
+        gap = float(np.max(np.abs(k1 * xs - kx)))
+        if not gap <= 1e-12 * (1.0 + float(np.max(np.abs(kx)))):
+            raise ConfigurationError(
+                f"kernel declared linear in x, but sampled |Phi(t,s,1) x - Phi(t,s,x)| "
+                f"reaches {gap:.6g}"
+            )
+    num = np.abs(kx - np.asarray(problem.kernel(ts, ss, ys), dtype=float))
+    ratios = num / np.abs(xs - ys)
     worst = float(np.max(ratios))
     if worst > problem.lipschitz_bound + 1e-9:
         warnings.warn(
@@ -471,10 +489,12 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     Returns the map with components
     ``(T x)_i = g(t_i) + sum_j w_j Phi(t_i, t_j, x_j)`` acting on the
     ``grid_size + 1`` node values.  With the declared kernel Lipschitz
-    bound at most 1 the map is nonexpansive in the weighted norm.
+    bound at most 1 the map is nonexpansive in the weighted norm.  A kernel
+    declared ``linear`` is evaluated once, on the first call, into the
+    weighted matrix ``Phi(t_i, t_j, w_j)``; every call is then ``g + KW @ x``.
     """
     space, nodes = fredholm_grid(problem)
-    _spot_check_lipschitz(problem, nodes)
+    _spot_check_kernel(problem, nodes)
     gvals = np.asarray(problem.g(nodes), dtype=np.float64)
     if gvals.shape != nodes.shape:
         gvals = np.broadcast_to(gvals, nodes.shape).astype(np.float64)
@@ -484,11 +504,25 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
 
     shape = (nodes.size, nodes.size)
 
-    def integral_step(x, _k=problem.kernel):
-        values = np.asarray(_k(tcol, srow, x[None, :]), dtype=np.float64)
-        if values.shape != shape:
-            values = np.broadcast_to(values, shape)
-        return gvals + values @ weights
+    def kernel_table(x_row):
+        values = np.asarray(problem.kernel(tcol, srow, x_row), dtype=np.float64)
+        return values if values.shape == shape else np.broadcast_to(values, shape)
+
+    if problem.linear:
+        # Built lazily so that set-up and commands that never call T do not
+        # pay for an (m+1)^2 kernel evaluation.
+        weighted = None
+
+        def integral_step(x):
+            nonlocal weighted
+            if weighted is None:
+                weighted = np.ascontiguousarray(kernel_table(weights[None, :]))
+            return gvals + weighted @ x
+
+    else:
+
+        def integral_step(x):
+            return gvals + kernel_table(x[None, :]) @ weights
 
     return NonexpansiveMap(
         evaluator=integral_step,

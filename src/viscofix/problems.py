@@ -73,18 +73,22 @@ _FREDHOLM_BUILTINS = {
         "kernel": separable_linear_kernel,
         "g": lambda t: t,
         "lipschitz": 0.5,
+        "linear": True,
         "solution": separable_linear_solution,
     },
     "sine": {
         "kernel": sine_kernel,
         "g": lambda t: t,
         "lipschitz": 0.5,
+        "linear": False,
         "solution": None,
     },
     "zero": {
         "kernel": zero_kernel,
         "g": lambda t: t,
         "lipschitz": 0.0,
+        # 0 * nan is nan: the general path keeps T(x) = g for any x.
+        "linear": False,
         "solution": lambda t: np.asarray(t, dtype=np.float64),
     },
 }
@@ -269,6 +273,7 @@ def build_problem(cfg: RunConfig) -> ProblemSetup:
             kernel=builtin["kernel"],
             lipschitz_bound=builtin["lipschitz"],
             grid_size=grid_size,
+            linear=builtin["linear"],
         )
         space, nodes = maps.fredholm_grid(problem)
         T = maps.fredholm_operator(problem)

@@ -95,6 +95,7 @@ class Termination(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
     SCHEDULE_RANGE_VIOLATION = "schedule_range_violation"
+    NON_FINITE = "non_finite"
 
     def __str__(self):
         return self.value
@@ -156,7 +157,8 @@ class SolveReport:
     """Outcome of a run.
 
     ``n_final`` is the index of ``final_point`` in the iteration (the
-    start index when the initial point already met the tolerance).  The
+    start index when the initial point already met the tolerance, and the
+    first index with a non-finite residual for ``NON_FINITE``).  The
     trace is empty when recording was disabled or no step was taken.
     """
 
@@ -408,11 +410,13 @@ def run(
     """Iterate the scheme from ``x1`` until the residual meets ``outer_tol``.
 
     The loop starts at the schedule's start index and stops when
-    ``||x_n - T x_n|| <= outer_tol`` (including the initial point), when
-    ``max_outer`` steps have been taken, or when the schedule leaves its
-    admissible ranges.  ``observer``, when given, receives every
-    :class:`IterationState` including the initial one; the trace records
-    one row per executed step when ``cfg.record_trace`` is set.
+    ``||x_n - T x_n|| <= outer_tol`` (including the initial point), at the
+    first ``n`` whose residual is not finite (``NON_FINITE``; the initial
+    point is checked too), when ``max_outer`` steps have been taken, or
+    when the schedule leaves its admissible ranges.  ``observer``, when
+    given, receives every :class:`IterationState` including the initial
+    one; the trace records one row per executed step when
+    ``cfg.record_trace`` is set.
 
     Runs are deterministic: identical inputs produce bitwise-identical
     traces and reports.
@@ -429,7 +433,7 @@ def run(
         observer(state)
     trace: List[TraceRow] = []
     for _ in range(cfg.max_outer):
-        if state.residual <= cfg.outer_tol:
+        if state.residual <= cfg.outer_tol or not math.isfinite(state.residual):
             break
         n = state.n
         try:
@@ -472,6 +476,17 @@ def run(
             n_final=state.n,
             final_residual=state.residual,
             space=space,
+        )
+    if not math.isfinite(state.residual):
+        return SolveReport(
+            final_point=state.x,
+            termination=Termination.NON_FINITE,
+            trace=trace,
+            n_final=state.n,
+            final_residual=state.residual,
+            space=space,
+            message=f"residual at n = {state.n} is {state.residual!r}: x_n, "
+            "T(x_n) or their distance is not finite",
         )
     return SolveReport(
         final_point=state.x,

@@ -162,6 +162,34 @@ def test_non_convergence_exit_code(tmp_path, capsys):
     assert "max_iters" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_run_exit_code(tmp_path, capsys):
+    # f's constant point is so large that the residual's norm overflows
+    # after the first explicit step.
+    text = """
+[problem]
+kind = line-projection
+
+[contraction]
+kind = constant-point
+point = 0, 1e200
+
+[scheme]
+name = explicit
+
+[schedule]
+preset = halpern-mix
+
+[solver]
+max_outer = 1000
+"""
+    cfg = _config(tmp_path, text)
+    assert main(["solve", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert "termination: non_finite" in out
+    assert "at n = 2" in out
+
+
 def test_schedule_range_violation_exit_code(tmp_path, capsys):
     text = LINEAR_BASE.replace(
         "preset = halpern-mix", "preset = eq75\nn0 = 1"

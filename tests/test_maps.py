@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from viscofix import (
     Ball,
@@ -10,6 +15,7 @@ from viscofix import (
     InputError,
     MonotoneOperatorSpec,
     NonexpansiveMap,
+    Termination,
     WholeSpace,
     average_pseudocontraction,
     check_contraction,
@@ -22,6 +28,7 @@ from viscofix import (
     linear_modulus,
     norm,
     rational_modulus,
+    run,
     trapezoid,
     trapezoid_nodes,
 )
@@ -316,10 +323,11 @@ def test_fredholm_zero_kernel_is_constant_g():
         assert np.allclose(T(x), np.cos(nodes), atol=1e-15)
 
 
-def test_fredholm_matches_dense_matrix():
+@pytest.mark.parametrize("linear", [False, True])
+def test_fredholm_matches_dense_matrix(linear):
     m = 16
     problem = FredholmProblem(
-        g=lambda t: t, kernel=_separable, lipschitz_bound=0.5, grid_size=m
+        g=lambda t: t, kernel=_separable, lipschitz_bound=0.5, grid_size=m, linear=linear
     )
     space, nodes = fredholm_grid(problem)
     T = fredholm_operator(problem)
@@ -329,6 +337,90 @@ def test_fredholm_matches_dense_matrix():
     for _ in range(10):
         x = rng.standard_normal(space.dim) * 2.0
         assert np.max(np.abs(T(x) - (nodes + K @ x))) <= 1e-14
+
+
+def test_fredholm_linear_matrix_is_built_once_on_first_call():
+    calls = []
+
+    def counted(t, s, x):
+        calls.append(np.broadcast(t, s, x).shape)
+        return _separable(t, s, x)
+
+    problem = FredholmProblem(
+        g=lambda t: t, kernel=counted, lipschitz_bound=0.5, grid_size=8, linear=True
+    )
+    T = fredholm_operator(problem)
+    assert (9, 9) not in calls  # the spot check samples, it builds no table
+    x = np.linspace(-1.0, 1.0, 9)
+    first = T(x)
+    assert calls.count((9, 9)) == 1
+    assert np.array_equal(T(x), first)
+    assert calls.count((9, 9)) == 1
+
+
+def test_fredholm_false_linear_declaration_raises():
+    from viscofix.problems import sine_kernel
+
+    problem = FredholmProblem(
+        g=lambda t: t, kernel=sine_kernel, lipschitz_bound=0.5, grid_size=8, linear=True
+    )
+    with pytest.raises(ConfigurationError, match="declared linear"):
+        fredholm_operator(problem)
+
+
+def _gaussian(t, s, x):
+    return (np.exp(-((t - s) ** 2)) / 2.0) * x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kernel=st.sampled_from([_separable, _gaussian]),
+    x=st.integers(2, 64).flatmap(
+        lambda m: hnp.arrays(
+            np.float64, m + 1, elements=st.floats(allow_nan=False, allow_infinity=False)
+        )
+    ),
+)
+def test_fredholm_linear_path_agrees_with_general_path(kernel, x):
+    # The matrix-vector product reorders the quadrature sum, so the two
+    # paths agree to rounding, not bitwise.
+    m = x.size - 1
+    general, fast = (
+        fredholm_operator(
+            FredholmProblem(g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=m, linear=lin)
+        )
+        for lin in (False, True)
+    )
+    gap = np.max(np.abs(fast(x) - general(x)))
+    assert gap <= 1e-13 * (1.0 + np.max(np.abs(x)))
+
+
+def test_fredholm_builtin_linear_solve_matches_general_path(tmp_path):
+    from viscofix.problems import separable_linear_kernel
+
+    path = tmp_path / "separable.cfg"
+    path.write_text(
+        "[problem]\nkind = fredholm\nkernel = separable-linear\ngrid_size = 64\n"
+        "[scheme]\nname = mann_implicit\n[schedule]\npreset = halpern-mix\n"
+        "[solver]\nouter_tol = 1e-10\nmax_outer = 10000\n"
+    )
+    cfg = load_run_config(path)
+    setup = build_problem(cfg)
+    general = fredholm_operator(
+        FredholmProblem(
+            g=lambda t: t, kernel=separable_linear_kernel, lipschitz_bound=0.5, grid_size=64
+        )
+    )
+    solver = dataclasses.replace(cfg.solver, record_trace=True)
+    reports = [
+        run(setup.space, cfg.scheme, None, T, cfg.schedule, setup.x1, solver)
+        for T in (setup.T, general)
+    ]
+    assert reports[0].termination is reports[1].termination is Termination.CONVERGED
+    assert reports[0].n_final == reports[1].n_final
+    assert len(reports[0].trace) > 10
+    assert [r.inner_iters for r in reports[0].trace] == [r.inner_iters for r in reports[1].trace]
+    assert np.max(np.abs(reports[0].final_point - reports[1].final_point)) <= 1e-14
 
 
 def test_fredholm_grid_matches_space():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -231,6 +234,37 @@ def test_run_max_iters():
     assert report.termination is Termination.MAX_ITERS
     assert "after 5 steps" in report.message
     assert len(report.trace) == 5
+
+
+def test_run_stops_at_first_non_finite_residual():
+    # T(x) = 3x is not the nonexpansive map it is declared to be, so the
+    # explicit iterates grow until the residual overflows.
+    tripled = NonexpansiveMap(lambda x: 3.0 * x)
+    cfg = SolverConfig(max_outer=2000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run(SP1, SchemeKind.EXPLICIT, QUARTER, tripled, halpern_mix(), np.array([1.0]), cfg)
+    assert report.termination is Termination.NON_FINITE
+    assert not math.isfinite(report.final_residual)
+    residuals = [row.residual for row in report.trace]
+    assert all(math.isfinite(r) for r in residuals[:-1])
+    assert not math.isfinite(residuals[-1])
+    assert report.n_final == report.trace[-1].n + 1
+    assert report.n_final - halpern_mix().start_index < cfg.max_outer
+    assert f"n = {report.n_final}" in report.message
+    assert len(caught) <= 1
+
+
+def test_run_checks_initial_point_is_finite():
+    cfg = SolverConfig(max_outer=50)
+    with np.errstate(invalid="ignore"):
+        report = run(
+            SP1, SchemeKind.EXPLICIT, QUARTER, HALF, halpern_mix(), np.array([np.inf]), cfg
+        )
+    assert report.termination is Termination.NON_FINITE
+    assert report.n_final == halpern_mix().start_index
+    assert report.trace == []
+    assert f"n = {report.n_final}" in report.message
 
 
 def test_run_is_deterministic_bitwise():
