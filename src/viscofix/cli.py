@@ -16,8 +16,8 @@ Commands
 
 Exit codes: 0 on success (converged, or findings printed), 1 on
 configuration problems (including schedule range violations), 2 when a
-run stops without converging (iteration budget reached or a non-finite
-iterate).
+run stops without converging (iteration budget reached, a non-finite
+iterate, or an implicit step's inner solve failing).
 """
 
 from __future__ import annotations
@@ -30,8 +30,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import SCHEDULE_PRESETS, SectionView, load_run_config, parse_sections, schedule_from_section
-from .errors import ViscofixError
+from .config import (
+    SectionView,
+    load_run_config,
+    read_sections,
+    schedule_from_section,
+    schedule_preset,
+)
+from .errors import ConfigurationError, InnerSolveError, ViscofixError
 from .problems import ProblemSetup, build_problem
 from .schedules import Status, validate_assumption12
 from .solver import (
@@ -59,7 +65,7 @@ def _format_point(x: np.ndarray) -> str:
     return f"({head}, ..., {x[-1]:.12g}) [{x.size} components]"
 
 
-def _print_schedule_warnings(schedule, out) -> None:
+def _print_schedule_warnings(schedule) -> None:
     horizon = max(_WARN_HORIZON, schedule.start_index + 100)
     report = validate_assumption12(schedule, horizon)
     for key in ("ii", "iii", "iv", "v"):
@@ -67,7 +73,7 @@ def _print_schedule_warnings(schedule, out) -> None:
         if finding.status is Status.VIOLATED:
             print(
                 f"warning: schedule condition ({key}) violated: {finding.detail}",
-                file=out,
+                file=sys.stderr,
             )
 
 
@@ -90,83 +96,65 @@ def _termination_exit(report: SolveReport) -> int:
     return EXIT_CONFIG
 
 
-def cmd_solve(args, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_solve(args) -> int:
     cfg = load_run_config(args.config)
     trace_path = args.trace if args.trace is not None else cfg.trace_path
     solver_cfg = dataclasses.replace(cfg.solver, record_trace=trace_path is not None)
     setup = build_problem(cfg)
-    _print_schedule_warnings(cfg.schedule, err)
+    _print_schedule_warnings(cfg.schedule)
     report = _run_configured(setup, cfg.scheme, cfg.schedule, solver_cfg)
 
-    print(f"termination: {report.termination}", file=out)
+    print(f"termination: {report.termination}")
     if report.message:
-        print(f"note: {report.message}", file=out)
-    print(f"iterations: {report.n_final - cfg.schedule.start_index}", file=out)
-    print(f"final point: {_format_point(report.final_point)}", file=out)
-    print(f"final residual: {report.final_residual:.6g}", file=out)
+        print(f"note: {report.message}")
+    print(f"iterations: {report.n_final - cfg.schedule.start_index}")
+    print(f"final point: {_format_point(report.final_point)}")
+    print(f"final residual: {report.final_residual:.6g}")
     if setup.vi_samples and setup.f is not None and cfg.scheme not in IDENTITY_SCHEMES:
         value = vi_residual(setup.space, report.final_point, setup.f, setup.vi_samples)
-        print(f"variational-inequality residual: {value:.6g}", file=out)
+        print(f"variational-inequality residual: {value:.6g}")
     if trace_path is not None:
         write_trace_csv(report.trace, trace_path)
-        print(f"trace written: {trace_path} ({len(report.trace)} rows)", file=out)
+        print(f"trace written: {trace_path} ({len(report.trace)} rows)")
     return _termination_exit(report)
 
 
-def cmd_validate_schedule(args, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_validate_schedule(args) -> int:
     if args.preset is not None:
-        builder = SCHEDULE_PRESETS.get(args.preset)
-        if builder is None:
-            known = ", ".join(sorted(SCHEDULE_PRESETS))
-            print(f"error: unknown preset {args.preset!r} (known: {known})", file=err)
-            return EXIT_CONFIG
-        schedule = builder()
+        schedule = schedule_preset(args.preset)()
     else:
-        with open(args.config, "r", encoding="ascii") as handle:
-            sections = parse_sections(handle.read(), origin=str(args.config))
+        sections = read_sections(args.config)
         if "schedule" not in sections:
-            print(f"error: {args.config}: missing [schedule] section", file=err)
-            return EXIT_CONFIG
+            raise ConfigurationError(f"{args.config}: missing [schedule] section")
         schedule = schedule_from_section(
             SectionView("schedule", sections["schedule"], str(args.config))
         )
     report = validate_assumption12(schedule, args.horizon)
-    print(f"schedule: {schedule.kind} (start index {schedule.start_index})", file=out)
-    print(report.render(), file=out)
+    print(f"schedule: {schedule.kind} (start index {schedule.start_index})")
+    print(report.render())
     return EXIT_OK
 
 
-def cmd_compare(args, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_compare(args) -> int:
     names = [part.strip() for part in args.schemes.split(",")]
     if len(names) != 2:
-        print("error: --schemes needs exactly two comma-separated names", file=err)
-        return EXIT_CONFIG
+        raise ConfigurationError("--schemes needs exactly two comma-separated names")
     schemes = []
     for name in names:
         try:
             scheme = SchemeKind(name)
         except ValueError:
             known = ", ".join(kind.value for kind in SchemeKind)
-            print(f"error: unknown scheme {name!r} (known: {known})", file=err)
-            return EXIT_CONFIG
+            raise ConfigurationError(f"unknown scheme {name!r} (known: {known})") from None
         if scheme is SchemeKind.EXPLICIT:
-            print(
-                "error: compare needs implicit-capable schemes; "
-                f"{name!r} is the explicit scheme",
-                file=err,
+            raise ConfigurationError(
+                f"compare needs implicit-capable schemes; {name!r} is the explicit scheme"
             )
-            return EXIT_CONFIG
         schemes.append(scheme)
 
     cfg = load_run_config(args.config)
     setup = build_problem(cfg)
-    _print_schedule_warnings(cfg.schedule, err)
+    _print_schedule_warnings(cfg.schedule)
     solver_cfg = dataclasses.replace(cfg.solver, record_trace=False)
     reports = []
     for scheme in schemes:
@@ -175,11 +163,10 @@ def cmd_compare(args, out=None, err=None) -> int:
             f"{scheme}: termination {report.termination}, "
             f"final {_format_point(report.final_point)}, "
             f"residual {report.final_residual:.6g}",
-            file=out,
         )
         reports.append(report)
     if any(r.termination is Termination.SCHEDULE_RANGE_VIOLATION for r in reports):
-        print("error: schedule evaluated outside its valid range", file=err)
+        print("error: schedule evaluated outside its valid range", file=sys.stderr)
         return EXIT_CONFIG
     not_converged = [
         (scheme, report)
@@ -188,43 +175,38 @@ def cmd_compare(args, out=None, err=None) -> int:
     ]
     if not_converged:
         which = ", ".join(str(scheme) for scheme, _ in not_converged)
-        print(f"error: run did not converge for: {which}", file=err)
+        print(f"error: run did not converge for: {which}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     distance = compare_limits(reports[0], reports[1])
-    print(f"limit distance: {distance:.6g}", file=out)
+    print(f"limit distance: {distance:.6g}")
     return EXIT_OK
 
 
-def cmd_fredholm(args, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_fredholm(args) -> int:
     cfg = load_run_config(args.config)
-    if cfg.problem.kind != "fredholm":
-        print(
-            f"error: {args.config}: the fredholm command needs a fredholm problem "
-            f"section, got kind = {cfg.problem.kind}",
-            file=err,
-        )
-        return EXIT_CONFIG
     setup = build_problem(cfg)
-    _print_schedule_warnings(cfg.schedule, err)
+    if setup.nodes is None:
+        raise ConfigurationError(
+            f"{args.config}: the fredholm command needs a fredholm problem "
+            f"section, got kind = {cfg.problem['kind'].value}"
+        )
+    _print_schedule_warnings(cfg.schedule)
     solver_cfg = dataclasses.replace(cfg.solver, record_trace=False)
     report = _run_configured(setup, cfg.scheme, cfg.schedule, solver_cfg)
-    print(f"termination: {report.termination}", file=out)
-    print(f"final residual: {report.final_residual:.6g}", file=out)
+    print(f"termination: {report.termination}")
+    print(f"final residual: {report.final_residual:.6g}")
     if setup.closed_form is not None:
         exact = setup.closed_form(setup.nodes)
         sup_error = float(np.max(np.abs(report.final_point - exact)))
-        print(f"sup error vs closed form: {sup_error:.6g}", file=out)
-    print("t,x", file=out)
-    for t, x in zip(setup.nodes, report.final_point):
-        print(f"{t:.17g},{x:.17g}", file=out)
+        print(f"sup error vs closed form: {sup_error:.6g}")
+    table = "t,x\n" + "".join(
+        f"{t:.17g},{x:.17g}\n" for t, x in zip(setup.nodes, report.final_point)
+    )
+    print(table, end="")
     if args.out is not None:
         with open(args.out, "w") as handle:
-            handle.write("t,x\n")
-            for t, x in zip(setup.nodes, report.final_point):
-                handle.write(f"{t:.17g},{x:.17g}\n")
-        print(f"solution written: {args.out}", file=out)
+            handle.write(table)
+        print(f"solution written: {args.out}")
     return _termination_exit(report)
 
 
@@ -267,10 +249,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ViscofixError as exc:
+    except InnerSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+        return EXIT_NOT_CONVERGED
+    except (ViscofixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -5,13 +5,16 @@ The format is deliberately small: ASCII text, ``#`` starts a comment
 recent ``[section]`` header.  Parsing is strict in both directions: every
 syntax problem and every key outside the known vocabulary is an error
 naming the offending line, and missing required keys are errors naming
-the section.
+the section.  The run-level sections are validated here; [problem],
+[contraction] and [space] are validated by :mod:`viscofix.problems`,
+which builds from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from .errors import ConfigurationError
 from .schedules import Schedule, compare_t16, custom_rational, eq75, halpern_mix
@@ -21,9 +24,11 @@ __all__ = [
     "RawValue",
     "SectionView",
     "parse_sections",
+    "read_sections",
     "RunConfig",
     "load_run_config",
     "schedule_from_section",
+    "schedule_preset",
     "SCHEDULE_PRESETS",
 ]
 
@@ -80,17 +85,18 @@ class SectionView:
         self._data = dict(data)
         self._origin = origin
 
-    def _take(self, key: str) -> Optional[RawValue]:
-        return self._data.pop(key, None)
+    def _take(self, key: str, required: bool) -> Optional[RawValue]:
+        raw = self._data.pop(key, None)
+        if raw is None and required:
+            raise self.error(f"missing required key '{key}'")
+        return raw
 
     def error(self, message: str) -> ConfigurationError:
         return ConfigurationError(f"{self._origin}: [{self.name}] {message}")
 
     def str_value(self, key: str, default=None, choices=None, required: bool = False):
-        raw = self._take(key)
+        raw = self._take(key, required)
         if raw is None:
-            if required:
-                raise self.error(f"missing required key '{key}'")
             return default
         if choices is not None and raw.value not in choices:
             allowed = ", ".join(sorted(choices))
@@ -100,10 +106,8 @@ class SectionView:
         return raw.value
 
     def float_value(self, key: str, default=None, required: bool = False):
-        raw = self._take(key)
+        raw = self._take(key, required)
         if raw is None:
-            if required:
-                raise self.error(f"missing required key '{key}'")
             return default
         try:
             value = float(raw.value)
@@ -111,15 +115,13 @@ class SectionView:
             raise self.error(
                 f"key '{key}' is not a number: {raw.value!r} (line {raw.line})"
             ) from None
-        if value != value or value in (float("inf"), float("-inf")):
+        if not math.isfinite(value):
             raise self.error(f"key '{key}' must be finite (line {raw.line})")
         return value
 
     def int_value(self, key: str, default=None, required: bool = False):
-        raw = self._take(key)
+        raw = self._take(key, required)
         if raw is None:
-            if required:
-                raise self.error(f"missing required key '{key}'")
             return default
         try:
             return int(raw.value)
@@ -129,10 +131,8 @@ class SectionView:
             ) from None
 
     def float_list(self, key: str, default=None, required: bool = False, count=None):
-        raw = self._take(key)
+        raw = self._take(key, required)
         if raw is None:
-            if required:
-                raise self.error(f"missing required key '{key}'")
             return default
         parts = [part.strip() for part in raw.value.split(",")]
         try:
@@ -142,6 +142,8 @@ class SectionView:
                 f"key '{key}' is not a comma-separated number list: "
                 f"{raw.value!r} (line {raw.line})"
             ) from None
+        if not all(math.isfinite(value) for value in values):
+            raise self.error(f"key '{key}' must be finite (line {raw.line})")
         if count is not None and len(values) != count:
             raise self.error(
                 f"key '{key}' needs {count} comma-separated numbers, "
@@ -164,6 +166,15 @@ SCHEDULE_PRESETS = {
 }
 
 
+def schedule_preset(name: str, error=ConfigurationError) -> Callable[..., Schedule]:
+    """The builder of the preset ``name``; an unknown name raises ``error(message)``."""
+    builder = SCHEDULE_PRESETS.get(name)
+    if builder is None:
+        known = ", ".join(sorted(SCHEDULE_PRESETS))
+        raise error(f"unknown preset {name!r} (known: {known})")
+    return builder
+
+
 def schedule_from_section(view: SectionView) -> Schedule:
     preset = view.str_value("preset")
     kind = view.str_value("kind")
@@ -171,10 +182,7 @@ def schedule_from_section(view: SectionView) -> Schedule:
     if preset is not None and kind is not None:
         raise view.error("give either 'preset' or 'kind = custom-rational', not both")
     if preset is not None:
-        builder = SCHEDULE_PRESETS.get(preset)
-        if builder is None:
-            known = ", ".join(sorted(SCHEDULE_PRESETS))
-            raise view.error(f"unknown preset {preset!r} (known: {known})")
+        builder = schedule_preset(preset, view.error)
         view.finish()
         return builder() if n0 is None else builder(start_index=n0)
     if kind != "custom-rational":
@@ -189,88 +197,25 @@ def schedule_from_section(view: SectionView) -> Schedule:
 
 
 @dataclass(frozen=True)
-class ProblemConfig:
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ContractionConfig:
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Validated, typed form of a config file."""
+    """Validated, typed form of a config file's run-level sections.
 
-    problem: ProblemConfig
-    contraction: Optional[ContractionConfig]
+    ``problem``, ``contraction`` and ``space`` hold those sections as parsed
+    (``None`` when absent); :func:`viscofix.problems.build_problem` validates them.
+    """
+
+    problem: Dict[str, RawValue]
+    contraction: Optional[Dict[str, RawValue]]
+    space: Optional[Dict[str, RawValue]]
     scheme: SchemeKind
     schedule: Schedule
     solver: SolverConfig
     trace_path: Optional[str]
-    space_kind: Optional[str]
-    space_dim: Optional[int]
-    space_grid_size: Optional[int]
+    origin: str
 
 
-_PROBLEM_KEYS = {
-    "builtin-linear": {"required": ("slope",), "optional": ()},
-    "line-projection": {"required": (), "optional": ()},
-    "pseudocontraction": {"required": ("k", "lambda", "theta"), "optional": ("L",)},
-    "monotone": {"required": ("gamma", "set"), "optional": ("radius",)},
-    "fredholm": {"required": ("kernel", "grid_size"), "optional": ()},
-}
-
-
-def _problem_from_section(view: SectionView) -> ProblemConfig:
-    kind = view.str_value("kind", required=True, choices=set(_PROBLEM_KEYS))
-    spec = _PROBLEM_KEYS[kind]
-    params = {}
-    if kind == "fredholm":
-        params["kernel"] = view.str_value(
-            "kernel", required=True, choices={"separable-linear", "sine", "zero"}
-        )
-        params["grid_size"] = view.int_value("grid_size", required=True)
-    elif kind == "monotone":
-        params["gamma"] = view.float_value("gamma", required=True)
-        params["set"] = view.str_value("set", required=True, choices={"whole-space", "ball"})
-        radius = view.float_value("radius")
-        if params["set"] == "ball":
-            if radius is None:
-                raise view.error("set = ball needs a 'radius' key")
-            params["radius"] = radius
-        elif radius is not None:
-            raise view.error("'radius' only applies when set = ball")
-    else:
-        for key in spec["required"]:
-            params[key] = view.float_value(key, required=True)
-        for key in spec["optional"]:
-            value = view.float_value(key)
-            if value is not None:
-                params[key] = value
-    view.finish()
-    return ProblemConfig(kind=kind, params=params)
-
-
-def _contraction_from_section(view: SectionView) -> ContractionConfig:
-    kind = view.str_value(
-        "kind", required=True, choices={"constant-point", "linear", "rational"}
-    )
-    params = {}
-    if kind == "linear":
-        params["c"] = view.float_value("c", required=True)
-    elif kind == "rational":
-        params["beta"] = view.float_value("beta", required=True)
-    else:
-        params["point"] = view.float_list("point", required=True)
-    view.finish()
-    return ContractionConfig(kind=kind, params=params)
-
-
-def load_run_config(path) -> RunConfig:
-    """Read and validate a config file into a :class:`RunConfig`."""
+def read_sections(path) -> Dict[str, Dict[str, RawValue]]:
+    """Read an ASCII config file and parse it with :func:`parse_sections`."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
@@ -278,8 +223,20 @@ def load_run_config(path) -> RunConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config {path} is not ASCII: {exc}") from None
+    return parse_sections(text, origin=str(path))
+
+
+def load_run_config(path) -> RunConfig:
+    """Read a config file into a :class:`RunConfig`.
+
+    Validates the file syntax, the section names, the presence of
+    [problem], [scheme] and [schedule], and the run-level sections
+    [scheme], [schedule], [solver] and [output].  The [problem],
+    [contraction] and [space] sections are passed on as parsed; their keys
+    and values are validated by :func:`viscofix.problems.build_problem`.
+    """
     origin = str(path)
-    sections = parse_sections(text, origin=origin)
+    sections = read_sections(path)
 
     known = {"space", "problem", "contraction", "scheme", "schedule", "solver", "output"}
     for name, data in sections.items():
@@ -287,29 +244,21 @@ def load_run_config(path) -> RunConfig:
             first = min(data.values(), key=lambda raw: raw.line) if data else None
             where = f" (line {first.line})" if first else ""
             raise ConfigurationError(f"{origin}: unknown section [{name}]{where}")
-
-    def section(name: str, required: bool = False) -> Optional[SectionView]:
+    for name in ("problem", "scheme", "schedule"):
         if name not in sections:
-            if required:
-                raise ConfigurationError(f"{origin}: missing required section [{name}]")
-            return None
-        return SectionView(name, sections[name], origin)
+            raise ConfigurationError(f"{origin}: missing required section [{name}]")
 
-    problem = _problem_from_section(section("problem", required=True))
+    def section(name: str) -> Optional[SectionView]:
+        return SectionView(name, sections[name], origin) if name in sections else None
 
-    scheme_view = section("scheme", required=True)
+    scheme_view = section("scheme")
     scheme_name = scheme_view.str_value(
         "name", required=True, choices={kind.value for kind in SchemeKind}
     )
     scheme_view.finish()
     scheme = SchemeKind(scheme_name)
 
-    schedule = schedule_from_section(section("schedule", required=True))
-
-    contraction_view = section("contraction")
-    contraction = (
-        None if contraction_view is None else _contraction_from_section(contraction_view)
-    )
+    schedule = schedule_from_section(section("schedule"))
 
     solver_view = section("solver")
     if solver_view is None:
@@ -331,28 +280,13 @@ def load_run_config(path) -> RunConfig:
         trace_path = output_view.str_value("trace")
         output_view.finish()
 
-    space_view = section("space")
-    space_kind = space_dim = space_grid = None
-    if space_view is not None:
-        space_kind = space_view.str_value(
-            "kind", required=True, choices={"euclidean", "trapezoid"}
-        )
-        space_dim = space_view.int_value("dim")
-        space_grid = space_view.int_value("grid_size")
-        space_view.finish()
-        if space_kind == "euclidean" and space_dim is None:
-            raise space_view.error("kind = euclidean needs 'dim'")
-        if space_kind == "trapezoid" and space_grid is None:
-            raise space_view.error("kind = trapezoid needs 'grid_size'")
-
     return RunConfig(
-        problem=problem,
-        contraction=contraction,
+        problem=sections["problem"],
+        contraction=sections.get("contraction"),
+        space=sections.get("space"),
         scheme=scheme,
         schedule=schedule,
         solver=solver,
         trace_path=trace_path,
-        space_kind=space_kind,
-        space_dim=space_dim,
-        space_grid_size=space_grid,
+        origin=origin,
     )

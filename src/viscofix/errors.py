@@ -22,11 +22,11 @@ class ConfigurationError(ViscofixError, ValueError):
 
 
 class InnerSolveError(ViscofixError, RuntimeError):
-    """The implicit inner solve exceeded its certified iteration budget.
+    """The implicit inner solve ran out of its certified budget or went non-finite.
 
     Under the documented preconditions (nonexpansive map, contraction
-    factor < 1) this is unreachable; seeing it signals that the supplied
-    map is not actually nonexpansive.
+    factor < 1) the budget suffices, so running out signals a map that is
+    not nonexpansive.  A non-finite gap means a non-finite ``T`` value or start.
     """
 
 

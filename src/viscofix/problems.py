@@ -34,7 +34,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import maps, space as spc
-from .config import ContractionConfig, RunConfig
+from .config import RunConfig, SectionView
 from .errors import ConfigurationError
 from .maps import GeneralizedContraction, NonexpansiveMap
 
@@ -68,29 +68,19 @@ def separable_linear_solution(t):
     return 1.2 * t
 
 
+# Builtin kernels for the source term g(t) = t: their FredholmProblem
+# fields and the closed-form solution, when one is known.
 _FREDHOLM_BUILTINS = {
-    "separable-linear": {
-        "kernel": separable_linear_kernel,
-        "g": lambda t: t,
-        "lipschitz": 0.5,
-        "linear": True,
-        "solution": separable_linear_solution,
-    },
-    "sine": {
-        "kernel": sine_kernel,
-        "g": lambda t: t,
-        "lipschitz": 0.5,
-        "linear": False,
-        "solution": None,
-    },
-    "zero": {
-        "kernel": zero_kernel,
-        "g": lambda t: t,
-        "lipschitz": 0.0,
-        # 0 * nan is nan: the general path keeps T(x) = g for any x.
-        "linear": False,
-        "solution": lambda t: np.asarray(t, dtype=np.float64),
-    },
+    "separable-linear": (
+        dict(kernel=separable_linear_kernel, lipschitz_bound=0.5, linear=True),
+        separable_linear_solution,
+    ),
+    "sine": (dict(kernel=sine_kernel, lipschitz_bound=0.5), None),
+    # Not declared linear: 0 * nan is nan, and the general path keeps T(x) = g for any x.
+    "zero": (
+        dict(kernel=zero_kernel, lipschitz_bound=0.0),
+        lambda t: np.asarray(t, dtype=np.float64),
+    ),
 }
 
 
@@ -108,30 +98,66 @@ class ProblemSetup:
     closed_form: Optional[Callable] = None
 
 
-def _build_contraction(
-    cfg: Optional[ContractionConfig], space: spc.SpaceDescriptor
-) -> Optional[GeneralizedContraction]:
-    if cfg is None:
-        return None
-    if cfg.kind == "linear":
-        c = cfg.params["c"]
-        modulus = maps.linear_modulus(c)
+# [space] kind -> (key giving its size, constructor, end of the size-mismatch message)
+_SPACES = {
+    "euclidean": ("dim", spc.euclidean, "the {problem} problem (needs {size})"),
+    "trapezoid": ("grid_size", spc.trapezoid, "the problem's grid_size = {size}"),
+}
 
-        def scaled(x, _c=float(c)):
-            return _c * x
 
-        return GeneralizedContraction(scaled, modulus, label=f"linear c={c:g}")
-    if cfg.kind == "rational":
-        beta = cfg.params["beta"]
-        # worst pair for x / (1 + beta||x||) is antipodal, which halves the
-        # effective modulus coefficient: ||fx - fy|| <= d / (1 + (beta/2) d)
-        modulus = maps.rational_modulus(beta / 2.0)
+def _space(cfg: RunConfig, make: Callable, size: Optional[int] = None) -> spc.SpaceDescriptor:
+    """The problem's space ``make(size)``, checked against the [space] section.
 
-        def damped(x, _b=float(beta), _norm=space.norm):
-            return x / (1.0 + _b * _norm(x))
+    ``make`` is one of the ``_SPACES`` constructors.  With ``size = None``
+    the size comes from [space], or is 2 when there is no such section.
+    """
+    if cfg.space is None:
+        return make(2 if size is None else size)
+    view = SectionView("space", cfg.space, cfg.origin)
+    kind = view.str_value("kind", required=True, choices=_SPACES)
+    key, declared_make, mismatch = _SPACES[kind]
+    declared = view.int_value(key)
+    if declared is None:
+        raise view.error(f"kind = {kind} needs '{key}'")
+    view.finish()
+    problem = cfg.problem["kind"].value
+    if declared_make is not make:
+        needs = next(name for name, spec in _SPACES.items() if spec[1] is make)
+        raise ConfigurationError(
+            f"[space] kind = {kind} does not match the {problem} problem (needs {needs})"
+        )
+    if size is not None and declared != size:
+        raise ConfigurationError(
+            f"[space] {key} = {declared} does not match "
+            + mismatch.format(problem=problem, size=size)
+        )
+    return make(declared)
 
-        return GeneralizedContraction(damped, modulus, label=f"rational beta={beta:g}")
-    point = space.point(np.asarray(cfg.params["point"], dtype=np.float64))
+
+def _linear_contraction(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
+    c = view.float_value("c", required=True)
+    modulus = maps.linear_modulus(c)
+
+    def scaled(x, _c=float(c)):
+        return _c * x
+
+    return GeneralizedContraction(scaled, modulus, label=f"linear c={c:g}")
+
+
+def _rational_contraction(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
+    beta = view.float_value("beta", required=True)
+    # worst pair for x / (1 + beta||x||) is antipodal, which halves the
+    # effective modulus coefficient: ||fx - fy|| <= d / (1 + (beta/2) d)
+    modulus = maps.rational_modulus(beta / 2.0)
+
+    def damped(x, _b=float(beta), _norm=space.norm):
+        return x / (1.0 + _b * _norm(x))
+
+    return GeneralizedContraction(damped, modulus, label=f"rational beta={beta:g}")
+
+
+def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
+    point = space.point(np.asarray(view.float_list("point", required=True), dtype=np.float64))
 
     def constant(_x, _p=point):
         return _p
@@ -141,149 +167,156 @@ def _build_contraction(
     )
 
 
-def _check_space_section(cfg: RunConfig, kind: str, dim=None, grid=None) -> None:
-    if cfg.space_kind is None:
-        return
-    if cfg.space_kind != kind:
+_CONTRACTIONS = {
+    "linear": _linear_contraction,
+    "rational": _rational_contraction,
+    "constant-point": _constant_point,
+}
+
+
+def _contraction(cfg: RunConfig, space: spc.SpaceDescriptor) -> Optional[GeneralizedContraction]:
+    """The map ``f`` of the [contraction] section on ``space``; None without one."""
+    if cfg.contraction is None:
+        return None
+    view = SectionView("contraction", cfg.contraction, cfg.origin)
+    f = _CONTRACTIONS[view.str_value("kind", required=True, choices=_CONTRACTIONS)](view, space)
+    view.finish()
+    return f
+
+
+def _fixed_at_origin(
+    cfg: RunConfig, space: spc.SpaceDescriptor, T: NonexpansiveMap, known: bool = True
+) -> ProblemSetup:
+    """Setup started at the all-ones point for a ``T`` that fixes the origin.
+
+    ``known = False`` when the origin is not the only fixed point.
+    """
+    zero = np.zeros(space.dim)
+    return ProblemSetup(
+        space=space,
+        T=T,
+        f=_contraction(cfg, space),
+        x1=np.ones(space.dim),
+        known_fixed_point=zero if known else None,
+        vi_samples=[zero] if known else None,
+    )
+
+
+def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
+    slope = view.float_value("slope", required=True)
+    if not (-1.0 <= slope <= 1.0):
         raise ConfigurationError(
-            f"[space] kind = {cfg.space_kind} does not match the "
-            f"{cfg.problem.kind} problem (needs {kind})"
+            f"builtin-linear slope must lie in [-1, 1] to be nonexpansive, got {slope}"
         )
-    if dim is not None and cfg.space_dim not in (None, dim):
+    space = _space(cfg, spc.euclidean, 1)
+    unique = slope != 1.0
+    zero = np.zeros(1)
+
+    def linear(x, _s=float(slope)):
+        return _s * x
+
+    T = NonexpansiveMap(
+        evaluator=linear,
+        known_fixed_set=spc.Box(zero, zero) if unique else None,
+        label=f"linear slope={slope:g}",
+    )
+    return _fixed_at_origin(cfg, space, T, known=unique)
+
+
+def _line_projection(view: SectionView, cfg: RunConfig) -> ProblemSetup:
+    space = _space(cfg, spc.euclidean, 2)
+    axis = spc.AffineSpan(space, base=np.zeros(2), directions=[[1.0, 0.0]])
+
+    def onto_axis(x, _axis=axis, _space=space):
+        return _axis.project(_space, x)
+
+    T = NonexpansiveMap(evaluator=onto_axis, known_fixed_set=axis, label="axis projection")
+    f = _contraction(cfg, space)
+    known = None
+    if f is not None and _CONTRACTIONS[cfg.contraction["kind"].value] is _constant_point:
+        known = axis.project(space, f.evaluator(np.zeros(2)))
+    samples = [np.array([s, 0.0]) for s in np.linspace(-10.0, 10.0, 41)]
+    return ProblemSetup(
+        space=space,
+        T=T,
+        f=f,
+        x1=np.array([0.0, 5.0]),
+        known_fixed_point=known,
+        vi_samples=samples,
+    )
+
+
+def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
+    k = view.float_value("k", required=True)
+    lam = view.float_value("lambda", required=True)
+    theta = view.float_value("theta", required=True)
+    smooth_l = view.float_value("L", default=1.0)
+    if not (0.0 < k < 1.0):
         raise ConfigurationError(
-            f"[space] dim = {cfg.space_dim} does not match the "
-            f"{cfg.problem.kind} problem (needs {dim})"
+            f"pseudocontraction coefficient k must lie in (0, 1), got {k:g}"
         )
-    if grid is not None and cfg.space_grid_size not in (None, grid):
-        raise ConfigurationError(
-            f"[space] grid_size = {cfg.space_grid_size} does not match the "
-            f"problem's grid_size = {grid}"
-        )
+    space = _space(cfg, spc.euclidean, 1)
+
+    def flipped(x, _k=float(k)):
+        return -_k * x
+
+    T = maps.average_pseudocontraction(
+        flipped, lam=lam, theta=theta, smooth_L=smooth_l, label=f"averaged -{k:g}x"
+    )
+    return _fixed_at_origin(cfg, space, T)
+
+
+def _monotone(view: SectionView, cfg: RunConfig) -> ProblemSetup:
+    gamma = view.float_value("gamma", required=True)
+    ball = view.str_value("set", required=True, choices={"whole-space", "ball"}) == "ball"
+    radius = view.float_value("radius")
+    if ball and radius is None:
+        raise view.error("set = ball needs a 'radius' key")
+    if not ball and radius is not None:
+        raise view.error("'radius' only applies when set = ball")
+    space = _space(cfg, spc.euclidean)
+    constraint = spc.Ball(np.zeros(space.dim), radius) if ball else spc.WholeSpace()
+    A = maps.MonotoneOperatorSpec(lambda x: x, ism_alpha=1.0, label="identity")
+    T = maps.forward_projected(space, constraint, A, gamma=gamma)
+    return _fixed_at_origin(cfg, space, T)
+
+
+def _fredholm(view: SectionView, cfg: RunConfig) -> ProblemSetup:
+    fields, solution = _FREDHOLM_BUILTINS[
+        view.str_value("kernel", required=True, choices=_FREDHOLM_BUILTINS)
+    ]
+    grid_size = view.int_value("grid_size", required=True)
+    problem = maps.FredholmProblem(g=lambda t: t, grid_size=grid_size, **fields)
+    space = _space(cfg, spc.trapezoid, grid_size)
+    nodes = spc.trapezoid_nodes(grid_size)
+    return ProblemSetup(
+        space=space,
+        T=maps.fredholm_operator(problem),
+        f=_contraction(cfg, space),
+        x1=np.asarray(problem.g(nodes), dtype=np.float64),
+        nodes=nodes,
+        closed_form=solution,
+    )
+
+
+_PROBLEMS = {
+    "builtin-linear": _builtin_linear,
+    "line-projection": _line_projection,
+    "pseudocontraction": _pseudocontraction,
+    "monotone": _monotone,
+    "fredholm": _fredholm,
+}
 
 
 def build_problem(cfg: RunConfig) -> ProblemSetup:
-    """Assemble the configured problem, validating every precondition."""
-    kind = cfg.problem.kind
-    params = cfg.problem.params
+    """Assemble the configured problem, validating every precondition.
 
-    if kind == "builtin-linear":
-        slope = params["slope"]
-        if not (-1.0 <= slope <= 1.0):
-            raise ConfigurationError(
-                f"builtin-linear slope must lie in [-1, 1] to be nonexpansive, got {slope}"
-            )
-        _check_space_section(cfg, "euclidean", dim=1)
-        space = spc.euclidean(1)
-        fixed = None if slope == 1.0 else np.zeros(1)
-
-        def linear(x, _s=float(slope)):
-            return _s * x
-
-        T = NonexpansiveMap(
-            evaluator=linear,
-            known_fixed_set=None if fixed is None else spc.Box(fixed, fixed),
-            label=f"linear slope={slope:g}",
-        )
-        return ProblemSetup(
-            space=space,
-            T=T,
-            f=_build_contraction(cfg.contraction, space),
-            x1=np.ones(1),
-            known_fixed_point=fixed,
-            vi_samples=None if fixed is None else [np.zeros(1)],
-        )
-
-    if kind == "line-projection":
-        _check_space_section(cfg, "euclidean", dim=2)
-        space = spc.euclidean(2)
-        axis = spc.AffineSpan(space, base=np.zeros(2), directions=[[1.0, 0.0]])
-
-        def onto_axis(x, _axis=axis, _space=space):
-            return _axis.project(_space, x)
-
-        T = NonexpansiveMap(evaluator=onto_axis, known_fixed_set=axis, label="axis projection")
-        f = _build_contraction(cfg.contraction, space)
-        known = None
-        if f is not None and cfg.contraction.kind == "constant-point":
-            known = axis.project(space, f.evaluator(np.zeros(2)))
-        samples = [np.array([s, 0.0]) for s in np.linspace(-10.0, 10.0, 41)]
-        return ProblemSetup(
-            space=space,
-            T=T,
-            f=f,
-            x1=np.array([0.0, 5.0]),
-            known_fixed_point=known,
-            vi_samples=samples,
-        )
-
-    if kind == "pseudocontraction":
-        k = params["k"]
-        if not (0.0 < k < 1.0):
-            raise ConfigurationError(
-                f"pseudocontraction coefficient k must lie in (0, 1), got {k:g}"
-            )
-        lam = params["lambda"]
-        theta = params["theta"]
-        smooth_l = params.get("L", 1.0)
-        _check_space_section(cfg, "euclidean", dim=1)
-        space = spc.euclidean(1)
-
-        def flipped(x, _k=float(k)):
-            return -_k * x
-
-        T = maps.average_pseudocontraction(
-            flipped, lam=lam, theta=theta, smooth_L=smooth_l, label=f"averaged -{k:g}x"
-        )
-        zero = np.zeros(1)
-        return ProblemSetup(
-            space=space,
-            T=T,
-            f=_build_contraction(cfg.contraction, space),
-            x1=np.ones(1),
-            known_fixed_point=zero,
-            vi_samples=[zero],
-        )
-
-    if kind == "monotone":
-        dim = cfg.space_dim if cfg.space_dim is not None else 2
-        _check_space_section(cfg, "euclidean", dim=dim)
-        space = spc.euclidean(dim)
-        if params["set"] == "ball":
-            constraint = spc.Ball(np.zeros(dim), params["radius"])
-        else:
-            constraint = spc.WholeSpace()
-        A = maps.MonotoneOperatorSpec(lambda x: x, ism_alpha=1.0, label="identity")
-        T = maps.forward_projected(space, constraint, A, gamma=params["gamma"])
-        zero = np.zeros(dim)
-        return ProblemSetup(
-            space=space,
-            T=T,
-            f=_build_contraction(cfg.contraction, space),
-            x1=np.ones(dim),
-            known_fixed_point=zero,
-            vi_samples=[zero],
-        )
-
-    if kind == "fredholm":
-        builtin = _FREDHOLM_BUILTINS[params["kernel"]]
-        grid_size = params["grid_size"]
-        _check_space_section(cfg, "trapezoid", grid=grid_size)
-        problem = maps.FredholmProblem(
-            g=builtin["g"],
-            kernel=builtin["kernel"],
-            lipschitz_bound=builtin["lipschitz"],
-            grid_size=grid_size,
-            linear=builtin["linear"],
-        )
-        space, nodes = maps.fredholm_grid(problem)
-        T = maps.fredholm_operator(problem)
-        return ProblemSetup(
-            space=space,
-            T=T,
-            f=_build_contraction(cfg.contraction, space),
-            x1=np.asarray(builtin["g"](nodes), dtype=np.float64),
-            nodes=nodes,
-            closed_form=builtin["solution"],
-        )
-
-    raise ConfigurationError(f"unknown problem kind: {kind!r}")
+    Validates the [problem], [contraction] and [space] sections of ``cfg``
+    (:func:`viscofix.config.load_run_config` validates the others): their
+    keys and values, the ranges that make ``T`` nonexpansive and ``f`` a
+    contraction, and that [space] describes the problem's space.
+    """
+    view = SectionView("problem", cfg.problem, cfg.origin)
+    setup = _PROBLEMS[view.str_value("kind", required=True, choices=_PROBLEMS)](view, cfg)
+    view.finish()
+    return setup

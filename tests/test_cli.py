@@ -213,6 +213,193 @@ def test_space_section_mismatch(tmp_path, capsys):
     assert "dim" in capsys.readouterr().err
 
 
+# LINEAR_BASE lines: 3 [problem] kind, 4 slope, 7 [contraction] kind, 8 c,
+# 11 [scheme] name, 14 [schedule] preset, 17 outer_tol, 18 max_outer
+_IDENTITY_TAIL = "[scheme]\nname = mann_implicit\n[schedule]\npreset = halpern-mix\n"
+_MONOTONE = "[problem]\nkind = monotone\ngamma = 1.0\nset = whole-space\n" + _IDENTITY_TAIL
+_FREDHOLM = "[problem]\nkind = fredholm\nkernel = zero\ngrid_size = 8\n" + _IDENTITY_TAIL
+_PSEUDO = (
+    "[problem]\nkind = pseudocontraction\nk = 0.5\nlambda = 0.5\ntheta = 0.3\n" + _IDENTITY_TAIL
+)
+_LINE = (
+    "[problem]\nkind = line-projection\n[contraction]\nkind = constant-point\n"
+    "point = 3, 4\n[scheme]\nname = new_implicit\n[schedule]\npreset = halpern-mix\n"
+)
+_RATIONAL = (
+    "kind = custom-rational\nalpha1 = 0, 0.5, 0\nalpha2 = 1, -1.5, 0\n"
+    "alpha3 = 0, 1, 0\ndelta = 0.5, -0.5, 1"
+)
+
+
+def _swap(old, new, base=LINEAR_BASE):
+    assert old in base
+    return base.replace(old, new, 1)
+
+
+MALFORMED_CONFIGS = [
+    # file syntax
+    ("duplicate-section", LINEAR_BASE + "[scheme]\nname = kema\n",
+     "duplicate section [scheme] (line 19)"),
+    ("duplicate-key", _swap("slope = 0.5", "slope = 0.5\nslope = 0.7"),
+     "duplicate key 'slope' in [problem] (line 5)"),
+    ("key-outside-section", "slope = 0.5\n" + LINEAR_BASE, "key outside any [section] (line 1)"),
+    ("empty-key", _swap("c = 0.25", "c = 0.25\n= 3"), "empty key (line 9)"),
+    ("empty-section-name", LINEAR_BASE + "[ ]\n", "empty section name (line 19)"),
+    ("no-equals", _swap("slope = 0.5", "slope 0.5"), "expected 'key = value' (line 4)"),
+    ("not-ascii", _swap("slope = 0.5", "slope = 0.5  # ½"), "is not ASCII"),
+    ("unknown-section", LINEAR_BASE + "[plotting]\nstyle = dots\n",
+     "unknown section [plotting] (line 20)"),
+    ("unknown-key-contraction", _swap("c = 0.25", "c = 0.25\nbeta = 1"),
+     "unknown key 'beta' in [contraction] (line 9)"),
+    ("unknown-key-space", LINEAR_BASE + "[space]\nkind = euclidean\ndim = 1\nsize = 1\n",
+     "unknown key 'size' in [space] (line 22)"),
+    # missing pieces
+    ("missing-problem-section", _swap("[problem]\nkind = builtin-linear\nslope = 0.5\n", ""),
+     "missing required section [problem]"),
+    ("missing-schedule-section", _swap("[schedule]\npreset = halpern-mix\n", ""),
+     "missing required section [schedule]"),
+    ("missing-problem-kind", _swap("kind = builtin-linear\n", ""),
+     "[problem] missing required key 'kind'"),
+    ("missing-slope", _swap("slope = 0.5\n", ""), "[problem] missing required key 'slope'"),
+    ("missing-c", _swap("c = 0.25\n", ""), "[contraction] missing required key 'c'"),
+    ("missing-theta", _swap("theta = 0.3\n", "", _PSEUDO),
+     "[problem] missing required key 'theta'"),
+    ("missing-triple",
+     _swap("preset = halpern-mix", _RATIONAL.replace("\ndelta = 0.5, -0.5, 1", "")),
+     "[schedule] missing required key 'delta'"),
+    # values
+    ("not-a-number", _swap("slope = 0.5", "slope = half"),
+     "[problem] key 'slope' is not a number: 'half' (line 4)"),
+    ("nan", _swap("slope = 0.5", "slope = nan"), "[problem] key 'slope' must be finite (line 4)"),
+    ("inf", _swap("c = 0.25", "c = -inf"), "[contraction] key 'c' must be finite (line 8)"),
+    ("not-an-integer", _swap("max_outer = 50000", "max_outer = 5e4"),
+     "[solver] key 'max_outer' is not an integer: '5e4' (line 18)"),
+    ("grid-not-an-integer", _swap("grid_size = 8", "grid_size = 8.0", _FREDHOLM),
+     "[problem] key 'grid_size' is not an integer: '8.0' (line 4)"),
+    ("not-a-number-list", _swap("preset = halpern-mix", _RATIONAL.replace("0, 0.5, 0", "0, x, 0")),
+     "[schedule] key 'alpha1' is not a comma-separated number list: '0, x, 0' (line 15)"),
+    ("short-number-list", _swap("preset = halpern-mix", _RATIONAL.replace("0, 0.5, 0", "0, 0.5")),
+     "[schedule] key 'alpha1' needs 3 comma-separated numbers, got 2 (line 15)"),
+    ("point-not-a-list", _swap("point = 3, 4", "point = 3; 4", _LINE),
+     "[contraction] key 'point' is not a comma-separated number list: '3; 4' (line 5)"),
+    # choices
+    ("problem-kind", _swap("kind = builtin-linear", "kind = quadratic"),
+     "[problem] key 'kind' must be one of {builtin-linear, fredholm, line-projection, "
+     "monotone, pseudocontraction}, got 'quadratic' (line 3)"),
+    ("kernel", _swap("kernel = zero", "kernel = cosine", _FREDHOLM),
+     "[problem] key 'kernel' must be one of {separable-linear, sine, zero}, got 'cosine' (line 3)"),
+    ("monotone-set", _swap("set = whole-space", "set = cube", _MONOTONE),
+     "[problem] key 'set' must be one of {ball, whole-space}, got 'cube' (line 4)"),
+    ("contraction-kind", _swap("kind = linear", "kind = affine"),
+     "[contraction] key 'kind' must be one of {constant-point, linear, rational}, "
+     "got 'affine' (line 7)"),
+    ("space-kind", LINEAR_BASE + "[space]\nkind = sphere\n",
+     "[space] key 'kind' must be one of {euclidean, trapezoid}, got 'sphere' (line 20)"),
+    ("scheme-name", _swap("name = new_implicit", "name = newton"),
+     "[scheme] key 'name' must be one of {explicit, kema, "),
+    ("preset-and-kind",
+     _swap("preset = halpern-mix", "preset = halpern-mix\nkind = custom-rational"),
+     "[schedule] give either 'preset' or 'kind = custom-rational', not both"),
+    ("unknown-preset", _swap("preset = halpern-mix", "preset = nope"),
+     "[schedule] unknown preset 'nope' (known: compare-t16, eq75, halpern-mix)"),
+    ("no-preset-or-kind", _swap("preset = halpern-mix", "n0 = 2"),
+     "[schedule] needs 'preset = <name>' or 'kind = custom-rational' with coefficients"),
+    # section rules
+    ("ball-without-radius", _swap("set = whole-space", "set = ball", _MONOTONE),
+     "[problem] set = ball needs a 'radius' key"),
+    ("radius-without-ball", _swap("set = whole-space", "set = whole-space\nradius = 2", _MONOTONE),
+     "[problem] 'radius' only applies when set = ball"),
+    ("euclidean-without-dim", LINEAR_BASE + "[space]\nkind = euclidean\n",
+     "[space] kind = euclidean needs 'dim'"),
+    ("trapezoid-without-grid-size", _FREDHOLM + "[space]\nkind = trapezoid\n",
+     "[space] kind = trapezoid needs 'grid_size'"),
+    ("space-kind-mismatch", LINEAR_BASE + "[space]\nkind = trapezoid\ngrid_size = 4\n",
+     "[space] kind = trapezoid does not match the builtin-linear problem (needs euclidean)"),
+    ("space-kind-mismatch-fredholm", _FREDHOLM + "[space]\nkind = euclidean\ndim = 9\n",
+     "[space] kind = euclidean does not match the fredholm problem (needs trapezoid)"),
+    ("space-dim-mismatch", _LINE + "[space]\nkind = euclidean\ndim = 3\n",
+     "[space] dim = 3 does not match the line-projection problem (needs 2)"),
+    ("space-grid-mismatch", _FREDHOLM + "[space]\nkind = trapezoid\ngrid_size = 16\n",
+     "[space] grid_size = 16 does not match the problem's grid_size = 8"),
+    # ranges
+    ("slope-range", _swap("slope = 0.5", "slope = 1.5"),
+     "builtin-linear slope must lie in [-1, 1] to be nonexpansive, got 1.5"),
+    ("k-range", _swap("k = 0.5", "k = 1.0", _PSEUDO),
+     "pseudocontraction coefficient k must lie in (0, 1), got 1"),
+    ("grid-size-range", _swap("grid_size = 8", "grid_size = 1", _FREDHOLM),
+     "grid_size must be >= 2, got 1"),
+    ("monotone-dim-range", _MONOTONE + "[space]\nkind = euclidean\ndim = 0\n",
+     "dimension must be >= 1, got 0"),
+    ("contraction-c-range", _swap("c = 0.25", "c = 1.5"),
+     "linear modulus coefficient must lie in [0, 1), got 1.5"),
+    ("contraction-beta-range", _swap("kind = linear\nc = 0.25", "kind = rational\nbeta = 0"),
+     "rational modulus coefficient must be positive, got 0.0"),
+    ("constant-point-dimension", _swap("point = 3, 4", "point = 3, 4, 5", _LINE),
+     "expected a point of dimension 2, got shape (3,)"),
+    ("triple-non-finite",
+     _swap("preset = halpern-mix", _RATIONAL.replace("0, 0.5, 0", "0, nan, 0")),
+     "must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [case[1:] for case in MALFORMED_CONFIGS],
+    ids=[case[0] for case in MALFORMED_CONFIGS],
+)
+def test_malformed_config_exits_1(tmp_path, capsys, text, fragment):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("point", ["nan, 1", "0, inf"])
+def test_number_list_must_be_finite(tmp_path, capsys, point):
+    cfg = _config(tmp_path, _swap("point = 3, 4", f"point = {point}", _LINE))
+    assert main(["solve", "--config", cfg]) == 1
+    assert "[contraction] key 'point' must be finite (line 5)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (LINEAR_BASE + "[space]\nkind = euclidean\ndim = 1\ngrid_size = 99\n",
+         "unknown key 'grid_size' in [space] (line 22)"),
+        (_FREDHOLM + "[space]\nkind = trapezoid\ngrid_size = 8\ndim = 9\n",
+         "unknown key 'dim' in [space] (line 12)"),
+    ],
+    ids=["grid_size-under-euclidean", "dim-under-trapezoid"],
+)
+def test_space_rejects_keys_of_the_other_kind(tmp_path, capsys, text, fragment):
+    cfg = _config(tmp_path, text)
+    assert main(["solve", "--config", cfg]) == 1
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_inner_solve_error_exit_code(tmp_path, capsys):
+    # the same config as test_non_finite_run_exit_code under an implicit
+    # scheme: the inner solve's gap overflows at its first application
+    text = _swap("point = 3, 4", "point = 0, 1e200", _LINE)
+    cfg = _config(tmp_path, text)
+    assert main(["solve", "--config", cfg]) == 2
+    assert "error: inner solve gap is inf at application 1" in capsys.readouterr().err
+
+
+def test_readme_config_example(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```ini\n")
+    assert len(blocks) == 2, "README should hold exactly one ini block"
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path, blocks[1].split("```", 1)[0])
+    assert main(["solve", "--config", cfg]) == 0
+    assert "termination: converged" in capsys.readouterr().out
+    assert (tmp_path / "trace.csv").exists()
+
+
 def test_validate_schedule_preset(capsys):
     assert main(["validate-schedule", "--preset", "eq75", "--horizon", "10000"]) == 0
     out = capsys.readouterr().out
@@ -249,6 +436,13 @@ n0 = 2
     out = capsys.readouterr().out
     assert "custom-rational" in out
     assert "satisfied" not in out.split("(ii)")[1].split("\n")[0]
+
+
+def test_validate_schedule_config_not_ascii(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("[schedule]\npreset = eq75  # é\n", encoding="utf-8")
+    assert main(["validate-schedule", "--config", str(path), "--horizon", "1000"]) == 1
+    assert "is not ASCII" in capsys.readouterr().err
 
 
 def test_validate_schedule_horizon_gate(capsys):
