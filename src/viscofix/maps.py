@@ -7,7 +7,8 @@ These properties, and the inverse strong monotonicity of a
 :class:`MonotoneOperatorSpec`, cannot be proven at runtime, so each has a
 seeded statistical audit (:func:`check_nonexpansive`,
 :func:`check_contraction`, :func:`check_inverse_strongly_monotone`).  The
-three share one sampler of seeded random pairs that keeps the worst pair.
+three share one sampler of seeded random pairs that keeps the worst pair,
+and each returns an :class:`AuditReport`.
 
 Three constructors build the nonexpansive operators used by the
 applications: averaging a strictly pseudocontractive map, the projected
@@ -35,9 +36,7 @@ __all__ = [
     "GeneralizedContraction",
     "MonotoneOperatorSpec",
     "FredholmProblem",
-    "NonexpansivenessReport",
-    "ContractionReport",
-    "MonotonicityReport",
+    "AuditReport",
     "check_nonexpansive",
     "check_contraction",
     "check_inverse_strongly_monotone",
@@ -221,37 +220,30 @@ class FredholmProblem:
 
 
 @dataclass(frozen=True)
-class NonexpansivenessReport:
-    max_ratio: float
+class AuditReport:
+    """Outcome of a seeded pair audit.
+
+    ``worst`` is the worst score over the sampled pairs (the largest ratio
+    for :func:`check_nonexpansive`, the smallest slack for the other two
+    checks), ``witness`` the first pair that attains it (None when no pair
+    beat the starting value), and ``n_samples``/``seed`` the audit's inputs.
+    """
+
     passed: bool
+    worst: float
     witness: Optional[tuple]
     n_samples: int
     seed: int
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    passed: bool
-    worst_slack: float
-    witness: Optional[tuple]
-    n_samples: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    passed: bool
-    worst_slack: float
-    witness: Optional[tuple]
-
-
-def _worst_pair(space, n_samples, seed, score, worse, start, domain=None):
-    """``(worst, witness)`` of ``score(x, y, dist)`` under the order ``worse``.
+def _audit(space, n_samples, seed, score, worse, start, bound, domain=None):
+    """Report the worst ``score(x, y, dist)`` under the order ``worse``.
 
     Points come from a seeded normal distribution of scale 3, each projected
     into ``domain`` when one is given.  Pairs at zero distance are skipped;
     the first of equally bad pairs is kept, and only values worse than
-    ``start`` are kept at all.
+    ``start`` are kept at all.  The audit passes unless the worst value is
+    worse than ``bound``.
     """
     if n_samples < 1:
         raise InputError(f"n_samples must be >= 1, got {n_samples}")
@@ -270,7 +262,13 @@ def _worst_pair(space, n_samples, seed, score, worse, start, domain=None):
         if worse(value, worst):
             worst = value
             witness = (x, y)
-    return worst, witness
+    return AuditReport(
+        passed=not worse(worst, bound),
+        worst=float(worst),
+        witness=witness,
+        n_samples=n_samples,
+        seed=seed,
+    )
 
 
 def check_nonexpansive(
@@ -278,7 +276,7 @@ def check_nonexpansive(
     T: NonexpansiveMap,
     n_samples: int = 1000,
     seed: int = 0,
-) -> NonexpansivenessReport:
+) -> AuditReport:
     """Audit ``||Tx - Ty|| <= ||x - y||`` on seeded random pairs.
 
     Pairs are drawn from a scaled normal distribution and projected into
@@ -289,16 +287,10 @@ def check_nonexpansive(
     are skipped, so when every pair does, or ``T`` is constant, the ratio
     is ``0.0`` with no witness.
     """
-    max_ratio, witness = _worst_pair(
+    return _audit(
         space, n_samples, seed,
-        lambda x, y, dist: spc.norm(space, T(x) - T(y)) / dist, operator.gt, 0.0, T.domain,
-    )
-    return NonexpansivenessReport(
-        max_ratio=max_ratio,
-        passed=max_ratio <= 1.0 + 1e-10,
-        witness=witness,
-        n_samples=n_samples,
-        seed=seed,
+        lambda x, y, dist: spc.norm(space, T(x) - T(y)) / dist,
+        operator.gt, 0.0, 1.0 + 1e-10, T.domain,
     )
 
 
@@ -307,7 +299,7 @@ def check_contraction(
     f: GeneralizedContraction,
     n_samples: int = 1000,
     seed: int = 0,
-) -> ContractionReport:
+) -> AuditReport:
     """Audit ``||fx - fy|| <= m(||x - y||)`` on seeded random pairs.
 
     The slack of a pair is ``m(||x - y||) - ||fx - fy||``; the check passes
@@ -315,17 +307,10 @@ def check_contraction(
     first pair with that slack.  ``n_samples`` must be at least 1
     (:class:`InputError` otherwise); pairs at zero distance are skipped.
     """
-    worst_slack, witness = _worst_pair(
+    return _audit(
         space, n_samples, seed,
         lambda x, y, dist: f.modulus.value(dist) - spc.norm(space, f(x) - f(y)),
-        operator.lt, np.inf,
-    )
-    return ContractionReport(
-        passed=bool(worst_slack >= -1e-10),
-        worst_slack=float(worst_slack),
-        witness=witness,
-        n_samples=n_samples,
-        seed=seed,
+        operator.lt, np.inf, -1e-10,
     )
 
 
@@ -334,7 +319,7 @@ def check_inverse_strongly_monotone(
     A: MonotoneOperatorSpec,
     n_samples: int = 1000,
     seed: int = 0,
-) -> MonotonicityReport:
+) -> AuditReport:
     """Spot-check ``<Au - Av, u - v> >= alpha * ||Au - Av||^2`` on pairs.
 
     The slack of a pair is the left side minus the right side; the check
@@ -347,10 +332,7 @@ def check_inverse_strongly_monotone(
         du = A(u) - A(v)
         return spc.inner(space, du, u - v) - A.ism_alpha * spc.norm(space, du) ** 2
 
-    worst_slack, witness = _worst_pair(space, n_samples, seed, slack, operator.lt, np.inf)
-    return MonotonicityReport(
-        passed=bool(worst_slack >= -1e-10), worst_slack=float(worst_slack), witness=witness
-    )
+    return _audit(space, n_samples, seed, slack, operator.lt, np.inf, -1e-10)
 
 
 def average_pseudocontraction(

@@ -92,7 +92,6 @@ class ProblemSetup:
     T: NonexpansiveMap
     f: Optional[GeneralizedContraction]
     x1: np.ndarray
-    known_fixed_point: Optional[np.ndarray] = None
     vi_samples: Optional[List[np.ndarray]] = None
     nodes: Optional[np.ndarray] = None
     closed_form: Optional[Callable] = None
@@ -197,7 +196,6 @@ def _fixed_at_origin(
         T=T,
         f=_contraction(cfg, space),
         x1=np.ones(space.dim),
-        known_fixed_point=zero if known else None,
         vi_samples=[zero] if known else None,
     )
 
@@ -231,17 +229,12 @@ def _line_projection(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         return _axis.project(_space, x)
 
     T = NonexpansiveMap(evaluator=onto_axis, known_fixed_set=axis, label="axis projection")
-    f = _contraction(cfg, space)
-    known = None
-    if f is not None and _CONTRACTIONS[cfg.contraction["kind"].value] is _constant_point:
-        known = axis.project(space, f.evaluator(np.zeros(2)))
     samples = [np.array([s, 0.0]) for s in np.linspace(-10.0, 10.0, 41)]
     return ProblemSetup(
         space=space,
         T=T,
-        f=f,
+        f=_contraction(cfg, space),
         x1=np.array([0.0, 5.0]),
-        known_fixed_point=known,
         vi_samples=samples,
     )
 

@@ -315,10 +315,15 @@ def _looks_bounded_away(tail: np.ndarray, floor: float = 1e-6) -> bool:
     return bool(np.min(tail) > floor and tail[-1] >= 0.5 * tail[0])
 
 
-def _limit_zero_and_divergent(ns, summand, partial_sum, name):
-    """Heuristic verdict for 'limit 0 and series divergent' (capped)."""
-    mags = np.abs(summand)
-    if np.all(mags <= 1e-15):
+def _series_verdict(limit_seq, slope, partial_sum, name, summable):
+    """Heuristic verdict for 'limit 0, series finite' or 'divergent' (capped).
+
+    ``limit_seq`` is the sequence that must tend to 0 and ``slope`` the
+    tail exponent of the series' summand; ``summable`` says whether the
+    condition needs the series finite or divergent.
+    """
+    mags = np.abs(limit_seq)
+    if not summable and np.all(mags <= 1e-15):
         return ConditionFinding(
             Status.VIOLATED,
             f"{name} is identically zero over the horizon; its series is finite",
@@ -329,35 +334,16 @@ def _limit_zero_and_divergent(ns, summand, partial_sum, name):
             Status.VIOLATED,
             f"{name} appears to have a nonzero limit (tail mean {np.mean(tail):.4g})",
         )
-    slope = _tail_exponent(ns, mags)
-    if slope is not None and slope < -1.05:
+    if slope is not None and summable and slope >= -1.05:
+        return ConditionFinding(
+            Status.VIOLATED,
+            f"series divergence suspected (tail exponent {slope:.2f} >= -1.05)",
+        )
+    if slope is not None and not summable and slope < -1.05:
         return ConditionFinding(
             Status.VIOLATED,
             f"{name} series appears summable (tail exponent {slope:.2f}), "
             "but the condition needs divergence",
-        )
-    slope_txt = "n/a" if slope is None else f"{slope:.2f}"
-    return ConditionFinding(
-        Status.INCONCLUSIVE,
-        f"consistent with the condition numerically (partial sum "
-        f"{partial_sum:.4g}, tail exponent {slope_txt}) but not certifiable "
-        "from finite data",
-    )
-
-
-def _vanishing_and_summable(ns, limits_seq, summand, partial_sum, name):
-    """Heuristic verdict for 'limit 0 and series finite' (capped)."""
-    tail = _tail_window(np.abs(limits_seq))
-    if _looks_bounded_away(tail):
-        return ConditionFinding(
-            Status.VIOLATED,
-            f"{name} appears to have a nonzero limit (tail mean {np.mean(tail):.4g})",
-        )
-    slope = _tail_exponent(ns, np.abs(summand))
-    if slope is not None and slope >= -1.05:
-        return ConditionFinding(
-            Status.VIOLATED,
-            f"series divergence suspected (tail exponent {slope:.2f} >= -1.05)",
         )
     slope_txt = "n/a" if slope is None else f"{slope:.2f}"
     return ConditionFinding(
@@ -445,6 +431,8 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     tail_summand = a3v * (1.0 - dv)
     drift_sum = float(np.sum(drift))
     tail_sum = float(np.sum(tail_summand))
+    drift_exp = _tail_exponent(ns, np.abs(drift))
+    tail_exp = _tail_exponent(ns, np.abs(tail_summand))
 
     facts = s.facts
     if facts is not None:
@@ -489,9 +477,9 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
                 )
             cond_iv = ConditionFinding(Status.VIOLATED, "; ".join(parts))
     else:
-        cond_ii = _limit_zero_and_divergent(ns, drift, drift_sum, "drift")
+        cond_ii = _series_verdict(drift, drift_exp, drift_sum, "drift", summable=False)
         cond_iii = _band_inside_unit_interval(a2v)
-        cond_iv = _vanishing_and_summable(ns, a3v, tail_summand, tail_sum, "alpha3")
+        cond_iv = _series_verdict(a3v, tail_exp, tail_sum, "alpha3", summable=True)
 
     monotone = bool(np.all(np.diff(dv) >= -1e-15))
     d_min, d_max = float(np.min(dv)), float(np.max(dv))
@@ -524,9 +512,9 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
 
     diagnostics = {
         "drift_partial_sum": drift_sum,
-        "drift_tail_exponent": _tail_exponent(ns, np.abs(drift)),
+        "drift_tail_exponent": drift_exp,
         "tail_partial_sum": tail_sum,
-        "tail_exponent": _tail_exponent(ns, np.abs(tail_summand)),
+        "tail_exponent": tail_exp,
         "delta_min": d_min,
         "delta_max": d_max,
         "same_limit_ratio": ratio_txt,

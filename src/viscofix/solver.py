@@ -432,6 +432,7 @@ def run(
     if observer is not None:
         observer(state)
     trace: List[TraceRow] = []
+    termination, message = None, ""
     for _ in range(cfg.max_outer):
         if state.residual <= cfg.outer_tol or not math.isfinite(state.residual):
             break
@@ -441,15 +442,8 @@ def run(
                 scheme, state.x, n, f_eval, t_eval, schedule, cfg, nrm
             )
         except ScheduleRangeError as exc:
-            return SolveReport(
-                final_point=state.x,
-                termination=Termination.SCHEDULE_RANGE_VIOLATION,
-                trace=trace,
-                n_final=n,
-                final_residual=state.residual,
-                space=space,
-                message=str(exc),
-            )
+            termination, message = Termination.SCHEDULE_RANGE_VIOLATION, str(exc)
+            break
         if cfg.record_trace:
             trace.append(
                 TraceRow(
@@ -468,34 +462,26 @@ def run(
         )
         if observer is not None:
             observer(state)
-    if state.residual <= cfg.outer_tol:
-        return SolveReport(
-            final_point=state.x,
-            termination=Termination.CONVERGED,
-            trace=trace,
-            n_final=state.n,
-            final_residual=state.residual,
-            space=space,
-        )
-    if not math.isfinite(state.residual):
-        return SolveReport(
-            final_point=state.x,
-            termination=Termination.NON_FINITE,
-            trace=trace,
-            n_final=state.n,
-            final_residual=state.residual,
-            space=space,
-            message=f"residual at n = {state.n} is {state.residual!r}: x_n, "
-            "T(x_n) or their distance is not finite",
-        )
+    if termination is None:
+        if state.residual <= cfg.outer_tol:
+            termination = Termination.CONVERGED
+        elif not math.isfinite(state.residual):
+            termination = Termination.NON_FINITE
+            message = (
+                f"residual at n = {state.n} is {state.residual!r}: x_n, "
+                "T(x_n) or their distance is not finite"
+            )
+        else:
+            termination = Termination.MAX_ITERS
+            message = f"residual {state.residual:.6g} above tolerance after {cfg.max_outer} steps"
     return SolveReport(
         final_point=state.x,
-        termination=Termination.MAX_ITERS,
+        termination=termination,
         trace=trace,
         n_final=state.n,
         final_residual=state.residual,
         space=space,
-        message=f"residual {state.residual:.6g} above tolerance after {cfg.max_outer} steps",
+        message=message,
     )
 
 

@@ -390,7 +390,7 @@ def test_criterion_09_nonexpansiveness_property_suite():
     worst = []
     for seed, (name, space, T) in enumerate(cases, start=11):
         audit = check_nonexpansive(space, T, n_samples=1000, seed=seed)
-        worst.append((name, audit.max_ratio, audit.passed))
+        worst.append((name, audit.worst, audit.passed))
     ok = all(passed and ratio <= 1.0 + 1e-9 for _, ratio, passed in worst)
     detail = "; ".join(f"{name} ratio {ratio:.9f}" for name, ratio, _ in worst)
     _report(9, ok, f"max pair ratios (each <= 1 + 1e-9): {detail}")

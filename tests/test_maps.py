@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from viscofix import (
+    AuditReport,
     Ball,
     Box,
     ConfigurationError,
@@ -88,17 +89,17 @@ def test_check_nonexpansive_identity():
     sp = euclidean(2)
     report = check_nonexpansive(sp, NonexpansiveMap(lambda x: x))
     assert report.passed
-    assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
+    assert report.worst == pytest.approx(1.0, abs=1e-12)
 
 
 def test_check_nonexpansive_linear_ratios():
     sp = euclidean(1)
     half = check_nonexpansive(sp, NonexpansiveMap(lambda x: 0.5 * x))
     assert half.passed
-    assert half.max_ratio == pytest.approx(0.5, abs=1e-12)
+    assert half.worst == pytest.approx(0.5, abs=1e-12)
     double = check_nonexpansive(sp, NonexpansiveMap(lambda x: 2.0 * x))
     assert not double.passed
-    assert double.max_ratio == pytest.approx(2.0, abs=1e-12)
+    assert double.worst == pytest.approx(2.0, abs=1e-12)
     assert double.witness is not None
 
 
@@ -111,7 +112,7 @@ def test_check_nonexpansive_respects_domain():
     assert not check_nonexpansive(sp, NonexpansiveMap(square)).passed
 
 
-@pytest.mark.parametrize(
+audit_cases = pytest.mark.parametrize(
     "check, target",
     [
         (check_nonexpansive, NonexpansiveMap(lambda x: x)),
@@ -120,9 +121,20 @@ def test_check_nonexpansive_respects_domain():
     ],
     ids=["nonexpansive", "contraction", "inverse_strongly_monotone"],
 )
+
+
+@audit_cases
 def test_check_rejects_bad_samples(check, target):
     with pytest.raises(InputError):
         check(euclidean(1), target, n_samples=0)
+
+
+@audit_cases
+def test_check_reports_its_inputs(check, target):
+    report = check(euclidean(1), target, n_samples=7, seed=3)
+    assert type(report) is AuditReport
+    assert (report.passed, report.n_samples, report.seed) == (True, 7, 3)
+    assert report.witness is not None
 
 
 def test_check_contraction_linear():
@@ -130,7 +142,7 @@ def test_check_contraction_linear():
     quarter = lambda x: 0.25 * x
     good = check_contraction(sp, GeneralizedContraction(quarter, linear_modulus(0.25)))
     assert good.passed
-    assert good.worst_slack >= -1e-10
+    assert good.worst >= -1e-10
     bad = check_contraction(sp, GeneralizedContraction(quarter, linear_modulus(0.1)))
     assert not bad.passed
     assert bad.witness is not None
@@ -231,7 +243,7 @@ def test_average_pseudocontraction_is_nonexpansive():
     T = average_pseudocontraction(lambda x: -x / 3.0, lam=0.5, theta=0.5)
     report = check_nonexpansive(sp, T)
     assert report.passed
-    assert report.max_ratio <= 1.0 + 1e-9
+    assert report.worst <= 1.0 + 1e-9
 
 
 def test_average_pseudocontraction_theta_range():
@@ -270,7 +282,7 @@ def test_forward_projected_examples():
     assert np.allclose(T2(x), -x)
     report = check_nonexpansive(sp, T2)
     assert report.passed
-    assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
+    assert report.worst == pytest.approx(1.0, abs=1e-12)
 
 
 def test_forward_projected_gamma_range():
@@ -443,7 +455,7 @@ def test_fredholm_builtin_kernels_nonexpansive():
         space, _ = fredholm_grid(problem)
         report = check_nonexpansive(space, fredholm_operator(problem))
         assert report.passed
-        assert report.max_ratio <= 1.0 + 1e-9
+        assert report.worst <= 1.0 + 1e-9
 
 
 def test_fredholm_lipschitz_spot_check_warns():

@@ -127,6 +127,80 @@ def test_validator_compare_t16_regression():
     assert report.range_violations == [1]
 
 
+_SIMPLEX_OK = "(i) satisfied: weights on the simplex and delta in (0,1) for all n in [1, 10000]"
+_NOT_CERTIFIABLE = "but not certifiable from finite data"
+_RATIO = "same-limit ratio alpha3/(1 - alpha2 - alpha3*delta): "
+_INDEPENDENT = " (reported independently of condition (iv))"
+
+
+@pytest.mark.parametrize(
+    "alpha1, alpha2, alpha3, delta, lines",
+    [
+        pytest.param(
+            (0, 0, 0), (1, 0, 0), (0, 0, 0), (0.5, 0, 0),
+            (
+                _SIMPLEX_OK,
+                "(ii) violated: drift is identically zero over the horizon; its series is finite",
+                "(iii) violated: limsup appears to reach 1 (upper gap shrinking)",
+                "(iv) inconclusive: consistent with the condition numerically (partial sum 0, "
+                f"tail exponent n/a) {_NOT_CERTIFIABLE}",
+                "(v) satisfied: delta nondecreasing with bounds [0.5, 0.5] inside (0, 1)",
+                f"{_RATIO}undefined over the horizon{_INDEPENDENT}",
+            ),
+            id="zero-drift",
+        ),
+        pytest.param(
+            (0, 1, 1), (0.5, 0, 0), (0.5, -1, 1), (0.5, 0, 0),
+            (
+                _SIMPLEX_OK,
+                "(ii) violated: drift appears to have a nonzero limit (tail mean 0.2501)",
+                "(iii) inconclusive: values stay within [0.5, 0.5] over the horizon; "
+                "asymptotic bounds not certifiable from finite data",
+                "(iv) violated: alpha3 appears to have a nonzero limit (tail mean 0.4999)",
+                "(v) satisfied: delta nondecreasing with bounds [0.5, 0.5] inside (0, 1)",
+                f"{_RATIO}horizon value 1.999 (no declared limit){_INDEPENDENT}",
+            ),
+            id="nonzero-limits",
+        ),
+        pytest.param(
+            # drift = alpha3 * (1 - delta) = 1e-3/(n+1)^2
+            (0, 0, 0), (1, -1e-3, 1), (0, 1e-3, 1), (1, -1, 1),
+            (
+                _SIMPLEX_OK,
+                "(ii) violated: drift series appears summable (tail exponent -2.00), "
+                "but the condition needs divergence",
+                "(iii) inconclusive: values stay within [1, 1] over the horizon; "
+                "asymptotic bounds not certifiable from finite data",
+                "(iv) inconclusive: consistent with the condition numerically (partial sum "
+                f"0.0006448, tail exponent -2.00) {_NOT_CERTIFIABLE}",
+                "(v) satisfied: delta nondecreasing with bounds [0.5, 0.9999] inside (0, 1)",
+                f"{_RATIO}horizon value 1e+04 (no declared limit){_INDEPENDENT}",
+            ),
+            id="summable-drift",
+        ),
+        pytest.param(
+            # drift = alpha3 * (1 - delta) = 5e-4/(n+1), below 1e-6 over the tail
+            (0, 0, 0), (1, -1e-3, 1), (0, 1e-3, 1), (0.5, 0, 0),
+            (
+                _SIMPLEX_OK,
+                "(ii) inconclusive: consistent with the condition numerically (partial sum "
+                f"0.004394, tail exponent -1.00) {_NOT_CERTIFIABLE}",
+                "(iii) inconclusive: values stay within [1, 1] over the horizon; "
+                "asymptotic bounds not certifiable from finite data",
+                "(iv) violated: series divergence suspected (tail exponent -1.00 >= -1.05)",
+                "(v) satisfied: delta nondecreasing with bounds [0.5, 0.5] inside (0, 1)",
+                f"{_RATIO}horizon value 2 (no declared limit){_INDEPENDENT}",
+            ),
+            id="divergent-tail",
+        ),
+    ],
+)
+def test_validator_heuristic_branches(alpha1, alpha2, alpha3, delta, lines):
+    # every detail branch of the capped (ii)/(iv) heuristics, pinned verbatim
+    report = validate_assumption12(custom_rational(alpha1, alpha2, alpha3, delta), 10_000)
+    assert report.render().split("\n") == list(lines)
+
+
 def test_validator_constant_schedule():
     s = custom_rational((0, 0, 0), (1, 0, 0), (0, 0, 0), (0.5, 0, 0))
     report = validate_assumption12(s, 500)
