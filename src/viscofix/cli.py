@@ -155,10 +155,9 @@ def cmd_compare(args) -> int:
     cfg = load_run_config(args.config)
     setup = build_problem(cfg)
     _print_schedule_warnings(cfg.schedule)
-    solver_cfg = dataclasses.replace(cfg.solver, record_trace=False)
     reports = []
     for scheme in schemes:
-        report = _run_configured(setup, scheme, cfg.schedule, solver_cfg)
+        report = _run_configured(setup, scheme, cfg.schedule, cfg.solver)
         print(
             f"{scheme}: termination {report.termination}, "
             f"final {_format_point(report.final_point)}, "
@@ -191,8 +190,7 @@ def cmd_fredholm(args) -> int:
             f"section, got kind = {cfg.problem['kind'].value}"
         )
     _print_schedule_warnings(cfg.schedule)
-    solver_cfg = dataclasses.replace(cfg.solver, record_trace=False)
-    report = _run_configured(setup, cfg.scheme, cfg.schedule, solver_cfg)
+    report = _run_configured(setup, cfg.scheme, cfg.schedule, cfg.solver)
     print(f"termination: {report.termination}")
     print(f"final residual: {report.final_residual:.6g}")
     if setup.closed_form is not None:

@@ -269,7 +269,6 @@ def load_run_config(path) -> RunConfig:
             outer_tol=solver_view.float_value("outer_tol", default=defaults.outer_tol),
             max_outer=solver_view.int_value("max_outer", default=defaults.max_outer),
             inner_tol=solver_view.float_value("inner_tol", default=defaults.inner_tol),
-            max_inner=solver_view.int_value("max_inner", default=defaults.max_inner),
             record_trace=False,
         )
         solver_view.finish()

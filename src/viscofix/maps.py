@@ -127,13 +127,11 @@ class NonexpansiveMap:
     """Operator ``T`` with ``||Tx - Ty|| <= ||x - y||`` on its domain.
 
     The property itself is a declaration; :func:`check_nonexpansive` audits
-    it on seeded random pairs.  ``known_fixed_set`` optionally describes
-    the fixed-point set for tests and diagnostics.
+    it on seeded random pairs.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     domain: spc.ConvexSetBase = field(default_factory=spc.WholeSpace)
-    known_fixed_set: Optional[spc.ConvexSetBase] = None
     label: str = ""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -354,8 +352,7 @@ def average_pseudocontraction(
     Parameters
     ----------
     S : callable or NonexpansiveMap-like
-        The map to average.  A ``known_fixed_set`` attribute, if present,
-        carries over to the result.
+        The map to average.
     lam : float
         Strict pseudocontractivity constant, in ``[0, 1)``.
     theta : float
@@ -386,7 +383,6 @@ def average_pseudocontraction(
     return NonexpansiveMap(
         evaluator=averaged,
         domain=domain if domain is not None else spc.WholeSpace(),
-        known_fixed_set=getattr(S, "known_fixed_set", None),
         label=label or "averaged pseudocontraction",
     )
 
@@ -423,7 +419,6 @@ def forward_projected(
     return NonexpansiveMap(
         evaluator=stepped,
         domain=spc.WholeSpace(),
-        known_fixed_set=None,
         label=label or "projected forward step",
     )
 
@@ -509,6 +504,5 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     return NonexpansiveMap(
         evaluator=integral_step,
         domain=spc.WholeSpace(),
-        known_fixed_set=None,
         label=f"integral operator on {problem.grid_size + 1} nodes",
     )

@@ -207,18 +207,12 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
             f"builtin-linear slope must lie in [-1, 1] to be nonexpansive, got {slope}"
         )
     space = _space(cfg, spc.euclidean, 1)
-    unique = slope != 1.0
-    zero = np.zeros(1)
 
     def linear(x, _s=float(slope)):
         return _s * x
 
-    T = NonexpansiveMap(
-        evaluator=linear,
-        known_fixed_set=spc.Box(zero, zero) if unique else None,
-        label=f"linear slope={slope:g}",
-    )
-    return _fixed_at_origin(cfg, space, T, known=unique)
+    T = NonexpansiveMap(evaluator=linear, label=f"linear slope={slope:g}")
+    return _fixed_at_origin(cfg, space, T, known=slope != 1.0)
 
 
 def _line_projection(view: SectionView, cfg: RunConfig) -> ProblemSetup:
@@ -228,7 +222,7 @@ def _line_projection(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def onto_axis(x, _axis=axis, _space=space):
         return _axis.project(_space, x)
 
-    T = NonexpansiveMap(evaluator=onto_axis, known_fixed_set=axis, label="axis projection")
+    T = NonexpansiveMap(evaluator=onto_axis, label="axis projection")
     samples = [np.array([s, 0.0]) for s in np.linspace(-10.0, 10.0, 41)]
     return ProblemSetup(
         space=space,

@@ -296,15 +296,14 @@ class ConditionReport:
 _SIMPLEX_TOL = 1e-12
 
 
-def _tail_window(values: np.ndarray) -> np.ndarray:
-    k = max(len(values) // 10, 10)
-    return values[-min(k, len(values)):]
+def _last_decade(ns: np.ndarray) -> slice:
+    """The tail every heuristic reads: the indices ``n >= max(N // 10, ns[0])``."""
+    return slice(int(np.searchsorted(ns, max(ns[-1] // 10, ns[0]))), None)
 
 
 def _tail_exponent(ns: np.ndarray, values: np.ndarray):
-    # log-log slope of the summand over the last decade of indices
-    lo = max(ns[-1] // 10, ns[0])
-    sel = (ns >= lo) & (values > 0.0)
+    # log-log slope of the summand over the given tail of indices
+    sel = values > 0.0
     if np.count_nonzero(sel) < 10:
         return None
     slope = np.polyfit(np.log(ns[sel]), np.log(values[sel]), 1)[0]
@@ -315,12 +314,13 @@ def _looks_bounded_away(tail: np.ndarray, floor: float = 1e-6) -> bool:
     return bool(np.min(tail) > floor and tail[-1] >= 0.5 * tail[0])
 
 
-def _series_verdict(limit_seq, slope, partial_sum, name, summable):
+def _series_verdict(limit_seq, tail, slope, partial_sum, name, summable):
     """Heuristic verdict for 'limit 0, series finite' or 'divergent' (capped).
 
-    ``limit_seq`` is the sequence that must tend to 0 and ``slope`` the
-    tail exponent of the series' summand; ``summable`` says whether the
-    condition needs the series finite or divergent.
+    ``limit_seq`` is the sequence that must tend to 0, ``tail`` its
+    :func:`_last_decade` and ``slope`` the tail exponent of the series'
+    summand; ``summable`` says whether the condition needs the series
+    finite or divergent.
     """
     mags = np.abs(limit_seq)
     if not summable and np.all(mags <= 1e-15):
@@ -328,11 +328,11 @@ def _series_verdict(limit_seq, slope, partial_sum, name, summable):
             Status.VIOLATED,
             f"{name} is identically zero over the horizon; its series is finite",
         )
-    tail = _tail_window(mags)
-    if _looks_bounded_away(tail):
+    tail_mags = mags[tail]
+    if _looks_bounded_away(tail_mags):
         return ConditionFinding(
             Status.VIOLATED,
-            f"{name} appears to have a nonzero limit (tail mean {np.mean(tail):.4g})",
+            f"{name} appears to have a nonzero limit (tail mean {np.mean(tail_mags):.4g})",
         )
     if slope is not None and summable and slope >= -1.05:
         return ConditionFinding(
@@ -355,9 +355,9 @@ def _series_verdict(limit_seq, slope, partial_sum, name, summable):
 
 
 def _band_inside_unit_interval(a2: np.ndarray):
-    """Heuristic verdict for '0 < liminf <= limsup < 1' (capped)."""
-    gap_hi = _tail_window(1.0 - a2)
-    gap_lo = _tail_window(a2)
+    """Heuristic verdict for '0 < liminf <= limsup < 1' (capped) from alpha2's last decade."""
+    gap_hi = 1.0 - a2
+    gap_lo = a2
     if np.min(gap_hi) < 1e-3 and gap_hi[-1] <= 0.5 * gap_hi[0]:
         return ConditionFinding(
             Status.VIOLATED, "limsup appears to reach 1 (upper gap shrinking)"
@@ -431,8 +431,9 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     tail_summand = a3v * (1.0 - dv)
     drift_sum = float(np.sum(drift))
     tail_sum = float(np.sum(tail_summand))
-    drift_exp = _tail_exponent(ns, np.abs(drift))
-    tail_exp = _tail_exponent(ns, np.abs(tail_summand))
+    tail = _last_decade(ns)
+    drift_exp = _tail_exponent(ns[tail], np.abs(drift[tail]))
+    tail_exp = _tail_exponent(ns[tail], np.abs(tail_summand[tail]))
 
     facts = s.facts
     if facts is not None:
@@ -477,9 +478,9 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
                 )
             cond_iv = ConditionFinding(Status.VIOLATED, "; ".join(parts))
     else:
-        cond_ii = _series_verdict(drift, drift_exp, drift_sum, "drift", summable=False)
-        cond_iii = _band_inside_unit_interval(a2v)
-        cond_iv = _series_verdict(a3v, tail_exp, tail_sum, "alpha3", summable=True)
+        cond_ii = _series_verdict(drift, tail, drift_exp, drift_sum, "drift", summable=False)
+        cond_iii = _band_inside_unit_interval(a2v[tail])
+        cond_iv = _series_verdict(a3v, tail, tail_exp, tail_sum, "alpha3", summable=True)
 
     monotone = bool(np.all(np.diff(dv) >= -1e-15))
     d_min, d_max = float(np.min(dv)), float(np.max(dv))

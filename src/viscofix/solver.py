@@ -40,7 +40,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -116,13 +116,12 @@ class SolverConfig:
     outer_tol: float = 1e-8
     max_outer: int = 100_000
     inner_tol: float = 1e-12
-    max_inner: int = 1000
     record_trace: bool = True
 
     def __post_init__(self):
         if not (self.outer_tol > 0.0 and self.inner_tol > 0.0):
             raise ConfigurationError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
+        if self.max_outer < 1:
             raise ConfigurationError("iteration caps must be >= 1")
 
 
@@ -136,8 +135,7 @@ class IterationState:
     residual: float
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One outer iteration: index ``n`` with the weights used at ``n``,
     the residual and step size of the produced iterate ``x_{n+1}``, and
     the inner-solve effort."""
@@ -234,9 +232,9 @@ def _picard_affine_solve(
     ``factor * ||u_{k+1} - u_k|| <= inner_tol`` the returned iterate has
     residual at most ``inner_tol``.  A zero factor means the map is
     constant and one application suffices.  The iteration budget is the
-    bound implied by the factor plus a margin of 10, never exceeding
-    ``max_inner``; running past it means ``T`` shrank nothing, i.e. it is
-    not the nonexpansive map it was declared to be.  A non-finite gap fails at once.
+    bound implied by the factor plus a margin of 10; running past it means
+    ``T`` shrank nothing, i.e. it is not the nonexpansive map it was
+    declared to be.  A non-finite gap fails at once.
     """
     factor = coef * u_weight
     if factor >= 1.0:
@@ -245,7 +243,6 @@ def _picard_affine_solve(
         )
     inner_tol = cfg.inner_tol
     u = u0
-    cap = cfg.max_inner
     k = 0
     while True:
         k += 1
@@ -260,11 +257,12 @@ def _picard_affine_solve(
                 f"inner solve gap is {gap!r} at application {k}: T or the "
                 "starting point is not finite"
             )
-        if k == 1 and factor > 0.0 and gap > 0.0:
+        if k == 1:
+            # a zero factor or gap returned and a non-finite gap raised above
             certified = math.ceil(
                 math.log(inner_tol / (factor * gap)) / math.log(factor)
             ) + 1
-            cap = min(cfg.max_inner, max(certified, 1) + 10)
+            cap = certified + 10
         if k >= cap:
             raise InnerSolveError(
                 f"inner solve exceeded {cap} applications (certified budget for "
@@ -445,18 +443,7 @@ def run(
             termination, message = Termination.SCHEDULE_RANGE_VIOLATION, str(exc)
             break
         if cfg.record_trace:
-            trace.append(
-                TraceRow(
-                    n=n,
-                    residual=residual,
-                    step_norm=nrm(x_next - state.x),
-                    inner_iters=inner_iters,
-                    alpha1=p.alpha1,
-                    alpha2=p.alpha2,
-                    alpha3=p.alpha3,
-                    delta=p.delta,
-                )
-            )
+            trace.append(TraceRow(n, residual, nrm(x_next - state.x), inner_iters, *p))
         state = IterationState(
             n=n + 1, x=x_next, last_inner_iters=inner_iters, residual=residual
         )
@@ -522,27 +509,16 @@ def compare_limits(report_a: SolveReport, report_b: SolveReport) -> float:
     return spc.norm(report_a.space, report_a.final_point - report_b.final_point)
 
 
-TRACE_FIELDS = ("n", "residual", "step_norm", "inner_iters", "alpha1", "alpha2", "alpha3", "delta")
+TRACE_FIELDS = TraceRow._fields
+_TRACE_LINE = "%d,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g\r\n"
+_TRACE_TYPES = (int, float, float, int, float, float, float, float)
 
 
 def write_trace_csv(trace: Sequence[TraceRow], path) -> None:
-    """Write trace rows as CSV with 17-significant-digit reals."""
+    """Write trace rows as CSV with 17-significant-digit reals and ``\\r\\n`` line ends."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_FIELDS)
-        for row in trace:
-            writer.writerow(
-                [
-                    row.n,
-                    f"{row.residual:.17g}",
-                    f"{row.step_norm:.17g}",
-                    row.inner_iters,
-                    f"{row.alpha1:.17g}",
-                    f"{row.alpha2:.17g}",
-                    f"{row.alpha3:.17g}",
-                    f"{row.delta:.17g}",
-                ]
-            )
+        handle.write(",".join(TRACE_FIELDS) + "\r\n")
+        handle.writelines(_TRACE_LINE % row for row in trace)
 
 
 def read_trace_csv(path) -> List[TraceRow]:
@@ -556,16 +532,5 @@ def read_trace_csv(path) -> List[TraceRow]:
         for record in reader:
             if len(record) != len(TRACE_FIELDS):
                 raise InputError(f"malformed trace row: {record!r}")
-            rows.append(
-                TraceRow(
-                    n=int(record[0]),
-                    residual=float(record[1]),
-                    step_norm=float(record[2]),
-                    inner_iters=int(record[3]),
-                    alpha1=float(record[4]),
-                    alpha2=float(record[5]),
-                    alpha3=float(record[6]),
-                    delta=float(record[7]),
-                )
-            )
+            rows.append(TraceRow._make([conv(v) for conv, v in zip(_TRACE_TYPES, record)]))
     return rows

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "Ball",
     "Halfspace",
     "AffineSpan",
-    "ConvexSet",
     "project",
 ]
 
@@ -302,16 +300,13 @@ class AffineSpan(ConvexSetBase):
         return f"AffineSpan(base={self.base!r}, k={self.directions.shape[0]})"
 
 
-ConvexSet = Union[WholeSpace, Box, Ball, Halfspace, AffineSpan]
-
-
 def project(space: SpaceDescriptor, cset: ConvexSetBase, x) -> np.ndarray:
     """Metric projection of ``x`` onto ``cset`` in the weighted norm.
 
     Parameters
     ----------
     space : SpaceDescriptor
-    cset : ConvexSet
+    cset : ConvexSetBase
         One of :class:`WholeSpace`, :class:`Box`, :class:`Ball`,
         :class:`Halfspace`, :class:`AffineSpan`.
     x : array_like

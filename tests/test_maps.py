@@ -262,13 +262,6 @@ def test_average_pseudocontraction_theta_range():
     assert "(0, 0.125]" in str(err2.value)
 
 
-def test_average_pseudocontraction_keeps_fixed_set():
-    zero = Box(np.zeros(1), np.zeros(1))
-    S = NonexpansiveMap(lambda x: -x / 3.0, known_fixed_set=zero)
-    T = average_pseudocontraction(S, lam=0.5, theta=0.5)
-    assert T.known_fixed_set is zero
-
-
 # --------------------------------------------------------- forward projected
 
 

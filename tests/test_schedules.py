@@ -156,7 +156,7 @@ _INDEPENDENT = " (reported independently of condition (iv))"
                 "(ii) violated: drift appears to have a nonzero limit (tail mean 0.2501)",
                 "(iii) inconclusive: values stay within [0.5, 0.5] over the horizon; "
                 "asymptotic bounds not certifiable from finite data",
-                "(iv) violated: alpha3 appears to have a nonzero limit (tail mean 0.4999)",
+                "(iv) violated: alpha3 appears to have a nonzero limit (tail mean 0.4997)",
                 "(v) satisfied: delta nondecreasing with bounds [0.5, 0.5] inside (0, 1)",
                 f"{_RATIO}horizon value 1.999 (no declared limit){_INDEPENDENT}",
             ),
@@ -169,8 +169,7 @@ _INDEPENDENT = " (reported independently of condition (iv))"
                 _SIMPLEX_OK,
                 "(ii) violated: drift series appears summable (tail exponent -2.00), "
                 "but the condition needs divergence",
-                "(iii) inconclusive: values stay within [1, 1] over the horizon; "
-                "asymptotic bounds not certifiable from finite data",
+                "(iii) violated: limsup appears to reach 1 (upper gap shrinking)",
                 "(iv) inconclusive: consistent with the condition numerically (partial sum "
                 f"0.0006448, tail exponent -2.00) {_NOT_CERTIFIABLE}",
                 "(v) satisfied: delta nondecreasing with bounds [0.5, 0.9999] inside (0, 1)",
@@ -185,8 +184,7 @@ _INDEPENDENT = " (reported independently of condition (iv))"
                 _SIMPLEX_OK,
                 "(ii) inconclusive: consistent with the condition numerically (partial sum "
                 f"0.004394, tail exponent -1.00) {_NOT_CERTIFIABLE}",
-                "(iii) inconclusive: values stay within [1, 1] over the horizon; "
-                "asymptotic bounds not certifiable from finite data",
+                "(iii) violated: limsup appears to reach 1 (upper gap shrinking)",
                 "(iv) violated: series divergence suspected (tail exponent -1.00 >= -1.05)",
                 "(v) satisfied: delta nondecreasing with bounds [0.5, 0.5] inside (0, 1)",
                 f"{_RATIO}horizon value 2 (no declared limit){_INDEPENDENT}",
@@ -227,6 +225,23 @@ def test_validator_never_certifies_from_numerics():
     # heuristic is allowed to say so
     report = validate_assumption12(clone, 5000)
     assert report.status("iv") is Status.VIOLATED
+
+
+def test_validator_reads_one_over_n_as_tending_to_zero():
+    # the eq75 formulas without declared facts: the drift ~ 1/n tends to 0
+    # with a divergent series, alpha2 -> 1 like 1 - c/n and the alpha3 series
+    # diverges, as eq75 declares; the validator's tail is the last decade
+    clone = custom_rational(
+        (0, 0.5, 0), (1, -1.5, 0), (0, 1, 0), (0.5, -0.5, 1), start_index=2
+    )
+    for horizon in (10_000, 1_000_000):
+        report = validate_assumption12(clone, horizon)
+        assert report.conditions["ii"].status is Status.INCONCLUSIVE
+        assert "tail exponent -1.00)" in report.conditions["ii"].detail
+        assert report.status("iii") is Status.VIOLATED
+        assert report.conditions["iii"].detail == "limsup appears to reach 1 (upper gap shrinking)"
+        assert report.status("iv") is Status.VIOLATED
+        assert report.conditions["iv"].detail.startswith("series divergence suspected")
 
 
 def test_validator_delta_monotone_check():

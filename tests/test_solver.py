@@ -17,6 +17,7 @@ from viscofix import (
     SchemeKind,
     SolverConfig,
     Termination,
+    TraceRow,
     compare_limits,
     compare_t16,
     custom_rational,
@@ -344,8 +345,25 @@ def test_solver_config_validation():
         SolverConfig(inner_tol=-1e-9)
     with pytest.raises(ConfigurationError):
         SolverConfig(max_outer=0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(max_inner=0)
+
+
+# contraction factor 0.99 * 0.99 = 0.9801 at every step
+SLOW_INNER = custom_rational((0.005, 0, 0), (0.005, 0, 0), (0.99, 0, 0), (0.99, 0, 0))
+
+
+def test_inner_solve_budget_is_the_certified_count():
+    # an isometry needs more than 1000 Picard applications per step under
+    # factor 0.9801; its certified budget allows them
+    flip = NonexpansiveMap(lambda x: -x, label="-x")
+    cfg = SolverConfig(outer_tol=1e-6)
+    report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, flip, SLOW_INNER, np.array([1.0]), cfg)
+    assert report.termination is Termination.CONVERGED
+    assert report.n_final == 4
+    assert [row.inner_iters for row in report.trace] == [1409, 1097, 786]
+    # a map that expands still fails: its gap overflows within the budget
+    liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x")
+    with pytest.raises(InnerSolveError, match="not finite"), np.errstate(over="ignore"):
+        run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, liar, SLOW_INNER, np.array([1.0]), cfg)
 
 
 def test_vi_residual_values():
@@ -394,10 +412,49 @@ def test_trace_csv_round_trip(tmp_path):
     assert back == report.trace
 
 
+# inf, nan, -0.0, the smallest subnormal and 0.1 in one hand-built trace
+EDGE_TRACE = [
+    TraceRow(1, math.inf, 0.1, 0, 0.25, 0.25, 0.5, 1.0 / 3.0),
+    TraceRow(2, math.nan, -0.0, 7, 5e-324, 0.0, 1.0, 0.5),
+    TraceRow(10**6, 1e-300, -math.inf, 1409, 0.1, 0.2, 0.7, 0.9999999999999999),
+]
+
+
+def test_trace_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "edge.csv"
+    write_trace_csv(EDGE_TRACE, path)
+    assert path.read_bytes() == (
+        b"n,residual,step_norm,inner_iters,alpha1,alpha2,alpha3,delta\r\n"
+        b"1,inf,0.10000000000000001,0,0.25,0.25,0.5,0.33333333333333331\r\n"
+        b"2,nan,-0,7,4.9406564584124654e-324,0,1,0.5\r\n"
+        b"1000000,1e-300,-inf,1409,0.10000000000000001,0.20000000000000001,"
+        b"0.69999999999999996,0.99999999999999989\r\n"
+    )
+
+
+def test_trace_csv_round_trips_edge_values(tmp_path):
+    path = tmp_path / "edge.csv"
+    write_trace_csv(EDGE_TRACE, path)
+    back = read_trace_csv(path)
+    # compared as float.hex because nan != nan
+    def hexed(rows):
+        return [tuple(float(v).hex() for v in row) for row in rows]
+
+    assert hexed(back) == hexed(EDGE_TRACE)
+    assert all(type(row.n) is int and type(row.inner_iters) is int for row in back)
+
+
 def test_read_trace_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(InputError):
+        read_trace_csv(path)
+
+
+def test_read_trace_rejects_short_row(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("n,residual,step_norm,inner_iters,alpha1,alpha2,alpha3,delta\n1,0,0,0,0,1,0\n")
+    with pytest.raises(InputError, match="malformed trace row"):
         read_trace_csv(path)
 
 
