@@ -301,13 +301,22 @@ def _last_decade(ns: np.ndarray) -> slice:
     return slice(int(np.searchsorted(ns, max(ns[-1] // 10, ns[0]))), None)
 
 
-def _tail_exponent(ns: np.ndarray, values: np.ndarray):
-    # log-log slope of the summand over the given tail of indices
+def _tail_exponent(log_ns: np.ndarray, values: np.ndarray):
+    """Least-squares slope of ``log(values)`` against ``log_ns`` over the positive values.
+
+    The centred closed form ``sum((x - x_bar)(y - y_bar)) / sum((x - x_bar)^2)``;
+    ``None`` when fewer than 10 values are positive.
+    """
     sel = values > 0.0
-    if np.count_nonzero(sel) < 10:
+    kept = np.count_nonzero(sel)
+    if kept < 10:
         return None
-    slope = np.polyfit(np.log(ns[sel]), np.log(values[sel]), 1)[0]
-    return float(slope)
+    if kept < len(values):
+        log_ns, values = log_ns[sel], values[sel]
+    x = log_ns - np.mean(log_ns)
+    y = np.log(values)
+    y -= np.mean(y)
+    return float(np.dot(x, y) / np.dot(x, x))
 
 
 def _looks_bounded_away(tail: np.ndarray, floor: float = 1e-6) -> bool:
@@ -354,8 +363,11 @@ def _series_verdict(limit_seq, tail, slope, partial_sum, name, summable):
     )
 
 
-def _band_inside_unit_interval(a2: np.ndarray):
-    """Heuristic verdict for '0 < liminf <= limsup < 1' (capped) from alpha2's last decade."""
+def _band_inside_unit_interval(ns: np.ndarray, a2: np.ndarray):
+    """Heuristic verdict for '0 < liminf <= limsup < 1' (capped) from alpha2's last decade.
+
+    ``ns`` are the indices of that decade and ``a2`` alpha2 over them.
+    """
     gap_hi = 1.0 - a2
     gap_lo = a2
     if np.min(gap_hi) < 1e-3 and gap_hi[-1] <= 0.5 * gap_hi[0]:
@@ -369,7 +381,8 @@ def _band_inside_unit_interval(a2: np.ndarray):
     return ConditionFinding(
         Status.INCONCLUSIVE,
         f"values stay within [{np.min(gap_lo):.4g}, {1 - np.min(gap_hi):.4g}] "
-        "over the horizon; asymptotic bounds not certifiable from finite data",
+        f"over n in [{int(ns[0])}, {int(ns[-1])}]; asymptotic bounds not certifiable "
+        "from finite data",
     )
 
 
@@ -395,23 +408,23 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
 
     ns_all = np.arange(1, horizon + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a1, a2, a3, d = (np.asarray(v, dtype=np.float64) for v in s.formula(ns_all))
-    a1, a2, a3, d = (np.broadcast_to(v, ns_all.shape).copy() for v in (a1, a2, a3, d))
+        # read-only views: the formula's arrays are read, never copied
+        a1, a2, a3, d = (
+            np.broadcast_to(np.asarray(v, dtype=np.float64), ns_all.shape)
+            for v in s.formula(ns_all)
+        )
 
-    sums = a1 + a2 + a3
-    finite = np.isfinite(a1) & np.isfinite(a2) & np.isfinite(a3) & np.isfinite(d)
+    # NaN and +-inf fail every range comparison, so ok is False for them
     ok = (
-        finite
-        & (a1 >= 0.0) & (a1 <= 1.0)
+        (a1 >= 0.0) & (a1 <= 1.0)
         & (a2 >= 0.0) & (a2 <= 1.0)
         & (a3 >= 0.0) & (a3 <= 1.0)
-        & (np.abs(sums - 1.0) <= _SIMPLEX_TOL)
+        & (np.abs(a1 + a2 + a3 - 1.0) <= _SIMPLEX_TOL)
         & (d > 0.0) & (d < 1.0)
     )
-    idx = np.arange(1, horizon + 1)
-    range_violations = [int(n) for n in idx[~ok]]
+    range_violations = (np.flatnonzero(~ok) + 1).tolist()
 
-    live = idx >= s.start_index
+    live = slice(s.start_index - 1, None)  # the indices n >= start_index
     live_ok = ok[live]
     if np.all(live_ok):
         cond_i = ConditionFinding(
@@ -420,20 +433,20 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
             f"[{s.start_index}, {horizon}]",
         )
     else:
-        first_bad = int(idx[live][~live_ok][0])
+        first_bad = s.start_index + int(np.argmin(live_ok))
         cond_i = ConditionFinding(
             Status.VIOLATED, f"simplex/range constraint fails first at n = {first_bad}"
         )
 
-    ns = ns_all[live]
-    a2v, a3v, dv = a2[live], a3[live], d[live]
-    drift = 1.0 - a3[live] * dv - a2v
+    ns, a2v, a3v, dv = ns_all[live], a2[live], a3[live], d[live]
+    drift = 1.0 - a3v * dv - a2v
     tail_summand = a3v * (1.0 - dv)
     drift_sum = float(np.sum(drift))
     tail_sum = float(np.sum(tail_summand))
     tail = _last_decade(ns)
-    drift_exp = _tail_exponent(ns[tail], np.abs(drift[tail]))
-    tail_exp = _tail_exponent(ns[tail], np.abs(tail_summand[tail]))
+    log_ns = np.log(ns[tail])
+    drift_exp = _tail_exponent(log_ns, np.abs(drift[tail]))
+    tail_exp = _tail_exponent(log_ns, np.abs(tail_summand[tail]))
 
     facts = s.facts
     if facts is not None:
@@ -479,7 +492,7 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
             cond_iv = ConditionFinding(Status.VIOLATED, "; ".join(parts))
     else:
         cond_ii = _series_verdict(drift, tail, drift_exp, drift_sum, "drift", summable=False)
-        cond_iii = _band_inside_unit_interval(a2v[tail])
+        cond_iii = _band_inside_unit_interval(ns[tail], a2v[tail])
         cond_iv = _series_verdict(a3v, tail, tail_exp, tail_sum, "alpha3", summable=True)
 
     monotone = bool(np.all(np.diff(dv) >= -1e-15))
@@ -501,15 +514,16 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
             reasons.append(f"delta reaches {d_max:g}")
         cond_v = ConditionFinding(Status.VIOLATED, "; ".join(reasons))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_seq = a3v / (1.0 - a2v - a3v * dv)
-    ratio_tail = ratio_seq[np.isfinite(ratio_seq)]
     if facts is not None:
         ratio_txt = f"declared limit {facts.ratio_limit:g}"
-    elif len(ratio_tail):
-        ratio_txt = f"horizon value {ratio_tail[-1]:.4g} (no declared limit)"
     else:
-        ratio_txt = "undefined over the horizon"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio_seq = a3v / (1.0 - a2v - a3v * dv)
+        ratio_tail = ratio_seq[np.isfinite(ratio_seq)]
+        if len(ratio_tail):
+            ratio_txt = f"horizon value {ratio_tail[-1]:.4g} (no declared limit)"
+        else:
+            ratio_txt = "undefined over the horizon"
 
     diagnostics = {
         "drift_partial_sum": drift_sum,

@@ -260,7 +260,7 @@ def _picard_affine_solve(
         if k == 1:
             # a zero factor or gap returned and a non-finite gap raised above
             certified = math.ceil(
-                math.log(inner_tol / (factor * gap)) / math.log(factor)
+                (math.log(inner_tol) - math.log(factor * gap)) / math.log(factor)
             ) + 1
             cap = certified + 10
         if k >= cap:

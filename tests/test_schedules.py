@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscofix import (
     ConfigurationError,
     InputError,
+    Schedule,
     Status,
     compare_t16,
     custom_rational,
@@ -154,7 +157,7 @@ _INDEPENDENT = " (reported independently of condition (iv))"
             (
                 _SIMPLEX_OK,
                 "(ii) violated: drift appears to have a nonzero limit (tail mean 0.2501)",
-                "(iii) inconclusive: values stay within [0.5, 0.5] over the horizon; "
+                "(iii) inconclusive: values stay within [0.5, 0.5] over n in [1000, 10000]; "
                 "asymptotic bounds not certifiable from finite data",
                 "(iv) violated: alpha3 appears to have a nonzero limit (tail mean 0.4997)",
                 "(v) satisfied: delta nondecreasing with bounds [0.5, 0.5] inside (0, 1)",
@@ -263,3 +266,64 @@ def test_validator_probes_below_start_index():
     report = validate_assumption12(eq75(start_index=5), 400)
     assert report.range_violations == [1]
     assert report.status("i") is Status.SATISFIED
+
+
+# the benchmark's custom schedule (its `[schedule]` section with n0 = 2)
+BENCH_CUSTOM = custom_rational((0, 1, 1), (0.6, 0, 1), (0.4, -1, 1), (0.7, -0.2, 1), start_index=2)
+_SAT, _VIO, _INC = Status.SATISFIED, Status.VIOLATED, Status.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        eq75(),
+        halpern_mix(),
+        compare_t16(),
+        BENCH_CUSTOM,
+        # constant weights: both summands are constant, so the true slope is 0
+        custom_rational((0.25, 0, 0), (0.25, 0, 0), (0.5, 0, 0), (0.5, 0, 0)),
+    ],
+    ids=["eq75", "halpern-mix", "compare-t16", "bench-custom", "constant"],
+)
+def test_tail_exponents_match_polyfit(schedule):
+    horizon = 10_000
+    report = validate_assumption12(schedule, horizon)
+    ns = np.arange(max(horizon // 10, schedule.start_index), horizon + 1, dtype=np.float64)
+    _, a2, a3, d = (np.broadcast_to(v, ns.shape) for v in schedule.formula(ns))
+    for key, summand in (
+        ("drift_tail_exponent", 1.0 - a3 * d - a2),
+        ("tail_exponent", a3 * (1.0 - d)),
+    ):
+        mags = np.abs(summand)
+        assert np.all(mags > 0.0)
+        oracle = np.polyfit(np.log(ns), np.log(mags), 1)[0]
+        assert abs(report.diagnostics[key] - oracle) <= 1e-12, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.floats(1e-6, 1e6),
+    p=st.floats(-3.0, 1.0),
+    horizon=st.integers(100, 100_000),
+)
+def test_tail_exponent_recovers_power_law(c, p, horizon):
+    # the tail summand alpha3 * (1 - delta) is (c/2) * n**p
+    power = Schedule(kind="power-law", start_index=1, formula=lambda n: (0, 0, c * n**p, 0.5))
+    report = validate_assumption12(power, horizon)
+    assert abs(report.diagnostics["tail_exponent"] - p) <= 1e-9
+
+
+EXPECTED_AT_1E6 = {
+    "eq75": ({"i": _SAT, "ii": _SAT, "iii": _VIO, "iv": _VIO, "v": _SAT}, [1]),
+    "halpern-mix": ({"i": _SAT, "ii": _VIO, "iii": _SAT, "iv": _VIO, "v": _SAT}, []),
+    "compare-t16": ({"i": _SAT, "ii": _SAT, "iii": _VIO, "iv": _SAT, "v": _SAT}, [1]),
+    "custom-rational": ({"i": _SAT, "ii": _VIO, "iii": _INC, "iv": _VIO, "v": _SAT}, [1]),
+}
+
+
+@pytest.mark.parametrize("schedule", [eq75(), halpern_mix(), compare_t16(), BENCH_CUSTOM])
+def test_benchmark_schedules_at_horizon_one_million(schedule):
+    statuses, ranges = EXPECTED_AT_1E6[schedule.kind]
+    report = validate_assumption12(schedule, 1_000_000)
+    assert {key: finding.status for key, finding in report.conditions.items()} == statuses
+    assert report.range_violations == ranges

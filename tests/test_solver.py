@@ -366,6 +366,20 @@ def test_inner_solve_budget_is_the_certified_count():
         run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, liar, SLOW_INNER, np.array([1.0]), cfg)
 
 
+def test_inner_solve_budget_survives_a_tiny_tolerance():
+    # inner_tol / (factor * gap) underflows to 0 here; the certified budget
+    # must still be computed and the solve end as it does at a usual tolerance
+    x = np.array([1e150])
+    tiny, tiny_iters = inner_implicit_solve(
+        SP1, None, HALF, x, (0.25, 0.25, 0.5), 0.5, SolverConfig(inner_tol=1e-300)
+    )
+    usual, usual_iters = inner_implicit_solve(
+        SP1, None, HALF, x, (0.25, 0.25, 0.5), 0.5, SolverConfig(inner_tol=1e-12)
+    )
+    assert tiny_iters == usual_iters == 19
+    assert tiny[0] == usual[0] == pytest.approx(5e150 / 7, rel=1e-15)
+
+
 def test_vi_residual_values():
     sp = euclidean(2)
     const = GeneralizedContraction(lambda x: np.array([3.0, 4.0]), linear_modulus(0.0))
