@@ -8,9 +8,11 @@ each step then needs an inner fixed-point solve of the affine-in-``u`` map
     u  ->  base + coef * T(anchor + weight * u),
 
 which is a contraction with factor ``coef * weight`` whenever ``T`` is
-nonexpansive, so plain Picard iteration with a certified stopping rule
-solves it.  The outer loop stops on the fixed-point residual
-``||x_n - T x_n||``, the quantity the convergence analysis drives to zero.
+nonexpansive, so Picard iteration with a certified stopping rule solves
+it; depth-1 Anderson mixing cuts its applications of ``T`` and keeps the
+stopping rule.  The outer loop stops on the fixed-point residual
+``||x_n - T x_n||``, the quantity the convergence analysis drives to zero;
+the ``T(x_{n+1})`` it evaluates serves as the next step's ``T(x_n)``.
 
 Scheme names accepted throughout (also the CLI vocabulary):
 
@@ -224,17 +226,34 @@ def _picard_affine_solve(
     cfg: SolverConfig,
     nrm: Callable[[np.ndarray], float],
     record: Optional[list] = None,
+    t_u0: Optional[np.ndarray] = None,
 ):
-    """Picard iteration on ``u -> base + coef * T(anchor + u_weight * u)``.
+    """Certified fixed-point iteration on ``W(u) = base + coef * T(anchor + u_weight * u)``.
+
+    Picard iteration with depth-1 Anderson mixing (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011): from the third application on, ``W`` is
+    applied at ``g_k - theta (g_k - g_{k-1})`` instead of at ``g_k``, where
+    ``g_k`` is the image of the k-th application, ``r_k`` is ``g_k`` minus
+    that application's point, and ``theta`` minimises the Euclidean
+    ``||r_k - theta (r_k - r_{k-1})||``.
 
     ``factor = coef * u_weight`` bounds the contraction factor when ``T``
-    is nonexpansive, which certifies the stopping rule: once
-    ``factor * ||u_{k+1} - u_k|| <= inner_tol`` the returned iterate has
-    residual at most ``inner_tol``.  A zero factor means the map is
+    is nonexpansive, so ``||W(W v) - W v|| <= factor * ||W v - v||`` at any
+    point ``v``, mixed or not: once ``factor * ||W v - v|| <= inner_tol``
+    the returned ``W v`` has residual at most ``inner_tol``.  A plain step
+    shrinks the gap ``||W v - v||`` by ``factor``; mixing runs only while
+    every application does (within a relative 1e-9 for rounding).  A mixed
+    point that does not is dropped for the last plain image, and from the
+    first application that does not on, the iteration is plain Picard.  So
+    in exact arithmetic an honest ``T`` needs at most one application more
+    than the count the factor certifies.  A zero factor means the map is
     constant and one application suffices.  The iteration budget is the
-    bound implied by the factor plus a margin of 10; running past it means
-    ``T`` shrank nothing, i.e. it is not the nonexpansive map it was
-    declared to be.  A non-finite gap fails at once.
+    certified count plus a margin of 10; running past it means ``T``
+    shrank nothing, i.e. it is not the nonexpansive map it was declared to
+    be.  A non-finite gap fails at once.
+
+    ``t_u0``, when given, is ``T(u0)``; it stands in for the first
+    application's ``T`` call when that call's argument is bitwise ``u0``.
     """
     factor = coef * u_weight
     if factor >= 1.0:
@@ -242,16 +261,24 @@ def _picard_affine_solve(
             f"inner map contraction factor {factor:g} is not below 1"
         )
     inner_tol = cfg.inner_tol
+    # the 1e-9 slack keeps rounding in a plain step from tripping the gate
+    shrink = factor * (1.0 + 1e-9)
     u = u0
+    mixing, mixed = True, False
     k = 0
     while True:
         k += 1
-        u_next = base + coef * t_eval(anchor + u_weight * u)
+        arg = anchor + u_weight * u
+        if k == 1 and t_u0 is not None and arg.tobytes() == u0.tobytes():
+            g = base + coef * t_u0
+        else:
+            g = base + coef * t_eval(arg)
         if record is not None:
-            record.append(u_next)
-        gap = nrm(u_next - u)
+            record.append(g)
+        r = g - u
+        gap = nrm(r)
         if factor * gap <= inner_tol:
-            return u_next, k
+            return g, k
         if not math.isfinite(gap):
             raise InnerSolveError(
                 f"inner solve gap is {gap!r} at application {k}: T or the "
@@ -268,7 +295,23 @@ def _picard_affine_solve(
                 f"inner solve exceeded {cap} applications (certified budget for "
                 f"factor {factor:g}); the operator does not contract as declared"
             )
-        u = u_next
+        if mixing and k > 1 and gap > shrink * gap_prev:
+            # this application shrank the gap less than a plain step must:
+            # plain Picard from now on, from the last plain image if the
+            # point was mixed
+            mixing = False
+            if mixed:
+                u, mixed = g_prev, False
+                continue
+        u, mixed = g, False
+        if mixing:
+            if k > 1:
+                dr = r - r_prev
+                dd = float(np.dot(dr, dr))
+                theta = float(np.dot(r, dr)) / dd if dd > 0.0 else math.nan
+                if math.isfinite(theta):
+                    u, mixed = g - theta * (g - g_prev), True
+            g_prev, r_prev, gap_prev = g, r, gap
 
 
 def _inner_pieces(scheme: SchemeKind, x: np.ndarray, fx: np.ndarray, p: ScheduleParams):
@@ -300,7 +343,8 @@ def inner_implicit_solve(
 
     Finds ``u`` with ``||u - W(u)|| <= inner_tol`` for
     ``W(u) = a1 f(x_n) + a2 x_n + a3 T((1 - delta) f(x_n) + delta u)``,
-    by Picard iteration warm-started at ``u0 = x_n``.  The contraction
+    by Picard iteration with depth-1 Anderson mixing started at
+    ``u0 = x_n`` (see :func:`_picard_affine_solve`).  The contraction
     factor of ``W`` is at most ``a3 * delta``.
 
     Parameters
@@ -312,12 +356,13 @@ def inner_implicit_solve(
     delta : float
         Implicit weight in ``(0, 1)``.
     record : list, optional
-        When given, every Picard iterate is appended to it.
+        When given, the image ``W(v)`` of every application is appended
+        to it, in order.
 
     Returns
     -------
     (numpy.ndarray, int)
-        The solution and the number of Picard applications used.
+        The solution and the number of applications of ``W`` used.
     """
     a1, a2, a3 = (float(a) for a in alphas)
     p = ScheduleParams(a1, a2, a3, float(delta))
@@ -339,14 +384,18 @@ def _advance(
     cfg: SolverConfig,
     nrm: Callable[[np.ndarray], float],
     record: Optional[list] = None,
+    tx: Optional[np.ndarray] = None,
 ):
-    """``(x_next, inner_iters)`` of one scheme update with weights ``p``."""
+    """``(x_next, inner_iters)`` of one scheme update with weights ``p``.
+
+    ``tx``, when given, is ``T(x)``, reused in place of a repeated call.
+    """
     if scheme is SchemeKind.EXPLICIT:
         a = _collapsed_weight(p)
-        return a * f_eval(x) + (1.0 - a) * t_eval(x), 0
+        return a * f_eval(x) + (1.0 - a) * (t_eval(x) if tx is None else tx), 0
     fx = x if f_eval is _identity else f_eval(x)
     base, coef, anchor, u_weight = _inner_pieces(scheme, x, fx, p)
-    return _picard_affine_solve(base, coef, t_eval, anchor, u_weight, x, cfg, nrm, record)
+    return _picard_affine_solve(base, coef, t_eval, anchor, u_weight, x, cfg, nrm, record, tx)
 
 
 def _step(
@@ -358,15 +407,19 @@ def _step(
     schedule: Schedule,
     cfg: SolverConfig,
     nrm: Callable[[np.ndarray], float],
+    tx: Optional[np.ndarray] = None,
 ):
-    """``(p, x_next, inner_iters, ||x_next - T x_next||)`` of the outer step at ``n``.
+    """``(p, x_next, inner_iters, ||x_next - T x_next||, T x_next)`` of the outer step at ``n``.
 
-    Raises :class:`ScheduleRangeError` when the weights at ``n`` leave their ranges.
+    ``tx``, when given, is ``T(x)``; the returned ``T x_next`` serves as
+    the next step's.  Raises :class:`ScheduleRangeError` when the weights
+    at ``n`` leave their ranges.
     """
     p = schedule_eval(schedule, n)
     _check_params(p, f"at n = {n}")
-    x_next, inner_iters = _advance(scheme, x, f_eval, t_eval, p, cfg, nrm)
-    return p, x_next, inner_iters, nrm(x_next - t_eval(x_next))
+    x_next, inner_iters = _advance(scheme, x, f_eval, t_eval, p, cfg, nrm, tx=tx)
+    tx_next = t_eval(x_next)
+    return p, x_next, inner_iters, nrm(x_next - tx_next), tx_next
 
 
 def step(
@@ -387,7 +440,7 @@ def step(
     """
     scheme = SchemeKind(scheme)
     f_eval = _viscosity_eval(scheme, f)
-    _, x_next, inner_iters, residual = _step(
+    _, x_next, inner_iters, residual, _ = _step(
         scheme, state.x, state.n, f_eval, T.evaluator, schedule, cfg, space.norm
     )
     return IterationState(
@@ -424,8 +477,9 @@ def run(
     nrm = space.norm
     t_eval = T.evaluator
     x = space.point(x1)
+    tx = t_eval(x)
     state = IterationState(
-        n=schedule.start_index, x=x, last_inner_iters=0, residual=nrm(x - t_eval(x))
+        n=schedule.start_index, x=x, last_inner_iters=0, residual=nrm(x - tx)
     )
     if observer is not None:
         observer(state)
@@ -436,8 +490,8 @@ def run(
             break
         n = state.n
         try:
-            p, x_next, inner_iters, residual = _step(
-                scheme, state.x, n, f_eval, t_eval, schedule, cfg, nrm
+            p, x_next, inner_iters, residual, tx = _step(
+                scheme, state.x, n, f_eval, t_eval, schedule, cfg, nrm, tx
             )
         except ScheduleRangeError as exc:
             termination, message = Termination.SCHEDULE_RANGE_VIOLATION, str(exc)

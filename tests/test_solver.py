@@ -3,10 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import viscofix as vx
 from viscofix import (
     AffineSpan,
+    Ball,
+    Box,
     ConfigurationError,
     GeneralizedContraction,
     InnerSolveError,
@@ -104,6 +108,17 @@ def test_inner_solve_detects_false_nonexpansiveness():
     with pytest.raises(InnerSolveError):
         inner_implicit_solve(
             SP1, QUARTER, liar, np.array([1.0]), (0.05, 0.05, 0.9), 0.9, SolverConfig()
+        )
+
+
+def test_inner_solve_detects_a_liar_that_contracts_one_direction():
+    # the second application's gap grows along the expanding axis, which
+    # ends the mixing; plain Picard then runs past the certified budget
+    liar = NonexpansiveMap(lambda x: np.array([3.0, 0.5]) * x, label="diag(3, 1/2)")
+    with pytest.raises(InnerSolveError, match="does not contract as declared"):
+        inner_implicit_solve(
+            euclidean(2), QUARTER, liar, np.array([1.0, 1.0]), (0.05, 0.05, 0.9), 0.9,
+            SolverConfig(),
         )
 
 
@@ -338,6 +353,43 @@ def test_inner_solve_is_the_new_implicit_step_bitwise():
         assert iters == new.last_inner_iters
 
 
+def _counting(T):
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return T.evaluator(x)
+
+    return NonexpansiveMap(counted), calls
+
+
+@pytest.mark.parametrize(
+    "scheme, expected_calls",
+    [
+        # T(x_n) is the previous residual's T(x_n): one call per step, plus x_1's
+        ("explicit", lambda steps: steps + 1),
+        # under delta = 1/2 the first inner argument is bitwise x_n, so a step
+        # makes one fresh inner call and the residual's; n = 1 has alpha3 = 0,
+        # a constant inner map, whose one application is the reused call
+        ("kema", lambda steps: 2 * steps),
+    ],
+)
+def test_run_reuses_the_residuals_T_value(scheme, expected_calls):
+    sp, T, const = _plane()
+    cfg = SolverConfig(outer_tol=1e-2)
+    reports = []
+    for _ in range(2):
+        counted, calls = _counting(T)
+        report = run(sp, scheme, const, counted, halpern_mix(), np.array([0.0, 5.0]), cfg)
+        steps = report.n_final - halpern_mix().start_index
+        assert report.termination is Termination.CONVERGED and steps > 100
+        assert len(calls) == expected_calls(steps)
+        reports.append(report)
+    first, again = reports
+    assert again.trace == first.trace
+    assert again.final_point.tobytes() == first.final_point.tobytes()
+
+
 def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(outer_tol=0.0)
@@ -352,18 +404,33 @@ SLOW_INNER = custom_rational((0.005, 0, 0), (0.005, 0, 0), (0.99, 0, 0), (0.99, 
 
 
 def test_inner_solve_budget_is_the_certified_count():
-    # an isometry needs more than 1000 Picard applications per step under
-    # factor 0.9801; its certified budget allows them
+    # -x is affine, so the mixed (secant) point of the third application is
+    # its fixed point; plain Picard needed [1409, 1097, 786] applications here
     flip = NonexpansiveMap(lambda x: -x, label="-x")
     cfg = SolverConfig(outer_tol=1e-6)
     report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, flip, SLOW_INNER, np.array([1.0]), cfg)
     assert report.termination is Termination.CONVERGED
     assert report.n_final == 4
-    assert [row.inner_iters for row in report.trace] == [1409, 1097, 786]
+    assert [row.inner_iters for row in report.trace] == [3, 3, 3]
     # a map that expands still fails: its gap overflows within the budget
     liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x")
     with pytest.raises(InnerSolveError, match="not finite"), np.errstate(over="ignore"):
         run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, liar, SLOW_INNER, np.array([1.0]), cfg)
+
+
+def test_inner_solve_long_honest_solve_stays_within_its_budget():
+    # |x - 1| - 1 is nonexpansive with slopes +1 and -1 and fixes 0.  From
+    # x = 5 the secant point of the third application crosses the kink and
+    # does not shrink the gap by the factor, so it is dropped and the solve
+    # ends as plain Picard: more than 1000 applications under factor 0.9801,
+    # one more than plain Picard's 1409 and inside the certified budget.
+    # Later steps start on the -1 piece, where the secant point is exact.
+    kinked = NonexpansiveMap(lambda x: np.abs(x - 1.0) - 1.0, label="|x - 1| - 1")
+    cfg = SolverConfig(outer_tol=1e-6)
+    report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, kinked, SLOW_INNER, np.array([5.0]), cfg)
+    assert report.termination is Termination.CONVERGED
+    assert report.n_final == 4
+    assert [row.inner_iters for row in report.trace] == [1410, 3, 3]
 
 
 def test_inner_solve_budget_survives_a_tiny_tolerance():
@@ -376,8 +443,103 @@ def test_inner_solve_budget_survives_a_tiny_tolerance():
     usual, usual_iters = inner_implicit_solve(
         SP1, None, HALF, x, (0.25, 0.25, 0.5), 0.5, SolverConfig(inner_tol=1e-12)
     )
-    assert tiny_iters == usual_iters == 19
+    assert tiny_iters == usual_iters == 4
     assert tiny[0] == usual[0] == pytest.approx(5e150 / 7, rel=1e-15)
+
+
+def _unit_floats(lo=-1.0, hi=1.0):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _honest_inner_problems(draw):
+    """A weighted space, a map nonexpansive in its norm, and inner-solve inputs.
+
+    The map composes one to three pieces: a linear contraction or isometry
+    ``D^-1 A D`` with ``||A||_2 <= 1`` and ``D = diag(sqrt(weights))``, a box
+    or ball projection, each followed by a translation.
+    """
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(_unit_floats(), min_size=dim, max_size=dim).map(np.array)
+    weights = np.array(draw(st.lists(_unit_floats(0.1, 10.0), min_size=dim, max_size=dim)))
+    sp = vx.SpaceDescriptor(dim=dim, weights=weights)
+    d = np.sqrt(weights)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["contraction", "rotation", "box", "ball"]))
+        shift = 3.0 * draw(vec)
+        if kind in ("contraction", "rotation"):
+            a = np.array([draw(vec) for _ in range(dim)]) + np.eye(dim)
+            if kind == "rotation":
+                a = np.linalg.qr(a)[0]
+            else:
+                a *= draw(_unit_floats(0.0, 1.0)) / max(np.linalg.norm(a, 2), 1e-300)
+            pieces.append(lambda x, a=a, b=shift: (a @ (d * x)) / d + b)
+        elif kind == "box":
+            lo = 2.0 * draw(vec)
+            hi = lo + 2.0 * np.abs(draw(vec))
+            pieces.append(lambda x, box=Box(lo, hi), b=shift: box.project(sp, x) + b)
+        else:
+            ball = Ball(2.0 * draw(vec), draw(_unit_floats(0.1, 3.0)))
+            pieces.append(lambda x, ball=ball, b=shift: ball.project(sp, x) + b)
+
+    def t(x):
+        for piece in pieces:
+            x = piece(x)
+        return x
+
+    c = draw(_unit_floats(0.0, 0.9))
+    f = draw(st.sampled_from([None, "affine"]))
+    if f is not None:
+        f_shift = draw(vec)
+        f = GeneralizedContraction(lambda x: c * x + f_shift, linear_modulus(c))
+    x = 5.0 * draw(vec)
+    a1, a2, a3 = (draw(_unit_floats(0.01, 1.0)) for _ in range(3))
+    total = a1 + a2 + a3
+    alphas = (a1 / total, a2 / total, 1.0 - a1 / total - a2 / total)
+    delta = draw(_unit_floats(0.05, 0.95))
+    return sp, t, f, x, alphas, delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_honest_inner_problems())
+def test_mixed_inner_solve_keeps_the_certificate(problem):
+    sp, t, f, x, (a1, a2, a3), delta = problem
+    cfg = SolverConfig()
+    u, iters = inner_implicit_solve(sp, f, NonexpansiveMap(t), x, (a1, a2, a3), delta, cfg)
+
+    fx = x if f is None else f.evaluator(x)
+
+    def w(v):
+        return a1 * fx + a2 * x + a3 * t((1.0 - delta) * fx + delta * v)
+
+    # the recomputed residual carries the rounding of evaluating w near u
+    rounding = 8.0 * np.finfo(float).eps * norm(sp, u)
+    assert norm(sp, w(u) - u) <= cfg.inner_tol * (1.0 + 1e-9) + rounding
+    # Every kept application shrinks the gap by the factor and at most one
+    # mixed point is dropped, so in exact arithmetic the count is within the
+    # certified one + 1.  Rounding can hold plain Picard on an isometry a
+    # step or two past the certified count, so plain Picard's own count
+    # (from x_n, same stopping rule) also bounds it.  Mixing can lose to
+    # plain Picard: a mixed point may step off a projection's face that
+    # plain Picard lands on exactly.
+    factor = a3 * delta
+    v, plain = x, 0
+    while True:
+        plain += 1
+        g = w(v)
+        gap = norm(sp, g - v)
+        if plain == 1:
+            first_gap = gap
+        if factor * gap <= cfg.inner_tol:
+            break
+        v = g
+    certified = 1
+    if factor * first_gap > cfg.inner_tol:
+        certified = math.ceil(
+            (math.log(cfg.inner_tol) - math.log(factor * first_gap)) / math.log(factor)
+        ) + 1
+    assert iters <= max(certified, plain) + 1
 
 
 def test_vi_residual_values():
