@@ -71,7 +71,6 @@ class AnalyticFacts:
     alpha2_limsup: float
     alpha3_limit: float
     tail_sum_finite: bool
-    delta_lower: float
     delta_upper: float
     ratio_limit: float
 
@@ -96,9 +95,6 @@ class Schedule:
             raise ConfigurationError(
                 f"start index must be >= 1, got {self.start_index}"
             )
-
-    def at(self, n: int) -> ScheduleParams:
-        return schedule_eval(self, n)
 
 
 def _eq_weights(n):
@@ -135,7 +131,6 @@ def eq75(start_index: int = 2) -> Schedule:
             alpha2_limsup=1.0,
             alpha3_limit=0.0,
             tail_sum_finite=False,
-            delta_lower=1.0 / 3.0,
             delta_upper=0.5,
             ratio_limit=1.0,
         ),
@@ -161,7 +156,6 @@ def halpern_mix(start_index: int = 1) -> Schedule:
             alpha2_limsup=0.5,
             alpha3_limit=0.5,
             tail_sum_finite=False,
-            delta_lower=0.5,
             delta_upper=0.5,
             ratio_limit=2.0,
         ),
@@ -187,7 +181,6 @@ def compare_t16(start_index: int = 2) -> Schedule:
             alpha2_limsup=1.0,
             alpha3_limit=0.0,
             tail_sum_finite=True,
-            delta_lower=0.5,
             delta_upper=0.5,
             ratio_limit=0.0,
         ),

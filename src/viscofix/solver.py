@@ -1,4 +1,4 @@
-"""Iteration engine: implicit inner solves, scheme drivers, and diagnostics.
+"""Iteration engine: implicit inner solves, the outer loop, and diagnostics.
 
 Every scheme advances an iterate ``x_n`` by mixing a viscosity term
 ``f(x_n)``, the iterate itself, and an application of the target operator
@@ -18,7 +18,7 @@ Scheme names accepted throughout (also the CLI vocabulary):
 
 ``explicit``
     ``x' = a f(x) + (1 - a) T(x)`` with the single weight ``a``
-    collapsed from the three-term schedule (see :func:`step`).
+    collapsed from the three-term schedule (see :func:`run`).
 ``midpoint``
     ``x' = a f(x) + (1 - a) T((x + x') / 2)``.
 ``kema``
@@ -33,7 +33,7 @@ Scheme names accepted throughout (also the CLI vocabulary):
     ``midpoint`` with the identity substituted for ``f``.
 
 The two ``*_mann`` presets are realized by substitution into the general
-drivers, not separate code paths.
+schemes, not separate code paths; :func:`run` iterates every scheme.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "SolveReport",
     "ScheduleRangeError",
     "inner_implicit_solve",
-    "step",
     "run",
     "vi_residual",
     "compare_limits",
@@ -199,18 +198,15 @@ def _collapsed_weight(p: ScheduleParams) -> float:
     return p.alpha1 / s
 
 
-def _identity(x):
-    return x
-
-
 def _viscosity_eval(scheme: SchemeKind, f: Optional[GeneralizedContraction]):
+    """``f``'s evaluator, or None where the scheme substitutes the identity."""
     if scheme in IDENTITY_SCHEMES:
         if f is not None:
             raise ConfigurationError(
                 f"scheme {scheme} substitutes the identity for the viscosity term; "
                 "pass f=None"
             )
-        return _identity
+        return None
     if f is None:
         raise ConfigurationError(f"scheme {scheme} requires a viscosity contraction f")
     return f.evaluator
@@ -370,81 +366,11 @@ def inner_implicit_solve(
         _check_params(p, "in the supplied weights")
     except ScheduleRangeError as exc:
         raise InputError(str(exc)) from None
-    f_eval = _identity if f is None else f.evaluator
     x = space.point(x_n)
-    return _advance(SchemeKind.NEW_IMPLICIT, x, f_eval, T.evaluator, p, cfg, space.norm, record)
-
-
-def _advance(
-    scheme: SchemeKind,
-    x: np.ndarray,
-    f_eval: Callable,
-    t_eval: Callable,
-    p: ScheduleParams,
-    cfg: SolverConfig,
-    nrm: Callable[[np.ndarray], float],
-    record: Optional[list] = None,
-    tx: Optional[np.ndarray] = None,
-):
-    """``(x_next, inner_iters)`` of one scheme update with weights ``p``.
-
-    ``tx``, when given, is ``T(x)``, reused in place of a repeated call.
-    """
-    if scheme is SchemeKind.EXPLICIT:
-        a = _collapsed_weight(p)
-        return a * f_eval(x) + (1.0 - a) * (t_eval(x) if tx is None else tx), 0
-    fx = x if f_eval is _identity else f_eval(x)
-    base, coef, anchor, u_weight = _inner_pieces(scheme, x, fx, p)
-    return _picard_affine_solve(base, coef, t_eval, anchor, u_weight, x, cfg, nrm, record, tx)
-
-
-def _step(
-    scheme: SchemeKind,
-    x: np.ndarray,
-    n: int,
-    f_eval: Callable,
-    t_eval: Callable,
-    schedule: Schedule,
-    cfg: SolverConfig,
-    nrm: Callable[[np.ndarray], float],
-    tx: Optional[np.ndarray] = None,
-):
-    """``(p, x_next, inner_iters, ||x_next - T x_next||, T x_next)`` of the outer step at ``n``.
-
-    ``tx``, when given, is ``T(x)``; the returned ``T x_next`` serves as
-    the next step's.  Raises :class:`ScheduleRangeError` when the weights
-    at ``n`` leave their ranges.
-    """
-    p = schedule_eval(schedule, n)
-    _check_params(p, f"at n = {n}")
-    x_next, inner_iters = _advance(scheme, x, f_eval, t_eval, p, cfg, nrm, tx=tx)
-    tx_next = t_eval(x_next)
-    return p, x_next, inner_iters, nrm(x_next - tx_next), tx_next
-
-
-def step(
-    space: spc.SpaceDescriptor,
-    scheme: SchemeKind,
-    state: IterationState,
-    f: Optional[GeneralizedContraction],
-    T: NonexpansiveMap,
-    schedule: Schedule,
-    cfg: SolverConfig,
-) -> IterationState:
-    """Advance one outer iteration from ``state``.
-
-    Evaluates the schedule at ``state.n`` (raising
-    :class:`ScheduleRangeError` if the weights leave their ranges),
-    produces ``x_{n+1}`` by the scheme's update, and returns the new state
-    with the recomputed fixed-point residual.
-    """
-    scheme = SchemeKind(scheme)
-    f_eval = _viscosity_eval(scheme, f)
-    _, x_next, inner_iters, residual, _ = _step(
-        scheme, state.x, state.n, f_eval, T.evaluator, schedule, cfg, space.norm
-    )
-    return IterationState(
-        n=state.n + 1, x=x_next, last_inner_iters=inner_iters, residual=residual
+    fx = x if f is None else f.evaluator(x)
+    base, coef, anchor, u_weight = _inner_pieces(SchemeKind.NEW_IMPLICIT, x, fx, p)
+    return _picard_affine_solve(
+        base, coef, T.evaluator, anchor, u_weight, x, cfg, space.norm, record
     )
 
 
@@ -467,7 +393,14 @@ def run(
     when the schedule leaves its admissible ranges.  ``observer``, when
     given, receives every :class:`IterationState` including the initial
     one; the trace records one row per executed step when
-    ``cfg.record_trace`` is set.
+    ``cfg.record_trace`` is set.  An :class:`InnerSolveError` of an
+    implicit step is raised again with the outer step ``n`` appended.
+
+    Each step at ``n`` evaluates the weights, checks their ranges and
+    forms ``x_{n+1}``: by the collapsed single-weight update for
+    ``explicit``, by a certified inner solve (see
+    :func:`_picard_affine_solve`) otherwise.  The ``T(x_{n+1})`` of its
+    residual serves as the next step's ``T(x_n)``.
 
     Runs are deterministic: identical inputs produce bitwise-identical
     traces and reports.
@@ -476,51 +409,59 @@ def run(
     f_eval = _viscosity_eval(scheme, f)
     nrm = space.norm
     t_eval = T.evaluator
+    n = schedule.start_index
     x = space.point(x1)
     tx = t_eval(x)
-    state = IterationState(
-        n=schedule.start_index, x=x, last_inner_iters=0, residual=nrm(x - tx)
-    )
+    residual = nrm(x - tx)
     if observer is not None:
-        observer(state)
+        observer(IterationState(n=n, x=x, last_inner_iters=0, residual=residual))
     trace: List[TraceRow] = []
     termination, message = None, ""
     for _ in range(cfg.max_outer):
-        if state.residual <= cfg.outer_tol or not math.isfinite(state.residual):
+        if residual <= cfg.outer_tol or not math.isfinite(residual):
             break
-        n = state.n
         try:
-            p, x_next, inner_iters, residual, tx = _step(
-                scheme, state.x, n, f_eval, t_eval, schedule, cfg, nrm, tx
-            )
+            p = schedule_eval(schedule, n)
+            _check_params(p, f"at n = {n}")
+            if scheme is SchemeKind.EXPLICIT:
+                a = _collapsed_weight(p)
+                x_next, inner_iters = a * f_eval(x) + (1.0 - a) * tx, 0
+            else:
+                fx = x if f_eval is None else f_eval(x)
+                base, coef, anchor, u_weight = _inner_pieces(scheme, x, fx, p)
+                x_next, inner_iters = _picard_affine_solve(
+                    base, coef, t_eval, anchor, u_weight, x, cfg, nrm, t_u0=tx
+                )
         except ScheduleRangeError as exc:
             termination, message = Termination.SCHEDULE_RANGE_VIOLATION, str(exc)
             break
+        except InnerSolveError as exc:
+            raise InnerSolveError(f"{exc} (outer step n = {n})") from exc
+        tx = t_eval(x_next)
+        residual = nrm(x_next - tx)
         if cfg.record_trace:
-            trace.append(TraceRow(n, residual, nrm(x_next - state.x), inner_iters, *p))
-        state = IterationState(
-            n=n + 1, x=x_next, last_inner_iters=inner_iters, residual=residual
-        )
+            trace.append(TraceRow(n, residual, nrm(x_next - x), inner_iters, *p))
+        n, x = n + 1, x_next
         if observer is not None:
-            observer(state)
+            observer(IterationState(n=n, x=x, last_inner_iters=inner_iters, residual=residual))
     if termination is None:
-        if state.residual <= cfg.outer_tol:
+        if residual <= cfg.outer_tol:
             termination = Termination.CONVERGED
-        elif not math.isfinite(state.residual):
+        elif not math.isfinite(residual):
             termination = Termination.NON_FINITE
             message = (
-                f"residual at n = {state.n} is {state.residual!r}: x_n, "
+                f"residual at n = {n} is {residual!r}: x_n, "
                 "T(x_n) or their distance is not finite"
             )
         else:
             termination = Termination.MAX_ITERS
-            message = f"residual {state.residual:.6g} above tolerance after {cfg.max_outer} steps"
+            message = f"residual {residual:.6g} above tolerance after {cfg.max_outer} steps"
     return SolveReport(
-        final_point=state.x,
+        final_point=x,
         termination=termination,
         trace=trace,
-        n_final=state.n,
-        final_residual=state.residual,
+        n_final=n,
+        final_residual=residual,
         space=space,
         message=message,
     )

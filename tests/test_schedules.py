@@ -49,11 +49,6 @@ def test_eval_below_start_index_rejected():
         schedule_eval(custom_rational((0, 0, 0), (1, 0, 0), (0, 0, 0), (0.5, 0, 0), start_index=5), 4)
 
 
-def test_schedule_at_matches_eval():
-    s = halpern_mix()
-    assert s.at(7) == schedule_eval(s, 7)
-
-
 @pytest.mark.parametrize("builder", [eq75, halpern_mix, compare_t16])
 def test_presets_stay_on_simplex(builder):
     s = builder()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -15,7 +16,6 @@ from viscofix import (
     GeneralizedContraction,
     InnerSolveError,
     InputError,
-    IterationState,
     NonexpansiveMap,
     NotConvergedError,
     SchemeKind,
@@ -34,7 +34,6 @@ from viscofix import (
     read_trace_csv,
     run,
     schedule_eval,
-    step,
     vi_residual,
     write_trace_csv,
 )
@@ -138,15 +137,16 @@ def test_inner_solve_fails_fast_on_non_finite_map(bad):
     assert len(calls) == 1
 
 
-def _state(x=1.0, n=2):
-    return IterationState(n=n, x=np.array([float(x)]), last_inner_iters=0, residual=0.5)
+def _one_step(scheme, f=QUARTER, schedule=FLAT_EQ75_2):
+    """The report of one outer step from ``x_1 = 1``."""
+    cfg = SolverConfig(max_outer=1, inner_tol=1e-14)
+    return run(SP1, scheme, f, HALF, schedule, np.array([1.0]), cfg)
 
 
-def _step_value(scheme, schedule=FLAT_EQ75_2, n=2):
-    cfg = SolverConfig(inner_tol=1e-14)
-    new = step(SP1, scheme, _state(n=n), QUARTER, HALF, schedule, cfg)
-    assert new.n == n + 1
-    return new.x[0]
+def _step_value(scheme, f=QUARTER):
+    report = _one_step(scheme, f)
+    assert report.n_final == FLAT_EQ75_2.start_index + 1
+    return report.final_point[0]
 
 
 def test_step_three_term_closed_form():
@@ -176,32 +176,33 @@ def test_step_kema_closed_form():
 def test_collapse_needs_positive_weight_mass():
     # alpha1 = alpha3 = 0 leaves the single-weight schemes undefined
     s = custom_rational((0, 0, 0), (1, 0, 0), (0, 0, 0), (0.5, 0, 0))
-    with pytest.raises(vx.solver.ScheduleRangeError):
-        step(SP1, SchemeKind.EXPLICIT, _state(n=2), QUARTER, HALF, s, SolverConfig())
+    report = _one_step(SchemeKind.EXPLICIT, schedule=s)
+    assert report.termination is Termination.SCHEDULE_RANGE_VIOLATION
+    assert "alpha1 + alpha3 = 0" in report.message
+    assert report.n_final == s.start_index
+    assert report.trace == []
 
 
 def test_identity_presets_refuse_viscosity_term():
     with pytest.raises(ConfigurationError, match="f=None"):
-        step(SP1, SchemeKind.MANN_IMPLICIT, _state(), QUARTER, HALF, FLAT_EQ75_2, SolverConfig())
+        _one_step(SchemeKind.MANN_IMPLICIT, QUARTER)
     with pytest.raises(ConfigurationError):
-        step(SP1, SchemeKind.NEW_IMPLICIT, _state(), None, HALF, FLAT_EQ75_2, SolverConfig())
+        _one_step(SchemeKind.NEW_IMPLICIT, None)
 
 
 def test_mann_is_new_implicit_with_identity():
-    cfg = SolverConfig(inner_tol=1e-14)
     ident = GeneralizedContraction(lambda x: x, linear_modulus(0.0), label="")
     # the modulus is irrelevant to stepping; only the evaluator is used
     object.__setattr__(ident, "evaluator", lambda x: x)
-    a = step(SP1, SchemeKind.MANN_IMPLICIT, _state(), None, HALF, FLAT_EQ75_2, cfg)
-    b = step(SP1, SchemeKind.NEW_IMPLICIT, _state(), ident, HALF, FLAT_EQ75_2, cfg)
-    assert a.x[0] == b.x[0]
+    a = _one_step(SchemeKind.MANN_IMPLICIT, None)
+    b = _one_step(SchemeKind.NEW_IMPLICIT, ident)
+    assert a.final_point.tobytes() == b.final_point.tobytes()
+    assert a.trace == b.trace
 
 
 def test_midpoint_mann_hardwires_half():
     # x' = a x + (1 - a) T((x + x')/2) with a = 1/3: x' = 1/3 + (1 + x')/6
-    cfg = SolverConfig(inner_tol=1e-14)
-    new = step(SP1, SchemeKind.MIDPOINT_MANN, _state(), None, HALF, FLAT_EQ75_2, cfg)
-    assert new.x[0] == pytest.approx(0.6, abs=1e-12)
+    assert _step_value(SchemeKind.MIDPOINT_MANN, None) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_run_converges_and_traces():
@@ -323,6 +324,7 @@ def _plane():
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_step_chain_reproduces_run_bitwise(scheme):
+    # the observed state chain carries the trace rows and the final point
     sp, T, const = _plane()
     f = None if scheme in vx.solver.IDENTITY_SCHEMES else const
     cfg = SolverConfig(outer_tol=1e-2, max_outer=2000)
@@ -330,37 +332,49 @@ def test_step_chain_reproduces_run_bitwise(scheme):
     report = run(sp, scheme, f, T, halpern_mix(), np.array([0.0, 5.0]), cfg, observer=seen.append)
     assert report.termination is Termination.CONVERGED
     assert len(report.trace) == len(seen) - 1 >= 1
-    state = seen[0]
-    for expected, row in zip(seen[1:], report.trace):
-        state = step(sp, scheme, state, f, T, halpern_mix(), cfg)
-        assert state.n == expected.n
-        assert state.x.tobytes() == expected.x.tobytes()
+    assert seen[0].n == halpern_mix().start_index and seen[0].last_inner_iters == 0
+    for prev, state, row in zip(seen, seen[1:], report.trace):
+        assert state.n == row.n + 1
         assert state.residual == row.residual
         assert state.last_inner_iters == row.inner_iters
-    assert state.x.tobytes() == report.final_point.tobytes()
+        assert sp.norm(state.x - prev.x) == row.step_norm
+    assert seen[-1].x.tobytes() == report.final_point.tobytes()
+    assert seen[-1].residual == report.final_residual
 
 
 def test_inner_solve_is_the_new_implicit_step_bitwise():
     sp, T, const = _plane()
-    cfg = SolverConfig()
+    cfg = SolverConfig(max_outer=1)
     x = np.array([0.7, -2.5])
     for n in (1, 2, 10, 1000):
         a1, a2, a3, d = schedule_eval(halpern_mix(), n)
         u, iters = inner_implicit_solve(sp, const, T, x, (a1, a2, a3), d, cfg)
-        state = IterationState(n=n, x=x, last_inner_iters=0, residual=1.0)
-        new = step(sp, SchemeKind.NEW_IMPLICIT, state, const, T, halpern_mix(), cfg)
-        assert u.tobytes() == new.x.tobytes()
-        assert iters == new.last_inner_iters
+        report = run(sp, SchemeKind.NEW_IMPLICIT, const, T, halpern_mix(start_index=n), x, cfg)
+        assert report.n_final == n + 1
+        assert u.tobytes() == report.final_point.tobytes()
+        assert [row.inner_iters for row in report.trace] == [iters]
+
+
+class _Counted:
+    """An evaluator that counts its calls, and the calls whose argument is
+    bitwise the previous call's."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.calls = self.repeats = 0
+        self._last = None
+
+    def __call__(self, x):
+        arg = x.tobytes()
+        self.repeats += arg == self._last
+        self._last = arg
+        self.calls += 1
+        return self.evaluator(x)
 
 
 def _counting(T):
-    calls = []
-
-    def counted(x):
-        calls.append(1)
-        return T.evaluator(x)
-
-    return NonexpansiveMap(counted), calls
+    counted = _Counted(T.evaluator)
+    return dataclasses.replace(T, evaluator=counted), counted
 
 
 @pytest.mark.parametrize(
@@ -383,11 +397,46 @@ def test_run_reuses_the_residuals_T_value(scheme, expected_calls):
         report = run(sp, scheme, const, counted, halpern_mix(), np.array([0.0, 5.0]), cfg)
         steps = report.n_final - halpern_mix().start_index
         assert report.termination is Termination.CONVERGED and steps > 100
-        assert len(calls) == expected_calls(steps)
+        assert calls.calls == expected_calls(steps)
         reports.append(report)
     first, again = reports
     assert again.trace == first.trace
     assert again.final_point.tobytes() == first.final_point.tobytes()
+
+
+# Exact counters of the seed-0 small-dim solves of perfbench: outer steps,
+# total and largest inner applications, T calls, T calls repeating the
+# previous argument bitwise, f calls.  Their sums, 52000 steps, 101138 inner
+# applications, 128856 T calls and 12 repeats, are the benchmark's
+# `--trace 1` counters.  A change to any of them is a change of behaviour.
+SMALL_DIM_COUNTERS = {
+    ("plane", "explicit"): (7999, 0, 0, 8000, 0, 7999),
+    ("plane", "kema"): (7999, 15997, 2, 15998, 0, 7999),
+    ("plane", "three_term"): (8001, 32001, 4, 32002, 0, 8001),
+    ("plane", "new_implicit"): (8001, 16143, 9, 24145, 12, 8001),
+    ("eq75", "new_implicit"): (10000, 16335, 3, 26336, 0, 10000),
+    ("eq75", "three_term"): (10000, 20662, 3, 22375, 0, 10000),
+}
+
+
+@pytest.mark.parametrize("problem, scheme", list(SMALL_DIM_COUNTERS))
+def test_small_dim_counters_are_pinned(problem, scheme):
+    if problem == "plane":
+        sp, T, f = _plane()
+        schedule, x1, cfg = halpern_mix(), np.array([0.0, 5.0]), SolverConfig(outer_tol=1e-3)
+    else:
+        sp, T, f = SP1, HALF, QUARTER
+        schedule, x1 = eq75(), np.array([1.0])
+        cfg = SolverConfig(outer_tol=5e-9, max_outer=10_000)
+    T, t_calls = _counting(T)
+    f, f_calls = _counting(f)
+    report = run(sp, scheme, f, T, schedule, x1, cfg)
+    inner = [row.inner_iters for row in report.trace]
+    counters = (
+        report.n_final - schedule.start_index, sum(inner), max(inner),
+        t_calls.calls, t_calls.repeats, f_calls.calls,
+    )
+    assert counters == SMALL_DIM_COUNTERS[problem, scheme]
 
 
 def test_solver_config_validation():
@@ -412,10 +461,16 @@ def test_inner_solve_budget_is_the_certified_count():
     assert report.termination is Termination.CONVERGED
     assert report.n_final == 4
     assert [row.inner_iters for row in report.trace] == [3, 3, 3]
-    # a map that expands still fails: its gap overflows within the budget
+    # a map that expands still fails: its gap overflows within the budget,
+    # and the error names the outer step
     liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x")
-    with pytest.raises(InnerSolveError, match="not finite"), np.errstate(over="ignore"):
+    with pytest.raises(InnerSolveError) as caught, np.errstate(over="ignore"):
         run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, liar, SLOW_INNER, np.array([1.0]), cfg)
+    assert str(caught.value) == (
+        "inner solve gap is inf at application 330: T or the starting point is "
+        "not finite (outer step n = 1)"
+    )
+    assert isinstance(caught.value.__cause__, InnerSolveError)
 
 
 def test_inner_solve_long_honest_solve_stays_within_its_budget():
