@@ -3,133 +3,22 @@
 The package bundles a small Hilbert-space toolkit (weighted inner
 products, convex projections), map wrappers with property spot-checks,
 admissible parameter schedules, the implicit iteration engine, and a
-config-driven command line.
+config-driven command line.  Its public names are those of the
+``__all__`` of :mod:`.errors`, :mod:`.maps`, :mod:`.schedules`,
+:mod:`.solver` and :mod:`.space`, republished here.
 """
 
-from .errors import (
-    ConfigurationError,
-    InnerSolveError,
-    InputError,
-    NotConvergedError,
-    ViscofixError,
-)
-from .maps import (
-    AuditReport,
-    ContractionModulus,
-    FredholmProblem,
-    GeneralizedContraction,
-    MonotoneOperatorSpec,
-    NonexpansiveMap,
-    average_pseudocontraction,
-    check_contraction,
-    check_inverse_strongly_monotone,
-    check_nonexpansive,
-    forward_projected,
-    fredholm_grid,
-    fredholm_operator,
-    linear_modulus,
-    rational_modulus,
-)
-from .schedules import (
-    AnalyticFacts,
-    ConditionReport,
-    Schedule,
-    ScheduleParams,
-    Status,
-    compare_t16,
-    custom_rational,
-    eq75,
-    halpern_mix,
-    schedule_eval,
-    validate_assumption12,
-)
-from .solver import (
-    IDENTITY_SCHEMES,
-    IterationState,
-    SchemeKind,
-    SolveReport,
-    SolverConfig,
-    Termination,
-    TraceRow,
-    compare_limits,
-    inner_implicit_solve,
-    read_trace_csv,
-    run,
-    vi_residual,
-    write_trace_csv,
-)
-from .space import (
-    AffineSpan,
-    Ball,
-    Box,
-    Halfspace,
-    SpaceDescriptor,
-    WholeSpace,
-    euclidean,
-    inner,
-    norm,
-    project,
-    trapezoid,
-    trapezoid_nodes,
-)
+from . import errors, maps, schedules, solver, space
+from .errors import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .schedules import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .space import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSpan",
-    "AnalyticFacts",
-    "AuditReport",
-    "Ball",
-    "Box",
-    "ConditionReport",
-    "ConfigurationError",
-    "ContractionModulus",
-    "FredholmProblem",
-    "GeneralizedContraction",
-    "Halfspace",
-    "IDENTITY_SCHEMES",
-    "InnerSolveError",
-    "InputError",
-    "IterationState",
-    "MonotoneOperatorSpec",
-    "NonexpansiveMap",
-    "NotConvergedError",
-    "Schedule",
-    "ScheduleParams",
-    "SchemeKind",
-    "SolveReport",
-    "SolverConfig",
-    "SpaceDescriptor",
-    "Status",
-    "Termination",
-    "TraceRow",
-    "ViscofixError",
-    "WholeSpace",
-    "average_pseudocontraction",
-    "check_contraction",
-    "check_inverse_strongly_monotone",
-    "check_nonexpansive",
-    "compare_limits",
-    "compare_t16",
-    "custom_rational",
-    "eq75",
-    "euclidean",
-    "forward_projected",
-    "fredholm_grid",
-    "fredholm_operator",
-    "halpern_mix",
-    "inner",
-    "inner_implicit_solve",
-    "linear_modulus",
-    "norm",
-    "project",
-    "rational_modulus",
-    "read_trace_csv",
-    "run",
-    "schedule_eval",
-    "trapezoid",
-    "trapezoid_nodes",
-    "validate_assumption12",
-    "vi_residual",
-    "write_trace_csv",
+    name
+    for module in (errors, maps, schedules, solver, space)
+    for name in module.__all__
 ]

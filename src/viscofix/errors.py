@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ViscofixError",
+    "InputError",
+    "ConfigurationError",
+    "InnerSolveError",
+    "NotConvergedError",
+]
+
 
 class ViscofixError(Exception):
     """Base class for all errors raised by this package."""

@@ -18,6 +18,7 @@ discretization of a Fredholm integral operator of the second kind.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -88,30 +89,17 @@ class ContractionModulus:
         """Gauge ``t - m(t)``, strictly increasing and unbounded."""
         return t - self.value(t)
 
-    def gauge_inverse(self, s: float, tol: float = 1e-12) -> float:
-        """Solve ``gauge(t) = s`` for ``t >= 0`` by bisection.
+    def gauge_inverse(self, s: float) -> float:
+        """The ``t >= 0`` with ``gauge(t) = s``, in closed form.
 
-        The bracket is grown geometrically inside ``[0, 1e12]`` and then
-        bisected to absolute tolerance ``tol``.
+        ``s / (1 - c)`` for ``linear``; for ``rational`` the positive root
+        of ``beta t^2 = s (1 + beta t)``, ``s/2 + sqrt(s^2/4 + s/beta)``.
         """
         if s < 0.0:
             raise InputError(f"gauge values are nonnegative, got {s}")
-        if s == 0.0:
-            return 0.0
-        hi = 1.0
-        cap = 1e12
-        while self.gauge(hi) < s:
-            hi *= 2.0
-            if hi > cap:
-                raise InputError(f"gauge inverse bracket exceeded [0, {cap:g}] for s={s}")
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.gauge(mid) < s:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        if self.kind == "linear":
+            return s / (1.0 - self.coefficient)
+        return 0.5 * s + math.sqrt(0.25 * s * s + s / self.coefficient)
 
 
 def linear_modulus(c: float) -> ContractionModulus:
@@ -338,7 +326,6 @@ def average_pseudocontraction(
     lam: float,
     theta: float,
     smooth_L: float = 1.0,
-    domain: Optional[spc.ConvexSetBase] = None,
     label: str = "",
 ) -> NonexpansiveMap:
     """Averaged map ``T x = theta x + (1 - theta) S x`` of a pseudocontraction.
@@ -380,11 +367,7 @@ def average_pseudocontraction(
     def averaged(x, _ev=evaluator, _theta=theta):
         return _theta * x + (1.0 - _theta) * _ev(x)
 
-    return NonexpansiveMap(
-        evaluator=averaged,
-        domain=domain if domain is not None else spc.WholeSpace(),
-        label=label or "averaged pseudocontraction",
-    )
+    return NonexpansiveMap(evaluator=averaged, label=label or "averaged pseudocontraction")
 
 
 def forward_projected(
@@ -392,7 +375,6 @@ def forward_projected(
     constraint: spc.ConvexSetBase,
     A: MonotoneOperatorSpec,
     gamma: float,
-    label: str = "",
 ) -> NonexpansiveMap:
     """Projected forward step ``x -> P_K(x - gamma A x)`` of a monotone VI.
 
@@ -416,11 +398,7 @@ def forward_projected(
     def stepped(x, _A=A.evaluator, _g=gamma):
         return spc.project(space, constraint, x - _g * _A(x))
 
-    return NonexpansiveMap(
-        evaluator=stepped,
-        domain=spc.WholeSpace(),
-        label=label or "projected forward step",
-    )
+    return NonexpansiveMap(evaluator=stepped, label="projected forward step")
 
 
 def fredholm_grid(problem: FredholmProblem):
@@ -502,7 +480,5 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
             return gvals + kernel_table(x[None, :]) @ weights
 
     return NonexpansiveMap(
-        evaluator=integral_step,
-        domain=spc.WholeSpace(),
-        label=f"integral operator on {problem.grid_size + 1} nodes",
+        evaluator=integral_step, label=f"integral operator on {problem.grid_size + 1} nodes"
     )

@@ -312,8 +312,8 @@ def _tail_exponent(log_ns: np.ndarray, values: np.ndarray):
     return float(np.dot(x, y) / np.dot(x, x))
 
 
-def _looks_bounded_away(tail: np.ndarray, floor: float = 1e-6) -> bool:
-    return bool(np.min(tail) > floor and tail[-1] >= 0.5 * tail[0])
+def _looks_bounded_away(tail: np.ndarray) -> bool:
+    return bool(np.min(tail) > 1e-6 and tail[-1] >= 0.5 * tail[0])
 
 
 def _series_verdict(limit_seq, tail, slope, partial_sum, name, summable):

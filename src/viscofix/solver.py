@@ -59,12 +59,12 @@ from .schedules import Schedule, ScheduleParams, schedule_eval
 
 __all__ = [
     "SchemeKind",
+    "IDENTITY_SCHEMES",
     "SolverConfig",
     "IterationState",
     "TraceRow",
     "Termination",
     "SolveReport",
-    "ScheduleRangeError",
     "inner_implicit_solve",
     "run",
     "vi_residual",
@@ -395,6 +395,8 @@ def run(
     one; the trace records one row per executed step when
     ``cfg.record_trace`` is set.  An :class:`InnerSolveError` of an
     implicit step is raised again with the outer step ``n`` appended.
+    ``x1`` and ``T(x1)`` must be points of the space; an
+    :class:`InputError` says which is not.
 
     Each step at ``n`` evaluates the weights, checks their ranges and
     forms ``x_{n+1}``: by the collapsed single-weight update for
@@ -412,6 +414,10 @@ def run(
     n = schedule.start_index
     x = space.point(x1)
     tx = t_eval(x)
+    try:
+        tx = space.point(tx)
+    except InputError as exc:
+        raise InputError(f"T(x1) is not a point of the space: {exc}") from None
     residual = nrm(x - tx)
     if observer is not None:
         observer(IterationState(n=n, x=x, last_inner_iters=0, residual=residual))

@@ -37,13 +37,6 @@ __all__ = [
 ]
 
 
-def _as_point(x, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dim,):
-        raise InputError(f"expected a point of dimension {dim}, got shape {x.shape}")
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class SpaceDescriptor:
     """A real inner-product space with coordinate weights.
@@ -75,8 +68,14 @@ class SpaceDescriptor:
         object.__setattr__(self, "weights", w)
 
     def point(self, coords) -> np.ndarray:
-        """Coerce ``coords`` to a point of this space (dimension checked)."""
-        return _as_point(coords, self.dim)
+        """Coerce ``coords`` to a point of this space (dimension checked).
+
+        A float64 array of the right shape is returned as is, not copied.
+        """
+        x = np.asarray(coords, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise InputError(f"expected a point of dimension {self.dim}, got shape {x.shape}")
+        return x
 
     def norm(self, v: np.ndarray) -> float:
         """Weighted norm ``sqrt(sum_i w_i v_i^2)`` of a point.
@@ -126,14 +125,14 @@ def same_space(a: SpaceDescriptor, b: SpaceDescriptor) -> bool:
 
 def inner(space: SpaceDescriptor, x, y) -> float:
     """Weighted inner product ``sum_i w_i x_i y_i``."""
-    x = _as_point(x, space.dim)
-    y = _as_point(y, space.dim)
+    x = space.point(x)
+    y = space.point(y)
     return float(np.dot(space.weights * x, y))
 
 
 def norm(space: SpaceDescriptor, x) -> float:
     """Norm induced by :func:`inner`."""
-    return space.norm(_as_point(x, space.dim))
+    return space.norm(space.point(x))
 
 
 class ConvexSetBase:
@@ -153,7 +152,7 @@ class WholeSpace(ConvexSetBase):
     """The entire space; projection is the identity."""
 
     def project(self, space, x):
-        return _as_point(x, space.dim)
+        return space.point(x)
 
     def __repr__(self):
         return "WholeSpace()"
@@ -179,7 +178,7 @@ class Box(ConvexSetBase):
         self.upper = upper
 
     def project(self, space, x):
-        x = _as_point(x, space.dim)
+        x = space.point(x)
         if self.lower.shape != (space.dim,):
             raise InputError("box bounds do not match the space dimension")
         return np.clip(x, self.lower, self.upper)
@@ -201,7 +200,7 @@ class Ball(ConvexSetBase):
         self.radius = float(radius)
 
     def project(self, space, x):
-        x = _as_point(x, space.dim)
+        x = space.point(x)
         if self.center.shape != (space.dim,):
             raise InputError("ball center does not match the space dimension")
         d = x - self.center
@@ -229,7 +228,7 @@ class Halfspace(ConvexSetBase):
         self.offset = float(offset)
 
     def project(self, space, x):
-        x = _as_point(x, space.dim)
+        x = space.point(x)
         if self.normal.shape != (space.dim,):
             raise InputError("halfspace normal does not match the space dimension")
         wn = space.weights * self.normal
@@ -268,7 +267,7 @@ class AffineSpan(ConvexSetBase):
     GRAM_TOL = 1e-10
 
     def __init__(self, space: SpaceDescriptor, base, directions):
-        base = _as_point(base, space.dim)
+        base = space.point(base)
         directions = np.asarray(directions, dtype=np.float64)
         if directions.ndim != 2 or directions.shape[1] != space.dim:
             raise ConfigurationError(
@@ -293,7 +292,7 @@ class AffineSpan(ConvexSetBase):
     def project(self, space, x):
         if space is not self._space and not same_space(space, self._space):
             raise InputError("affine span was validated against a different space")
-        x = _as_point(x, space.dim)
+        x = space.point(x)
         return self._shift + self._matrix @ x
 
     def __repr__(self):

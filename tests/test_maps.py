@@ -82,6 +82,16 @@ def test_gauge_inverse_round_trip():
         linear_modulus(0.5).gauge_inverse(-1.0)
 
 
+def test_gauge_inverse_is_closed_form():
+    # no bisection bracket to outgrow
+    assert linear_modulus(0.5).gauge_inverse(1e13) == 2e13
+    # rational gauge beta t^2 / (1 + beta t): 2/3 at t = 1 for beta = 2
+    r = rational_modulus(2.0)
+    assert r.gauge_inverse(2.0 / 3.0) == pytest.approx(1.0, rel=1e-15)
+    for s in (1e-9, 1.0, 1e13):
+        assert r.gauge(r.gauge_inverse(s)) == pytest.approx(s, rel=1e-12)
+
+
 # -------------------------------------------------------- property checks
 
 

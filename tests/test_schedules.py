@@ -71,6 +71,43 @@ def test_scalar_and_array_paths_agree_bitwise(builder):
             assert scalar[k] == arrays[k][i]
 
 
+def _assert_paths_agree_bitwise(s, ns):
+    arrays = [
+        np.broadcast_to(np.asarray(v, dtype=np.float64), (len(ns),))
+        for v in s.formula(np.array(ns, dtype=np.float64))
+    ]
+    for i, n in enumerate(ns):
+        scalar = np.array(schedule_eval(s, n), dtype=np.float64)
+        assert scalar.tobytes() == np.array([a[i] for a in arrays]).tobytes(), n
+
+
+# Up to 10^7 only: compare-t16's n * n is exact in float64 (the array path)
+# only while n^2 <= 2^53, i.e. up to n ~ 9.4e7; past that it rounds, and the
+# integer path's exact n^2 gives a different last bit.
+N_MAX = 10**7
+
+
+@pytest.mark.parametrize("builder", [eq75, halpern_mix, compare_t16])
+@settings(max_examples=60, deadline=None)
+@given(ns=st.lists(st.integers(2, N_MAX), min_size=1, max_size=20))
+def test_preset_paths_agree_bitwise_up_to_1e7(builder, ns):
+    _assert_paths_agree_bitwise(builder(), ns + [N_MAX])
+
+
+_coefficient = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(_coefficient, _coefficient, st.floats(-0.5, 5.0)), min_size=4, max_size=4
+    ),
+    ns=st.lists(st.integers(1, N_MAX), min_size=1, max_size=20),
+)
+def test_custom_rational_paths_agree_bitwise_up_to_1e7(triples, ns):
+    _assert_paths_agree_bitwise(custom_rational(*triples), ns + [1, N_MAX])
+
+
 def test_custom_rational_validation():
     good = custom_rational((0, 0.5, 0), (1, -1.5, 0), (0, 1, 0), (0.5, -0.5, 1), start_index=2)
     # reproduces the eq75 formulas through the a + b/(n + c) form

@@ -37,6 +37,8 @@ from viscofix import (
     vi_residual,
     write_trace_csv,
 )
+from viscofix.config import load_run_config
+from viscofix.problems import build_problem
 
 SP1 = euclidean(1)
 HALF = NonexpansiveMap(lambda x: 0.5 * x, label="x/2")
@@ -419,6 +421,19 @@ SMALL_DIM_COUNTERS = {
 }
 
 
+def _run_counters(sp, scheme, f, T, schedule, x1, cfg):
+    """Outer steps, total and largest inner applications, T calls, T repeats
+    and f calls of one traced run."""
+    T, t_calls = _counting(T)
+    f, f_calls = (None, None) if f is None else _counting(f)
+    report = run(sp, scheme, f, T, schedule, x1, dataclasses.replace(cfg, record_trace=True))
+    inner = [row.inner_iters for row in report.trace]
+    return (
+        report.n_final - schedule.start_index, sum(inner), max(inner),
+        t_calls.calls, t_calls.repeats, 0 if f_calls is None else f_calls.calls,
+    )
+
+
 @pytest.mark.parametrize("problem, scheme", list(SMALL_DIM_COUNTERS))
 def test_small_dim_counters_are_pinned(problem, scheme):
     if problem == "plane":
@@ -428,15 +443,110 @@ def test_small_dim_counters_are_pinned(problem, scheme):
         sp, T, f = SP1, HALF, QUARTER
         schedule, x1 = eq75(), np.array([1.0])
         cfg = SolverConfig(outer_tol=5e-9, max_outer=10_000)
-    T, t_calls = _counting(T)
-    f, f_calls = _counting(f)
-    report = run(sp, scheme, f, T, schedule, x1, cfg)
-    inner = [row.inner_iters for row in report.trace]
-    counters = (
-        report.n_final - schedule.start_index, sum(inner), max(inner),
-        t_calls.calls, t_calls.repeats, f_calls.calls,
-    )
+    counters = _run_counters(sp, scheme, f, T, schedule, x1, cfg)
     assert counters == SMALL_DIM_COUNTERS[problem, scheme]
+
+
+def _built(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    cfg = load_run_config(path)
+    return cfg, build_problem(cfg)
+
+
+# The same counters for the four seed-0 fredholm-grid solves of perfbench
+# (mann_implicit, halpern-mix, outer_tol 1e-10; its seed-0 start is the
+# x1 of build_problem).  Sums: 191 steps, 592 inner applications, 596 T calls,
+# 4 repeats, no f calls.
+FREDHOLM_GRID_COUNTERS = {
+    ("separable-linear", 64): (45, 132, 3, 133, 1, 0),
+    ("separable-linear", 256): (45, 132, 3, 133, 1, 0),
+    ("separable-linear", 1024): (45, 132, 3, 133, 1, 0),
+    ("sine", 256): (56, 196, 5, 197, 1, 0),
+}
+
+
+@pytest.mark.parametrize("kernel, m", list(FREDHOLM_GRID_COUNTERS))
+def test_fredholm_grid_counters_are_pinned(tmp_path, kernel, m):
+    cfg, setup = _built(
+        tmp_path,
+        f"[problem]\nkind = fredholm\nkernel = {kernel}\ngrid_size = {m}\n"
+        "[scheme]\nname = mann_implicit\n[schedule]\npreset = halpern-mix\n"
+        "[solver]\nouter_tol = 1e-10\nmax_outer = 10000\n",
+    )
+    counters = _run_counters(
+        setup.space, cfg.scheme, None, setup.T, cfg.schedule, setup.x1, cfg.solver
+    )
+    assert counters == FREDHOLM_GRID_COUNTERS[kernel, m]
+
+
+# The same counters for the 20 seed-0 trial solves of the diagnostics
+# workload: the monotone ball under new_implicit and its custom schedule,
+# started from default_rng(0) after the draw of the 3 audit seeds.  Sums:
+# 1645 steps, 4529 inner applications, 6194 T calls, no repeats, 1645 f calls.
+DIAGNOSTICS_TRIAL_COUNTERS = [
+    (83, 230, 3, 314, 0, 83), (82, 226, 3, 309, 0, 82), (83, 228, 3, 312, 0, 83),
+    (84, 232, 3, 317, 0, 84), (83, 228, 3, 312, 0, 83), (80, 220, 3, 301, 0, 80),
+    (83, 229, 3, 313, 0, 83), (80, 220, 3, 301, 0, 80), (84, 230, 3, 315, 0, 84),
+    (81, 221, 3, 303, 0, 81), (82, 226, 3, 309, 0, 82), (82, 226, 3, 309, 0, 82),
+    (82, 226, 3, 309, 0, 82), (80, 220, 3, 301, 0, 80), (82, 226, 3, 309, 0, 82),
+    (83, 229, 3, 313, 0, 83), (83, 228, 3, 312, 0, 83), (83, 229, 3, 313, 0, 83),
+    (82, 226, 3, 309, 0, 82), (83, 229, 3, 313, 0, 83),
+]
+
+DIAGNOSTICS_CONFIG = """[problem]
+kind = monotone
+gamma = 0.5
+set = ball
+radius = 2.0
+[scheme]
+name = new_implicit
+[schedule]
+kind = custom-rational
+n0 = 2
+alpha1 = 0, 1, 1
+alpha2 = 0.6, 0, 1
+alpha3 = 0.4, -1, 1
+delta = 0.7, -0.2, 1
+[contraction]
+kind = linear
+c = 0.25
+[solver]
+outer_tol = 1e-12
+max_outer = 10000
+[space]
+kind = euclidean
+dim = 3
+"""
+
+
+def test_diagnostics_trial_counters_are_pinned(tmp_path):
+    cfg, setup = _built(tmp_path, DIAGNOSTICS_CONFIG)
+    rng = np.random.default_rng(0)
+    rng.integers(0, 2**31, 3)
+    starts = rng.uniform(-1.5, 1.5, (len(DIAGNOSTICS_TRIAL_COUNTERS), 3))
+    counters = [
+        _run_counters(setup.space, cfg.scheme, setup.f, setup.T, cfg.schedule, x1, cfg.solver)
+        for x1 in starts
+    ]
+    assert counters == DIAGNOSTICS_TRIAL_COUNTERS
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "new_implicit"])
+@pytest.mark.parametrize(
+    "value, shape",
+    [(lambda x: np.array([x[0] / 2.0]), "(1,)"), (lambda x: x[0] / 2.0, "()")],
+    ids=["shape-1", "scalar"],
+)
+def test_run_rejects_a_T_value_that_is_not_a_point(scheme, value, shape):
+    # a (1,)-shaped T value would broadcast against the 2-D iterate
+    T = NonexpansiveMap(value, label="first coordinate halved")
+    with pytest.raises(InputError) as caught:
+        run(euclidean(2), scheme, QUARTER, T, halpern_mix(), np.array([1.0, 2.0]), SolverConfig())
+    assert str(caught.value) == (
+        "T(x1) is not a point of the space: expected a point of dimension 2, "
+        f"got shape {shape}"
+    )
 
 
 def test_solver_config_validation():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from viscofix import (
     AffineSpan,
@@ -8,6 +11,7 @@ from viscofix import (
     ConfigurationError,
     Halfspace,
     InputError,
+    SpaceDescriptor,
     WholeSpace,
     euclidean,
     inner,
@@ -144,6 +148,46 @@ def test_projection_properties_random_pairs(space):
             # obtuse angle against a member z of the set
             z = project(space, cset, rng.standard_normal(space.dim) * 3.0)
             assert inner(space, x - px, z - px) <= 1e-10
+
+
+_coordinate = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _weighted_projection_cases(draw, kind):
+    """A weighted space of dimension 1-6, a set of ``kind`` in it and three points."""
+    dim = draw(st.integers(1, 6))
+    vec = hnp.arrays(np.float64, dim, elements=_coordinate)
+    space = SpaceDescriptor(dim, draw(hnp.arrays(np.float64, dim, elements=st.floats(0.1, 10.0))))
+    if kind == "whole":
+        cset = WholeSpace()
+    elif kind == "box":
+        lower = draw(vec)
+        cset = Box(lower, lower + draw(hnp.arrays(np.float64, dim, elements=st.floats(0.0, 5.0))))
+    elif kind == "ball":
+        cset = Ball(draw(vec), draw(st.floats(0.1, 5.0)))
+    elif kind == "halfspace":
+        normal = draw(vec.filter(lambda n: np.max(np.abs(n)) >= 0.1))
+        cset = Halfspace(normal, draw(_coordinate))
+    else:
+        # orthonormal columns of Q, scaled by 1/sqrt(w), are w-orthonormal rows
+        q, _ = np.linalg.qr(draw(hnp.arrays(np.float64, (dim, dim), elements=_coordinate)))
+        k = draw(st.integers(1, dim))
+        cset = AffineSpan(space, draw(vec), q[:, :k].T / np.sqrt(space.weights))
+    return space, cset, draw(vec), draw(vec), draw(vec)
+
+
+@pytest.mark.parametrize("kind", ["whole", "box", "ball", "halfspace", "affine"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_projection_properties_in_random_weighted_spaces(kind, data):
+    space, cset, x, y, z = data.draw(_weighted_projection_cases(kind))
+    px, py, pz = (project(space, cset, v) for v in (x, y, z))
+    scale = 1.0 + max(norm(space, v) for v in (x, y, z, px, py, pz))
+    assert norm(space, project(space, cset, px) - px) <= 1e-12 * scale
+    assert norm(space, px - py) <= norm(space, x - y) + 1e-12 * scale
+    # obtuse angle against the member pz of the set
+    assert inner(space, x - px, pz - px) <= 1e-12 * scale * scale
 
 
 def test_inner_symmetry_and_parallelogram():
