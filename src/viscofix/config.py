@@ -39,7 +39,7 @@ class RawValue:
     line: int
 
 
-def parse_sections(text: str, origin: str = "config") -> Dict[str, Dict[str, RawValue]]:
+def parse_sections(text: str, origin: str) -> Dict[str, Dict[str, RawValue]]:
     """Parse config text into ``{section: {key: RawValue}}`` with line info."""
     sections: Dict[str, Dict[str, RawValue]] = {}
     current: Optional[str] = None
@@ -77,6 +77,11 @@ def parse_sections(text: str, origin: str = "config") -> Dict[str, Dict[str, Raw
     return sections
 
 
+def _finite(*values) -> Optional[str]:
+    """The complaint about ``values`` unless every one of them is finite."""
+    return None if all(map(math.isfinite, values)) else "must be finite"
+
+
 class SectionView:
     """Typed access to one section; tracks consumption for strict mode."""
 
@@ -85,71 +90,57 @@ class SectionView:
         self._data = dict(data)
         self._origin = origin
 
-    def _take(self, key: str, required: bool) -> Optional[RawValue]:
+    def _take(self, key: str, required: bool, convert: Callable, what: str = "", check=None):
+        """Pop ``key`` and return ``convert`` of its text (None when absent and not required).
+
+        Text that ``convert`` rejects with ``ValueError`` is not ``what``; ``check``
+        returns a complaint about the converted value, or None."""
         raw = self._data.pop(key, None)
-        if raw is None and required:
-            raise self.error(f"missing required key '{key}'")
-        return raw
+        if raw is None:
+            if required:
+                raise self.error(f"missing required key '{key}'")
+            return None
+        try:
+            value = convert(raw.value)
+        except ValueError:
+            raise self.error(
+                f"key '{key}' is not {what}: {raw.value!r} (line {raw.line})"
+            ) from None
+        complaint = None if check is None else check(value)
+        if complaint is not None:
+            raise self.error(f"key '{key}' {complaint} (line {raw.line})")
+        return value
 
     def error(self, message: str) -> ConfigurationError:
         return ConfigurationError(f"{self._origin}: [{self.name}] {message}")
 
-    def str_value(self, key: str, default=None, choices=None, required: bool = False):
-        raw = self._take(key, required)
-        if raw is None:
-            return default
-        if choices is not None and raw.value not in choices:
-            allowed = ", ".join(sorted(choices))
-            raise self.error(
-                f"key '{key}' must be one of {{{allowed}}}, got {raw.value!r} (line {raw.line})"
-            )
-        return raw.value
+    def str_value(self, key: str, choices=None, required: bool = False):
+        def outside(value):
+            if choices is None or value in choices:
+                return None
+            return f"must be one of {{{', '.join(sorted(choices))}}}, got {value!r}"
+
+        return self._take(key, required, str, check=outside)
 
     def float_value(self, key: str, default=None, required: bool = False):
-        raw = self._take(key, required)
-        if raw is None:
-            return default
-        try:
-            value = float(raw.value)
-        except ValueError:
-            raise self.error(
-                f"key '{key}' is not a number: {raw.value!r} (line {raw.line})"
-            ) from None
-        if not math.isfinite(value):
-            raise self.error(f"key '{key}' must be finite (line {raw.line})")
-        return value
+        value = self._take(key, required, float, "a number", _finite)
+        return default if value is None else value
 
-    def int_value(self, key: str, default=None, required: bool = False):
-        raw = self._take(key, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw.value)
-        except ValueError:
-            raise self.error(
-                f"key '{key}' is not an integer: {raw.value!r} (line {raw.line})"
-            ) from None
+    def int_value(self, key: str, required: bool = False):
+        return self._take(key, required, int, "an integer")
 
-    def float_list(self, key: str, default=None, required: bool = False, count=None):
-        raw = self._take(key, required)
-        if raw is None:
-            return default
-        parts = [part.strip() for part in raw.value.split(",")]
-        try:
-            values = [float(part) for part in parts]
-        except ValueError:
-            raise self.error(
-                f"key '{key}' is not a comma-separated number list: "
-                f"{raw.value!r} (line {raw.line})"
-            ) from None
-        if not all(math.isfinite(value) for value in values):
-            raise self.error(f"key '{key}' must be finite (line {raw.line})")
-        if count is not None and len(values) != count:
-            raise self.error(
-                f"key '{key}' needs {count} comma-separated numbers, "
-                f"got {len(values)} (line {raw.line})"
-            )
-        return values
+    def float_list(self, key: str, count=None):
+        """The numbers of the required key ``key``; ``count`` of them when given."""
+
+        def misfit(values):
+            if count is None or len(values) == count:
+                return _finite(*values)
+            return _finite(*values) or f"needs {count} comma-separated numbers, got {len(values)}"
+
+        def numbers(text):
+            return [float(part) for part in text.split(",")]
+
+        return self._take(key, True, numbers, "a comma-separated number list", misfit)
 
     def finish(self) -> None:
         if self._data:
@@ -191,7 +182,7 @@ def schedule_from_section(view: SectionView) -> Schedule:
         )
     triples = {}
     for key in ("alpha1", "alpha2", "alpha3", "delta"):
-        triples[key] = tuple(view.float_list(key, required=True, count=3))
+        triples[key] = tuple(view.float_list(key, count=3))
     view.finish()
     return custom_rational(start_index=1 if n0 is None else n0, **triples)
 
@@ -248,8 +239,8 @@ def load_run_config(path) -> RunConfig:
         if name not in sections:
             raise ConfigurationError(f"{origin}: missing required section [{name}]")
 
-    def section(name: str) -> Optional[SectionView]:
-        return SectionView(name, sections[name], origin) if name in sections else None
+    def section(name: str) -> SectionView:
+        return SectionView(name, sections.get(name, {}), origin)
 
     scheme_view = section("scheme")
     scheme_name = scheme_view.str_value(
@@ -260,24 +251,19 @@ def load_run_config(path) -> RunConfig:
 
     schedule = schedule_from_section(section("schedule"))
 
+    # an absent [solver] or [output] section reads as an empty one
     solver_view = section("solver")
-    if solver_view is None:
-        solver = SolverConfig(record_trace=False)
-    else:
-        defaults = SolverConfig()
-        solver = SolverConfig(
-            outer_tol=solver_view.float_value("outer_tol", default=defaults.outer_tol),
-            max_outer=solver_view.int_value("max_outer", default=defaults.max_outer),
-            inner_tol=solver_view.float_value("inner_tol", default=defaults.inner_tol),
-            record_trace=False,
-        )
-        solver_view.finish()
+    given = {
+        "outer_tol": solver_view.float_value("outer_tol"),
+        "max_outer": solver_view.int_value("max_outer"),
+        "inner_tol": solver_view.float_value("inner_tol"),
+    }
+    solver = SolverConfig(record_trace=False, **{k: v for k, v in given.items() if v is not None})
+    solver_view.finish()
 
     output_view = section("output")
-    trace_path = None
-    if output_view is not None:
-        trace_path = output_view.str_value("trace")
-        output_view.finish()
+    trace_path = output_view.str_value("trace")
+    output_view.finish()
 
     return RunConfig(
         problem=sections["problem"],

@@ -334,7 +334,8 @@ def average_pseudocontraction(
     ``||Sx - Sy||^2 <= ||x - y||^2 - lam ||(I-S)x - (I-S)y||^2``) on a space
     with smoothness constant ``smooth_L`` (1 in the Hilbert setting), the
     averaged map is nonexpansive whenever ``theta`` lies in
-    ``(0, lam / smooth_L^2]``, and it has the same fixed points as ``S``.
+    ``(0, min(1, lam / smooth_L^2)]``, and it has the same fixed points as
+    ``S``.  Past 1 the average would extrapolate beyond ``x``.
 
     Parameters
     ----------
@@ -343,7 +344,7 @@ def average_pseudocontraction(
     lam : float
         Strict pseudocontractivity constant, in ``[0, 1)``.
     theta : float
-        Averaging weight; must satisfy ``0 < theta <= lam / smooth_L**2``.
+        Averaging weight; must satisfy ``0 < theta <= min(1, lam / smooth_L**2)``.
     smooth_L : float
         Smoothness constant of the space, default 1.
 
@@ -356,7 +357,7 @@ def average_pseudocontraction(
         raise ConfigurationError(f"pseudocontractivity constant must lie in [0, 1), got {lam}")
     if not (smooth_L > 0.0):
         raise ConfigurationError(f"smoothness constant must be positive, got {smooth_L}")
-    upper = lam / (smooth_L * smooth_L)
+    upper = min(1.0, lam / (smooth_L * smooth_L))
     if not (0.0 < theta <= upper):
         raise ConfigurationError(
             f"averaging weight must lie in (0, {upper:g}], got {theta}"

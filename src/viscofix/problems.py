@@ -104,24 +104,23 @@ _SPACES = {
 }
 
 
-def _space(cfg: RunConfig, make: Callable, size: Optional[int] = None) -> spc.SpaceDescriptor:
-    """The problem's space ``make(size)``, checked against the [space] section.
+def _space(cfg: RunConfig, needs: str, size: Optional[int] = None) -> spc.SpaceDescriptor:
+    """The problem's space of the ``_SPACES`` kind ``needs``, checked against [space].
 
-    ``make`` is one of the ``_SPACES`` constructors.  With ``size = None``
-    the size comes from [space], or is 2 when there is no such section.
+    With ``size = None`` the size comes from [space], or is 2 when there is
+    no such section.
     """
     if cfg.space is None:
-        return make(2 if size is None else size)
+        return _SPACES[needs][1](2 if size is None else size)
     view = SectionView("space", cfg.space, cfg.origin)
     kind = view.str_value("kind", required=True, choices=_SPACES)
-    key, declared_make, mismatch = _SPACES[kind]
+    key, make, mismatch = _SPACES[kind]
     declared = view.int_value(key)
     if declared is None:
         raise view.error(f"kind = {kind} needs '{key}'")
     view.finish()
     problem = cfg.problem["kind"].value
-    if declared_make is not make:
-        needs = next(name for name, spec in _SPACES.items() if spec[1] is make)
+    if kind != needs:
         raise ConfigurationError(
             f"[space] kind = {kind} does not match the {problem} problem (needs {needs})"
         )
@@ -156,7 +155,7 @@ def _rational_contraction(view: SectionView, space: spc.SpaceDescriptor) -> Gene
 
 
 def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
-    point = space.point(np.asarray(view.float_list("point", required=True), dtype=np.float64))
+    point = space.point(np.asarray(view.float_list("point"), dtype=np.float64))
 
     def constant(_x, _p=point):
         return _p
@@ -206,7 +205,7 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         raise ConfigurationError(
             f"builtin-linear slope must lie in [-1, 1] to be nonexpansive, got {slope}"
         )
-    space = _space(cfg, spc.euclidean, 1)
+    space = _space(cfg, "euclidean", 1)
 
     def linear(x, _s=float(slope)):
         return _s * x
@@ -216,7 +215,7 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
 
 
 def _line_projection(view: SectionView, cfg: RunConfig) -> ProblemSetup:
-    space = _space(cfg, spc.euclidean, 2)
+    space = _space(cfg, "euclidean", 2)
     axis = spc.AffineSpan(space, base=np.zeros(2), directions=[[1.0, 0.0]])
 
     def onto_axis(x, _axis=axis, _space=space):
@@ -242,7 +241,7 @@ def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         raise ConfigurationError(
             f"pseudocontraction coefficient k must lie in (0, 1), got {k:g}"
         )
-    space = _space(cfg, spc.euclidean, 1)
+    space = _space(cfg, "euclidean", 1)
 
     def flipped(x, _k=float(k)):
         return -_k * x
@@ -261,7 +260,7 @@ def _monotone(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         raise view.error("set = ball needs a 'radius' key")
     if not ball and radius is not None:
         raise view.error("'radius' only applies when set = ball")
-    space = _space(cfg, spc.euclidean)
+    space = _space(cfg, "euclidean")
     constraint = spc.Ball(np.zeros(space.dim), radius) if ball else spc.WholeSpace()
     A = maps.MonotoneOperatorSpec(lambda x: x, ism_alpha=1.0, label="identity")
     T = maps.forward_projected(space, constraint, A, gamma=gamma)
@@ -274,7 +273,7 @@ def _fredholm(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     ]
     grid_size = view.int_value("grid_size", required=True)
     problem = maps.FredholmProblem(g=lambda t: t, grid_size=grid_size, **fields)
-    space = _space(cfg, spc.trapezoid, grid_size)
+    space = _space(cfg, "trapezoid", grid_size)
     nodes = spc.trapezoid_nodes(grid_size)
     return ProblemSetup(
         space=space,

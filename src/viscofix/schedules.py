@@ -262,8 +262,6 @@ class ConditionReport:
     conditions: dict
     range_violations: list
     diagnostics: dict
-    horizon: int
-    start_index: int
 
     def status(self, key: str) -> Status:
         return self.conditions[key].status
@@ -277,16 +275,28 @@ class ConditionReport:
             shown = ", ".join(str(n) for n in self.range_violations[:8])
             more = "" if len(self.range_violations) <= 8 else ", ..."
             lines.append(f"range violations at n = {shown}{more}")
-        ratio = self.diagnostics.get("same_limit_ratio")
-        if ratio is not None:
-            lines.append(
-                "same-limit ratio alpha3/(1 - alpha2 - alpha3*delta): "
-                f"{ratio} (reported independently of condition (iv))"
-            )
+        lines.append(
+            "same-limit ratio alpha3/(1 - alpha2 - alpha3*delta): "
+            f"{self.diagnostics['same_limit_ratio']} (reported independently of condition (iv))"
+        )
         return "\n".join(lines)
 
 
 _SIMPLEX_TOL = 1e-12
+
+
+def _meets_condition_i(a1, a2, a3, d):
+    """Condition (i), elementwise on floats or arrays; NaN and +-inf fail every comparison.
+
+    The alphas lie in [0, 1] and sum to 1 within ``_SIMPLEX_TOL``, and delta lies in (0, 1).
+    """
+    return (
+        (a1 >= 0.0) & (a1 <= 1.0)
+        & (a2 >= 0.0) & (a2 <= 1.0)
+        & (a3 >= 0.0) & (a3 <= 1.0)
+        & (abs(a1 + a2 + a3 - 1.0) <= _SIMPLEX_TOL)
+        & (d > 0.0) & (d < 1.0)
+    )
 
 
 def _last_decade(ns: np.ndarray) -> slice:
@@ -312,10 +322,6 @@ def _tail_exponent(log_ns: np.ndarray, values: np.ndarray):
     return float(np.dot(x, y) / np.dot(x, x))
 
 
-def _looks_bounded_away(tail: np.ndarray) -> bool:
-    return bool(np.min(tail) > 1e-6 and tail[-1] >= 0.5 * tail[0])
-
-
 def _series_verdict(limit_seq, tail, slope, partial_sum, name, summable):
     """Heuristic verdict for 'limit 0, series finite' or 'divergent' (capped).
 
@@ -331,7 +337,7 @@ def _series_verdict(limit_seq, tail, slope, partial_sum, name, summable):
             f"{name} is identically zero over the horizon; its series is finite",
         )
     tail_mags = mags[tail]
-    if _looks_bounded_away(tail_mags):
+    if np.min(tail_mags) > 1e-6 and tail_mags[-1] >= 0.5 * tail_mags[0]:
         return ConditionFinding(
             Status.VIOLATED,
             f"{name} appears to have a nonzero limit (tail mean {np.mean(tail_mags):.4g})",
@@ -406,15 +412,8 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
             np.broadcast_to(np.asarray(v, dtype=np.float64), ns_all.shape)
             for v in s.formula(ns_all)
         )
-
-    # NaN and +-inf fail every range comparison, so ok is False for them
-    ok = (
-        (a1 >= 0.0) & (a1 <= 1.0)
-        & (a2 >= 0.0) & (a2 <= 1.0)
-        & (a3 >= 0.0) & (a3 <= 1.0)
-        & (np.abs(a1 + a2 + a3 - 1.0) <= _SIMPLEX_TOL)
-        & (d > 0.0) & (d < 1.0)
-    )
+        # a pole below the start index gives inf - inf = NaN, which fails (i)
+        ok = _meets_condition_i(a1, a2, a3, d)
     range_violations = (np.flatnonzero(~ok) + 1).tolist()
 
     live = slice(s.start_index - 1, None)  # the indices n >= start_index
@@ -442,6 +441,25 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     tail_exp = _tail_exponent(log_ns, np.abs(tail_summand[tail]))
 
     facts = s.facts
+    monotone = bool(np.all(np.diff(dv) >= -1e-15))
+    d_min, d_max = float(np.min(dv)), float(np.max(dv))
+    upper = facts.delta_upper if facts is not None else d_max
+    if monotone and d_min > 0.0 and d_max < 1.0:
+        cond_v = ConditionFinding(
+            Status.SATISFIED,
+            f"delta nondecreasing with bounds [{d_min:.6g}, {upper:.6g}] inside (0, 1)",
+        )
+    else:
+        reasons = []
+        if not monotone:
+            first = int(ns[np.argmax(np.diff(dv) < -1e-15)])
+            reasons.append(f"delta decreases near n = {first}")
+        if d_min <= 0.0:
+            reasons.append(f"delta reaches {d_min:g}")
+        if d_max >= 1.0:
+            reasons.append(f"delta reaches {d_max:g}")
+        cond_v = ConditionFinding(Status.VIOLATED, "; ".join(reasons))
+
     if facts is not None:
         if facts.drift_limit == 0.0 and facts.drift_sum_diverges:
             cond_ii = ConditionFinding(
@@ -483,33 +501,11 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
                     f"(partial sum {tail_sum:.4g} at the horizon)"
                 )
             cond_iv = ConditionFinding(Status.VIOLATED, "; ".join(parts))
+        ratio_txt = f"declared limit {facts.ratio_limit:g}"
     else:
         cond_ii = _series_verdict(drift, tail, drift_exp, drift_sum, "drift", summable=False)
         cond_iii = _band_inside_unit_interval(ns[tail], a2v[tail])
         cond_iv = _series_verdict(a3v, tail, tail_exp, tail_sum, "alpha3", summable=True)
-
-    monotone = bool(np.all(np.diff(dv) >= -1e-15))
-    d_min, d_max = float(np.min(dv)), float(np.max(dv))
-    upper = facts.delta_upper if facts is not None else d_max
-    if monotone and d_min > 0.0 and d_max < 1.0:
-        cond_v = ConditionFinding(
-            Status.SATISFIED,
-            f"delta nondecreasing with bounds [{d_min:.6g}, {upper:.6g}] inside (0, 1)",
-        )
-    else:
-        reasons = []
-        if not monotone:
-            first = int(ns[np.argmax(np.diff(dv) < -1e-15)])
-            reasons.append(f"delta decreases near n = {first}")
-        if d_min <= 0.0:
-            reasons.append(f"delta reaches {d_min:g}")
-        if d_max >= 1.0:
-            reasons.append(f"delta reaches {d_max:g}")
-        cond_v = ConditionFinding(Status.VIOLATED, "; ".join(reasons))
-
-    if facts is not None:
-        ratio_txt = f"declared limit {facts.ratio_limit:g}"
-    else:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_seq = a3v / (1.0 - a2v - a3v * dv)
         ratio_tail = ratio_seq[np.isfinite(ratio_seq)]
@@ -531,6 +527,4 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
         conditions={"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv, "v": cond_v},
         range_violations=range_violations,
         diagnostics=diagnostics,
-        horizon=horizon,
-        start_index=s.start_index,
     )

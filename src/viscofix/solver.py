@@ -55,7 +55,7 @@ from .errors import (
     ViscofixError,
 )
 from .maps import GeneralizedContraction, NonexpansiveMap
-from .schedules import Schedule, ScheduleParams, schedule_eval
+from .schedules import _SIMPLEX_TOL, Schedule, ScheduleParams, _meets_condition_i, schedule_eval
 
 __all__ = [
     "SchemeKind",
@@ -171,6 +171,9 @@ class SolveReport:
 
 
 def _check_params(p: ScheduleParams, where: str) -> None:
+    """Raise a :class:`ScheduleRangeError` naming the first way ``p`` fails condition (i)."""
+    if _meets_condition_i(*p):
+        return
     a1, a2, a3, d = p
     if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3) and math.isfinite(d)):
         raise ScheduleRangeError(f"non-finite weights {where}")
@@ -178,12 +181,19 @@ def _check_params(p: ScheduleParams, where: str) -> None:
         raise ScheduleRangeError(
             f"weight outside [0, 1] {where}: ({a1:g}, {a2:g}, {a3:g})"
         )
-    if abs(a1 + a2 + a3 - 1.0) > 1e-12:
+    if abs(a1 + a2 + a3 - 1.0) > _SIMPLEX_TOL:
         raise ScheduleRangeError(
             f"weights do not sum to 1 {where} (sum = {a1 + a2 + a3!r})"
         )
-    if not (0.0 < d < 1.0):
-        raise ScheduleRangeError(f"delta outside (0, 1) {where}: {d:g}")
+    raise ScheduleRangeError(f"delta outside (0, 1) {where}: {d:g}")
+
+
+def _value_point(space: spc.SpaceDescriptor, value, name: str) -> np.ndarray:
+    """``value`` as a point of ``space``; an :class:`InputError` names ``name`` if it is not."""
+    try:
+        return space.point(value)
+    except InputError as exc:
+        raise InputError(f"{name} is not a point of the space: {exc}") from None
 
 
 def _collapsed_weight(p: ScheduleParams) -> float:
@@ -319,10 +329,9 @@ def _inner_pieces(scheme: SchemeKind, x: np.ndarray, fx: np.ndarray, p: Schedule
     if scheme is SchemeKind.KEMA:
         a = _collapsed_weight(p)
         return a * fx, 1.0 - a, p.delta * x, 1.0 - p.delta
-    if scheme in (SchemeKind.MIDPOINT, SchemeKind.MIDPOINT_MANN):
-        a = _collapsed_weight(p)
-        return a * fx, 1.0 - a, 0.5 * x, 0.5
-    raise ConfigurationError(f"scheme {scheme} has no implicit inner map")
+    # midpoint and midpoint_mann
+    a = _collapsed_weight(p)
+    return a * fx, 1.0 - a, 0.5 * x, 0.5
 
 
 def inner_implicit_solve(
@@ -367,7 +376,7 @@ def inner_implicit_solve(
     except ScheduleRangeError as exc:
         raise InputError(str(exc)) from None
     x = space.point(x_n)
-    fx = x if f is None else f.evaluator(x)
+    fx = x if f is None else _value_point(space, f.evaluator(x), "f(x_n)")
     base, coef, anchor, u_weight = _inner_pieces(SchemeKind.NEW_IMPLICIT, x, fx, p)
     return _picard_affine_solve(
         base, coef, T.evaluator, anchor, u_weight, x, cfg, space.norm, record
@@ -395,7 +404,7 @@ def run(
     one; the trace records one row per executed step when
     ``cfg.record_trace`` is set.  An :class:`InnerSolveError` of an
     implicit step is raised again with the outer step ``n`` appended.
-    ``x1`` and ``T(x1)`` must be points of the space; an
+    ``x1``, ``T(x1)`` and ``f(x1)`` must be points of the space; an
     :class:`InputError` says which is not.
 
     Each step at ``n`` evaluates the weights, checks their ranges and
@@ -411,13 +420,9 @@ def run(
     f_eval = _viscosity_eval(scheme, f)
     nrm = space.norm
     t_eval = T.evaluator
-    n = schedule.start_index
+    n = n1 = schedule.start_index
     x = space.point(x1)
-    tx = t_eval(x)
-    try:
-        tx = space.point(tx)
-    except InputError as exc:
-        raise InputError(f"T(x1) is not a point of the space: {exc}") from None
+    tx = _value_point(space, t_eval(x), "T(x1)")
     residual = nrm(x - tx)
     if observer is not None:
         observer(IterationState(n=n, x=x, last_inner_iters=0, residual=residual))
@@ -428,12 +433,15 @@ def run(
             break
         try:
             p = schedule_eval(schedule, n)
-            _check_params(p, f"at n = {n}")
+            if not _meets_condition_i(*p):
+                _check_params(p, f"at n = {n}")
+            fx = x if f_eval is None else f_eval(x)
+            if n == n1 and f_eval is not None:
+                fx = _value_point(space, fx, "f(x1)")
             if scheme is SchemeKind.EXPLICIT:
                 a = _collapsed_weight(p)
-                x_next, inner_iters = a * f_eval(x) + (1.0 - a) * tx, 0
+                x_next, inner_iters = a * fx + (1.0 - a) * tx, 0
             else:
-                fx = x if f_eval is None else f_eval(x)
                 base, coef, anchor, u_weight = _inner_pieces(scheme, x, fx, p)
                 x_next, inner_iters = _picard_affine_solve(
                     base, coef, t_eval, anchor, u_weight, x, cfg, nrm, t_u0=tx

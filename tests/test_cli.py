@@ -326,6 +326,11 @@ MALFORMED_CONFIGS = [
      "builtin-linear slope must lie in [-1, 1] to be nonexpansive, got 1.5"),
     ("k-range", _swap("k = 0.5", "k = 1.0", _PSEUDO),
      "pseudocontraction coefficient k must lie in (0, 1), got 1"),
+    # lambda / L^2 = 2, but a weight past 1 extrapolates: T(x) = (7/3) x
+    ("theta-above-one",
+     _swap("k = 0.5\nlambda = 0.5\ntheta = 0.3", "k = 0.333333\nlambda = 0.5\ntheta = 2\nL = 0.5",
+           _PSEUDO),
+     "averaging weight must lie in (0, 1], got 2.0"),
     ("grid-size-range", _swap("grid_size = 8", "grid_size = 1", _FREDHOLM),
      "grid_size must be >= 2, got 1"),
     ("monotone-dim-range", _MONOTONE + "[space]\nkind = euclidean\ndim = 0\n",
@@ -377,6 +382,15 @@ def test_space_rejects_keys_of_the_other_kind(tmp_path, capsys, text, fragment):
     cfg = _config(tmp_path, text)
     assert main(["solve", "--config", cfg]) == 1
     assert fragment in capsys.readouterr().err
+
+
+def test_pseudocontraction_solve(tmp_path, capsys):
+    cfg = _config(tmp_path, _PSEUDO)
+    assert main(["solve", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "termination: converged\niterations: 34\n" in out
+    final = float(out.split("final point: (")[1].split(")")[0])
+    assert abs(final) <= 1e-8
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -443,6 +457,12 @@ def test_validate_schedule_config_not_ascii(tmp_path, capsys):
     path.write_text("[schedule]\npreset = eq75  # é\n", encoding="utf-8")
     assert main(["validate-schedule", "--config", str(path), "--horizon", "1000"]) == 1
     assert "is not ASCII" in capsys.readouterr().err
+
+
+def test_validate_schedule_config_without_schedule(tmp_path, capsys):
+    cfg = _config(tmp_path, "[problem]\nkind = builtin-linear\nslope = 0.5\n")
+    assert main(["validate-schedule", "--config", cfg, "--horizon", "1000"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: missing [schedule] section\n"
 
 
 def test_validate_schedule_horizon_gate(capsys):
@@ -536,6 +556,16 @@ max_outer = 2000
     assert main(["compare", "--config", cfg, "--schemes", "kema,new_implicit"]) == 2
     captured = capsys.readouterr()
     assert "did not converge" in captured.err
+    assert "limit distance" not in captured.out
+
+
+def test_compare_schedule_range_violation_exits_1(tmp_path, capsys):
+    text = LINEAR_BASE.replace("preset = halpern-mix", "preset = eq75\nn0 = 1")
+    cfg = _config(tmp_path, text)
+    assert main(["compare", "--config", cfg, "--schemes", "new_implicit,three_term"]) == 1
+    captured = capsys.readouterr()
+    assert "new_implicit: termination schedule_range_violation" in captured.out
+    assert "error: schedule evaluated outside its valid range" in captured.err
     assert "limit distance" not in captured.out
 
 

@@ -272,6 +272,17 @@ def test_average_pseudocontraction_theta_range():
     assert "(0, 0.125]" in str(err2.value)
 
 
+def test_average_pseudocontraction_weight_stops_at_one():
+    # S(x) = -x/3 meets lam = 0.5 with equality; with smooth_L = 0.5, lam / L^2 = 2,
+    # and theta = 2 would build T(x) = 7x/3, which expands
+    S = lambda x: -x / 3.0
+    with pytest.raises(ConfigurationError) as err:
+        average_pseudocontraction(S, lam=0.5, theta=2.0, smooth_L=0.5)
+    assert "averaging weight must lie in (0, 1], got 2.0" in str(err.value)
+    T = average_pseudocontraction(S, lam=0.5, theta=1.0, smooth_L=0.5)  # the identity
+    assert check_nonexpansive(euclidean(1), T).passed
+
+
 # --------------------------------------------------------- forward projected
 
 
@@ -352,6 +363,18 @@ def test_fredholm_matches_dense_matrix(linear):
     for _ in range(10):
         x = rng.standard_normal(space.dim) * 2.0
         assert np.max(np.abs(T(x) - (nodes + K @ x))) <= 1e-14
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_fredholm_broadcasts_a_constant_source(linear):
+    # g(t) = 2 gives one value for the whole grid; the operator spreads it over the nodes
+    problem = FredholmProblem(
+        g=lambda t: 2.0, kernel=_separable, lipschitz_bound=0.5, grid_size=8, linear=linear
+    )
+    space, nodes = fredholm_grid(problem)
+    K = space.weights[None, :] * (nodes[:, None] * nodes[None, :]) / 2.0
+    x = np.linspace(-1.0, 1.0, space.dim)
+    assert np.max(np.abs(fredholm_operator(problem)(x) - (2.0 + K @ x))) <= 1e-14
 
 
 def test_fredholm_linear_matrix_is_built_once_on_first_call():

@@ -300,6 +300,14 @@ def test_validator_probes_below_start_index():
     assert report.status("i") is Status.SATISFIED
 
 
+def test_validator_probes_a_pole_below_start_index_without_warning():
+    # at n = 1, alpha1 = +inf and alpha2 = -inf: their NaN sum is a range violation
+    pole = custom_rational((0, 0.1, -1), (0.5, -0.1, -1), (0.5, 0, 0), (0.5, 0, 0), start_index=2)
+    report = validate_assumption12(pole, 1000)
+    assert report.range_violations == [1]
+    assert report.status("i") is Status.SATISFIED
+
+
 # the benchmark's custom schedule (its `[schedule]` section with n0 = 2)
 BENCH_CUSTOM = custom_rational((0, 1, 1), (0.6, 0, 1), (0.4, -1, 1), (0.7, -0.2, 1), start_index=2)
 _SAT, _VIO, _INC = Status.SATISFIED, Status.VIOLATED, Status.INCONCLUSIVE

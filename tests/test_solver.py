@@ -549,6 +549,35 @@ def test_run_rejects_a_T_value_that_is_not_a_point(scheme, value, shape):
     )
 
 
+@pytest.mark.parametrize("scheme", ["explicit", "new_implicit"])
+@pytest.mark.parametrize(
+    "value, shape",
+    [(lambda x: np.array([x[0] / 4.0]), "(1,)"), (lambda x: x[0] / 4.0, "()")],
+    ids=["shape-1", "scalar"],
+)
+def test_run_rejects_an_f_value_that_is_not_a_point(scheme, value, shape):
+    # before the check both schemes converged with the broadcast map x -> (x0/4, x0/4)
+    T = NonexpansiveMap(lambda x: 0.5 * x, label="x/2")
+    f = GeneralizedContraction(value, linear_modulus(0.25), label="first coordinate quartered")
+    with pytest.raises(InputError) as caught:
+        run(euclidean(2), scheme, f, T, halpern_mix(), np.array([1.0, 2.0]), SolverConfig())
+    assert str(caught.value) == (
+        "f(x1) is not a point of the space: expected a point of dimension 2, "
+        f"got shape {shape}"
+    )
+
+
+def test_inner_solve_rejects_an_f_value_that_is_not_a_point():
+    f = GeneralizedContraction(lambda x: x[0] / 4.0, linear_modulus(0.25), label="scalar")
+    with pytest.raises(InputError) as caught:
+        inner_implicit_solve(
+            euclidean(2), f, HALF, [1.0, 2.0], (0.25, 0.25, 0.5), 0.5, SolverConfig()
+        )
+    assert str(caught.value) == (
+        "f(x_n) is not a point of the space: expected a point of dimension 2, got shape ()"
+    )
+
+
 def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(outer_tol=0.0)

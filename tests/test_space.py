@@ -13,6 +13,7 @@ from viscofix import (
     InputError,
     SpaceDescriptor,
     WholeSpace,
+    average_pseudocontraction,
     euclidean,
     inner,
     norm,
@@ -233,6 +234,47 @@ def test_ball_and_halfspace_validation():
         Halfspace(np.zeros(2), 1.0)
     with pytest.raises(ConfigurationError):
         Box([0.0, 2.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SpaceDescriptor(dim=2, weights=np.ones(3)), ConfigurationError,
+         "weights must have shape (2,), got (3,)"),
+        (lambda: trapezoid_nodes(0), ConfigurationError, "intervals must be >= 1, got 0"),
+        (lambda: Box([0.0, 0.0], [1.0, 1.0, 1.0]), ConfigurationError,
+         "box bounds must be 1-d arrays of equal shape"),
+        (lambda: Box([[0.0]], [[1.0]]), ConfigurationError,
+         "box bounds must be 1-d arrays of equal shape"),
+        (lambda: Box([0.0, -np.inf], [1.0, 1.0]), ConfigurationError, "box bounds must be finite"),
+        (lambda: Box([0.0, 0.0], [1.0, 1.0]).project(euclidean(3), np.zeros(3)), InputError,
+         "box bounds do not match the space dimension"),
+        (lambda: Ball(np.zeros(2), 1.0).project(euclidean(3), np.zeros(3)), InputError,
+         "ball center does not match the space dimension"),
+        (lambda: Halfspace([1.0, 0.0], 0.0).project(euclidean(3), np.zeros(3)), InputError,
+         "halfspace normal does not match the space dimension"),
+        (lambda: Halfspace([np.inf, 0.0], 0.0), ConfigurationError,
+         "halfspace normal must be a finite 1-d array"),
+        (lambda: Halfspace([1.0, 0.0], np.nan), ConfigurationError,
+         "halfspace offset must be finite"),
+        (lambda: AffineSpan(euclidean(2), np.zeros(2), [1.0, 0.0]), ConfigurationError,
+         "directions must have shape (k, 2), got (2,)"),
+        (lambda: AffineSpan(euclidean(2), np.zeros(2), np.zeros((0, 2))), ConfigurationError,
+         "affine span needs at least one direction"),
+        (lambda: average_pseudocontraction(lambda x: -x, lam=0.5, theta=0.5, smooth_L=0.0),
+         ConfigurationError, "smoothness constant must be positive, got 0.0"),
+    ],
+    ids=[
+        "weights-shape", "trapezoid-nodes-0", "box-unequal", "box-2d", "box-non-finite",
+        "box-other-dim", "ball-other-dim", "halfspace-other-dim", "halfspace-normal-non-finite",
+        "halfspace-offset-non-finite", "span-directions-1d", "span-no-directions",
+        "pseudocontraction-smooth-L-0",
+    ],
+)
+def test_constructors_and_projections_reject_outside_input(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_ball_projection_uses_weighted_norm():
