@@ -350,7 +350,9 @@ def inner_implicit_solve(
     ``W(u) = a1 f(x_n) + a2 x_n + a3 T((1 - delta) f(x_n) + delta u)``,
     by Picard iteration with depth-1 Anderson mixing started at
     ``u0 = x_n`` (see :func:`_picard_affine_solve`).  The contraction
-    factor of ``W`` is at most ``a3 * delta``.
+    factor of ``W`` is at most ``a3 * delta``.  ``x_n``, ``f(x_n)`` and
+    every value of ``T`` must be points of the space; an
+    :class:`InputError` says which is not.
 
     Parameters
     ----------
@@ -378,9 +380,11 @@ def inner_implicit_solve(
     x = space.point(x_n)
     fx = x if f is None else _value_point(space, f.evaluator(x), "f(x_n)")
     base, coef, anchor, u_weight = _inner_pieces(SchemeKind.NEW_IMPLICIT, x, fx, p)
-    return _picard_affine_solve(
-        base, coef, T.evaluator, anchor, u_weight, x, cfg, space.norm, record
-    )
+
+    def t_eval(v, _T=T.evaluator):
+        return _value_point(space, _T(v), "a value of T")
+
+    return _picard_affine_solve(base, coef, t_eval, anchor, u_weight, x, cfg, space.norm, record)
 
 
 def run(

@@ -48,10 +48,13 @@ class SpaceDescriptor:
     weights : numpy.ndarray
         Strictly positive weight per coordinate;
         ``<x, y> = sum_i weights[i] * x[i] * y[i]``.
+    unit_weights : bool
+        Whether every weight is 1, decided at construction.
     """
 
     dim: int
     weights: np.ndarray = field(repr=False)
+    unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -66,6 +69,9 @@ class SpaceDescriptor:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        # With unit weights ``w * v`` is ``v`` exactly, so the norm can
+        # skip the product and keep every bit.
+        object.__setattr__(self, "unit_weights", bool(np.all(w == 1.0)))
 
     def point(self, coords) -> np.ndarray:
         """Coerce ``coords`` to a point of this space (dimension checked).
@@ -81,9 +87,29 @@ class SpaceDescriptor:
         """Weighted norm ``sqrt(sum_i w_i v_i^2)`` of a point.
 
         The shape of ``v`` is not checked, unlike :func:`norm`: callers
-        pass arrays they built from points of this space.
+        pass arrays they built from points of this space.  When the sum
+        of squares overflows although every entry is finite, the norm is
+        taken of ``v / max|v|`` and scaled back, so it is ``inf`` only
+        past the largest float; an ``inf`` entry still gives ``inf`` and
+        a NaN entry NaN.
         """
-        return math.sqrt(float(np.dot(self.weights * v, v)))
+        # np.vdot is np.dot bit for bit on 1-d float64, but it does not
+        # warn when the sum overflows.
+        if self.unit_weights:
+            s = float(np.vdot(v, v))
+        else:
+            s = float(np.vdot(self.weights * v, v))
+        if s == math.inf:
+            return self._rescaled_norm(v)
+        return math.sqrt(s)
+
+    def _rescaled_norm(self, v: np.ndarray) -> float:
+        # A NaN entry makes the sum NaN, so here every entry is a number.
+        top = float(np.max(np.abs(v)))
+        if top == math.inf:
+            return top
+        u = v / top
+        return top * math.sqrt(float(np.vdot(self.weights * u, u)))
 
 
 def euclidean(dim: int) -> SpaceDescriptor:
@@ -316,6 +342,11 @@ def project(space: SpaceDescriptor, cset: ConvexSetBase, x) -> np.ndarray:
     numpy.ndarray
         The unique nearest point of ``cset``.
     """
+    return convex_set(cset).project(space, x)
+
+
+def convex_set(cset) -> ConvexSetBase:
+    """``cset`` itself; a :class:`ConfigurationError` unless it is a :class:`ConvexSetBase`."""
     if not isinstance(cset, ConvexSetBase):
         raise ConfigurationError(f"unsupported set kind: {type(cset).__name__}")
-    return cset.project(space, x)
+    return cset

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import viscofix
-from viscofix import read_trace_csv
+from viscofix import problems, read_trace_csv
 from viscofix.cli import main
 
 LINEAR_BASE = """
@@ -162,28 +162,29 @@ def test_non_convergence_exit_code(tmp_path, capsys):
     assert "max_iters" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_non_finite_run_exit_code(tmp_path, capsys):
-    # f's constant point is so large that the residual's norm overflows
-    # after the first explicit step.
-    text = """
-[problem]
-kind = line-projection
+def _non_finite_constant_point(monkeypatch, value):
+    """Make ``[contraction] kind = constant-point`` return ``value`` everywhere.
 
-[contraction]
-kind = constant-point
-point = 0, 1e200
+    The config language admits only finite numbers, so a viscosity term
+    that is not finite by construction is patched into the catalog.
+    """
 
-[scheme]
-name = explicit
+    def constant_point(view, space):
+        view.float_list("point")
+        point = np.full(space.dim, value)
+        return viscofix.GeneralizedContraction(lambda _x: point, viscofix.linear_modulus(0.0))
 
-[schedule]
-preset = halpern-mix
+    monkeypatch.setitem(problems._CONTRACTIONS, "constant-point", constant_point)
 
-[solver]
-max_outer = 1000
-"""
-    cfg = _config(tmp_path, text)
+
+_CONSTANT_POINT = LINEAR_BASE.replace("kind = linear\nc = 0.25", "kind = constant-point\npoint = 0")
+
+
+def test_non_finite_run_exit_code(tmp_path, capsys, monkeypatch):
+    # f is NaN everywhere: the first explicit step (weight 1 on f) makes
+    # x_2 NaN, so the residual at n = 2 is not finite.
+    _non_finite_constant_point(monkeypatch, np.nan)
+    cfg = _config(tmp_path, _swap("name = new_implicit", "name = explicit", _CONSTANT_POINT))
     assert main(["solve", "--config", cfg]) == 2
     out = capsys.readouterr().out
     assert "termination: non_finite" in out
@@ -393,12 +394,11 @@ def test_pseudocontraction_solve(tmp_path, capsys):
     assert abs(final) <= 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_inner_solve_error_exit_code(tmp_path, capsys):
-    # the same config as test_non_finite_run_exit_code under an implicit
-    # scheme: the inner solve's gap overflows at its first application
-    text = _swap("point = 3, 4", "point = 0, 1e200", _LINE)
-    cfg = _config(tmp_path, text)
+def test_inner_solve_error_exit_code(tmp_path, capsys, monkeypatch):
+    # f is inf everywhere: under eq75 every weight of the first implicit
+    # step is positive, so its first image, and the gap, are inf.
+    _non_finite_constant_point(monkeypatch, np.inf)
+    cfg = _config(tmp_path, _swap("preset = halpern-mix", "preset = eq75", _CONSTANT_POINT))
     assert main(["solve", "--config", cfg]) == 2
     assert "error: inner solve gap is inf at application 1" in capsys.readouterr().err
 

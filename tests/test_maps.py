@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from viscofix import (
     fredholm_grid,
     fredholm_operator,
     linear_modulus,
+    inner,
     norm,
+    project,
     rational_modulus,
     run,
     trapezoid,
@@ -219,6 +222,199 @@ def test_check_inverse_strongly_monotone():
         MonotoneOperatorSpec(lambda x: x, 0.0)
 
 
+def _per_pair_audit(space, n_samples, seed, score, worse, start, bound, domain=None):
+    """The audits' reference: one pair at a time, scored with the point-wise API."""
+    xs, ys = np.random.default_rng(seed).standard_normal((2, n_samples, space.dim)) * 3.0
+    worst, witness = start, None
+    for x, y in zip(xs, ys):
+        if domain is not None:
+            x, y = project(space, domain, x), project(space, domain, y)
+        dist = norm(space, x - y)
+        if dist == 0.0:
+            continue
+        value = score(x, y, dist)
+        if worse(value, worst):
+            worst, witness = value, (x, y)
+    return not worse(worst, bound), worst, witness
+
+
+def _reference_nonexpansive(space, T, n_samples, seed):
+    return _per_pair_audit(
+        space, n_samples, seed, lambda x, y, dist: norm(space, T(x) - T(y)) / dist,
+        operator.gt, 0.0, 1.0 + 1e-10, T.domain,
+    )
+
+
+def _reference_contraction(space, f, n_samples, seed):
+    return _per_pair_audit(
+        space, n_samples, seed,
+        lambda x, y, dist: f.modulus.value(dist) - norm(space, f(x) - f(y)),
+        operator.lt, np.inf, -1e-10,
+    )
+
+
+def _reference_inverse_strongly_monotone(space, A, n_samples, seed):
+    def slack(u, v, _dist):
+        du = A(u) - A(v)
+        return inner(space, du, u - v) - A.ism_alpha * norm(space, du) ** 2
+
+    return _per_pair_audit(space, n_samples, seed, slack, operator.lt, np.inf, -1e-10)
+
+
+def _on_box(dim):
+    box = Box(np.full(dim, -0.4), np.full(dim, 0.4))
+    return NonexpansiveMap(lambda x: x * x, domain=box)
+
+
+# name -> (audit, per-pair reference, target built for a dimension)
+_BATCH_CASES = {
+    "sine": (check_nonexpansive, _reference_nonexpansive, lambda dim: NonexpansiveMap(np.sin)),
+    "double": (
+        check_nonexpansive, _reference_nonexpansive,
+        lambda dim: NonexpansiveMap(lambda x: 2.0 * x),
+    ),
+    "square-on-box": (check_nonexpansive, _reference_nonexpansive, _on_box),
+    # image gaps whose sums of squares overflow, though their norms do not
+    "huge-expansion": (
+        check_nonexpansive, _reference_nonexpansive,
+        lambda dim: NonexpansiveMap(lambda x: 1e200 * x),
+    ),
+    "identity": (
+        check_nonexpansive, _reference_nonexpansive, lambda dim: NonexpansiveMap(lambda x: x)
+    ),
+    "linear-contraction": (
+        check_contraction, _reference_contraction,
+        lambda dim: GeneralizedContraction(lambda x: 0.25 * x, linear_modulus(0.25)),
+    ),
+    "loose-contraction": (
+        check_contraction, _reference_contraction,
+        lambda dim: GeneralizedContraction(lambda x: 0.3 * x, linear_modulus(0.25)),
+    ),
+    "rational-contraction": (
+        check_contraction, _reference_contraction,
+        lambda dim: GeneralizedContraction(lambda x: x / (1.0 + np.abs(x)), rational_modulus(0.5)),
+    ),
+    "identity-ism": (
+        check_inverse_strongly_monotone, _reference_inverse_strongly_monotone,
+        lambda dim: MonotoneOperatorSpec(lambda x: x, 1.0),
+    ),
+    "tanh-ism": (
+        check_inverse_strongly_monotone, _reference_inverse_strongly_monotone,
+        lambda dim: MonotoneOperatorSpec(lambda x: 0.5 * x + np.tanh(x), 0.6),
+    ),
+    "identity-ism-too-strong": (
+        check_inverse_strongly_monotone, _reference_inverse_strongly_monotone,
+        lambda dim: MonotoneOperatorSpec(lambda x: x, 1.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+@pytest.mark.parametrize(
+    "space", [euclidean(1), euclidean(2), euclidean(3), trapezoid(16)],
+    ids=["euclidean1", "euclidean2", "euclidean3", "trapezoid16"],
+)
+def test_batched_audit_matches_the_per_pair_loop(case, space):
+    check, reference, make_target = _BATCH_CASES[case]
+    target = make_target(space.dim)
+    for seed in (0, 1, 2):
+        report = check(space, target, n_samples=400, seed=seed)
+        passed, worst, witness = reference(space, target, 400, seed)
+        assert report.passed == passed
+        # a batched row sum may differ from a per-row dot in the last bit
+        assert abs(report.worst - worst) <= 4 * np.spacing(abs(worst))
+        assert (report.witness is None) == (witness is None)
+        if witness is not None:
+            for got, want in zip(report.witness, witness):
+                assert got.tobytes() == want.tobytes()
+
+
+def _first_pair(space, seed, keep=lambda x, y: True):
+    xs, ys = np.random.default_rng(seed).standard_normal((2, 1000, space.dim)) * 3.0
+    return next((x, y) for x, y in zip(xs, ys) if keep(x, y))
+
+
+@pytest.mark.parametrize(
+    "check, target",
+    [
+        (check_nonexpansive, NonexpansiveMap(lambda x: x * np.nan)),
+        (check_contraction, GeneralizedContraction(lambda x: x * np.nan, linear_modulus(0.25))),
+        (check_inverse_strongly_monotone, MonotoneOperatorSpec(lambda x: x * np.nan, 1.0)),
+    ],
+    ids=["nonexpansive", "contraction", "inverse_strongly_monotone"],
+)
+def test_audit_fails_on_a_nan_score(check, target):
+    # before, NaN scores never beat the running worst: the first audit
+    # passed with worst 0.0 and no witness, the other two with worst inf
+    sp = euclidean(2)
+    report = check(sp, target, seed=4)
+    assert not report.passed
+    assert np.isnan(report.worst)
+    for got, want in zip(report.witness, _first_pair(sp, 4)):
+        assert np.array_equal(got, want)
+
+
+def test_audit_witness_is_the_first_non_finite_pair():
+    sp = euclidean(2)
+    far = lambda x: x[0] > 4.0
+    T = NonexpansiveMap(lambda x: np.full(2, np.nan) if far(x) else 0.5 * x)
+    report = check_nonexpansive(sp, T, seed=5)
+    assert not report.passed
+    assert np.isnan(report.worst)
+    for got, want in zip(report.witness, _first_pair(sp, 5, lambda x, y: far(x) or far(y))):
+        assert np.array_equal(got, want)
+    # an inf score fails too, and is reported as the worst
+    inf_f = GeneralizedContraction(
+        lambda x: np.array([np.inf, 0.0]) if far(x) else 0.25 * x, linear_modulus(0.25)
+    )
+    report = check_contraction(sp, inf_f, seed=5)
+    assert not report.passed
+    assert report.worst == -np.inf
+    # a square past the largest float is inf, not an OverflowError
+    huge = MonotoneOperatorSpec(lambda x: 1e160 * x, 1.0)
+    report = check_inverse_strongly_monotone(sp, huge, seed=5)
+    assert (report.passed, report.worst) == (False, -np.inf)
+
+
+_BAD_VALUES = {
+    "shape-1": lambda x: x[:1],
+    "scalar": lambda x: float(x[0]),
+    "ragged": lambda x: x if x[0] < 0.0 else x[:1],
+}
+
+
+@pytest.mark.parametrize("value", sorted(_BAD_VALUES))
+@pytest.mark.parametrize(
+    "check, wrap, name",
+    [
+        (check_nonexpansive, NonexpansiveMap, "T(x)"),
+        (check_contraction, lambda ev: GeneralizedContraction(ev, linear_modulus(0.5)), "f(x)"),
+        (check_inverse_strongly_monotone, lambda ev: MonotoneOperatorSpec(ev, 1.0), "A(x)"),
+    ],
+    ids=["nonexpansive", "contraction", "inverse_strongly_monotone"],
+)
+def test_audit_rejects_a_value_that_is_not_a_point(check, wrap, name, value):
+    with pytest.raises(InputError) as caught:
+        check(euclidean(2), wrap(_BAD_VALUES[value]), n_samples=50)
+    assert str(caught.value).startswith(f"{name} is not a point of the space: ")
+
+
+def test_audit_never_calls_the_map_on_a_zero_distance_pair():
+    # on the box {0}^2 every pair coincides after projection
+    calls = []
+    T = NonexpansiveMap(lambda x: calls.append(x) or x, domain=Box([0.0, 0.0], [0.0, 0.0]))
+    report = check_nonexpansive(euclidean(2), T, n_samples=20)
+    assert (report.passed, report.worst, report.witness, calls) == (True, 0.0, None, [])
+
+
+def test_modulus_value_is_elementwise_on_arrays():
+    ts = np.array([0.0, 0.5, 3.0, 1e6])
+    for mod in (linear_modulus(0.25), rational_modulus(2.0)):
+        assert mod.value(ts).tolist() == [mod.value(float(t)) for t in ts]
+        with pytest.raises(InputError):
+            mod.value(np.array([1.0, -1e-300]))
+
+
 # ------------------------------------------------- averaged pseudocontraction
 
 
@@ -307,6 +503,17 @@ def test_forward_projected_gamma_range():
     assert "(0, 2]" in str(err.value)
     with pytest.raises(ConfigurationError):
         forward_projected(sp, WholeSpace(), ident, gamma=0.0)
+
+
+def test_forward_projected_rejects_a_constraint_that_is_not_a_convex_set():
+    # checked when the map is built, with the text project() uses
+    sp = euclidean(2)
+    ident = MonotoneOperatorSpec(lambda x: x, 1.0)
+    with pytest.raises(ConfigurationError) as built:
+        forward_projected(sp, "ball", ident, gamma=0.5)
+    with pytest.raises(ConfigurationError) as projected:
+        project(sp, "ball", np.zeros(2))
+    assert str(built.value) == str(projected.value) == "unsupported set kind: str"
 
 
 def test_forward_projected_ball_fixed_point():

@@ -578,6 +578,19 @@ def test_inner_solve_rejects_an_f_value_that_is_not_a_point():
     )
 
 
+def test_inner_solve_rejects_a_T_value_that_is_not_a_point():
+    # unchecked, the broadcast map x -> (x0/2, x0/2) gave [0.3929, 0.7054]
+    T = NonexpansiveMap(lambda x: np.array([x[0] / 2.0]), label="first coordinate halved")
+    with pytest.raises(InputError) as caught:
+        inner_implicit_solve(
+            euclidean(2), QUARTER, T, [1.0, 2.0], (0.25, 0.25, 0.5), 0.5, SolverConfig()
+        )
+    assert str(caught.value) == (
+        "a value of T is not a point of the space: expected a point of dimension 2, "
+        "got shape (1,)"
+    )
+
+
 def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(outer_tol=0.0)
@@ -600,13 +613,14 @@ def test_inner_solve_budget_is_the_certified_count():
     assert report.termination is Termination.CONVERGED
     assert report.n_final == 4
     assert [row.inner_iters for row in report.trace] == [3, 3, 3]
-    # a map that expands still fails: its gap overflows within the budget,
+    # a map that expands still fails: its iterate overflows within the
+    # budget (the norm of a finite gap is finite up to the largest float),
     # and the error names the outer step
     liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x")
     with pytest.raises(InnerSolveError) as caught, np.errstate(over="ignore"):
         run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, liar, SLOW_INNER, np.array([1.0]), cfg)
     assert str(caught.value) == (
-        "inner solve gap is inf at application 330: T or the starting point is "
+        "inner solve gap is inf at application 659: T or the starting point is "
         "not finite (outer step n = 1)"
     )
     assert isinstance(caught.value.__cause__, InnerSolveError)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,41 @@ def test_projection_properties_in_random_weighted_spaces(kind, data):
     assert norm(space, px - py) <= norm(space, x - y) + 1e-12 * scale
     # obtuse angle against the member pz of the set
     assert inner(space, x - px, pz - px) <= 1e-12 * scale * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=st.integers(1, 64).flatmap(
+        lambda dim: hnp.arrays(
+            np.float64, dim, elements=st.floats(-1e150, 1e150, allow_subnormal=True)
+        )
+    )
+)
+def test_unit_weight_norm_is_the_weighted_form_bit_for_bit(v):
+    # below the overflow range the fast path drops only the product by 1.0
+    space = euclidean(v.size)
+    assert space.unit_weights
+    weighted = math.sqrt(float(np.dot(space.weights * v, v)))
+    assert space.norm(v) == weighted
+    assert norm(space, v) == weighted
+
+
+def test_norm_survives_an_overflowing_sum_of_squares():
+    # the squares overflow although the norm is a float; no warning either
+    sp = euclidean(2)
+    assert sp.norm(np.array([1e155, 0.0])) == 1e155
+    assert sp.norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert sp.norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+    assert sp.norm(np.array([1.7e308, 1.7e308])) == math.inf
+    tr = trapezoid(4)
+    assert not tr.unit_weights
+    assert tr.norm(np.full(5, 1e200)) == pytest.approx(1e200, rel=1e-15)
+    # an inf entry still gives inf and a NaN entry NaN
+    assert sp.norm(np.array([math.inf, 1e300])) == math.inf
+    assert sp.norm(np.array([-math.inf, 1.0])) == math.inf
+    assert math.isnan(sp.norm(np.array([math.nan, 1e300])))
+    assert math.isnan(sp.norm(np.array([math.inf, math.nan])))
+    assert math.isnan(tr.norm(np.array([1e200, math.inf, math.nan, 0.0, 0.0])))
 
 
 def test_inner_symmetry_and_parallelogram():
