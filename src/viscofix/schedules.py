@@ -24,6 +24,7 @@ capped at "inconclusive" or "violated".
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -80,9 +81,10 @@ class Schedule:
     """Weight generator with a start index and optional declared facts.
 
     ``formula(n)`` accepts a python integer or a float array and returns
-    the four component values; the same expression serves both the scalar
-    evaluation path and the vectorized validator path, keeping them
-    bitwise consistent.
+    the four component values, each a scalar or an array of ``n``'s shape.
+    It must be elementwise: the validator calls it on blocks of indices.
+    The same expression serves both the scalar evaluation path and the
+    vectorized validator path, keeping them bitwise consistent.
     """
 
     kind: str
@@ -236,8 +238,22 @@ def schedule_eval(s: Schedule, n: int) -> ScheduleParams:
         raise InputError(
             f"schedule index {n} is below the start index {s.start_index}"
         )
-    a1, a2, a3, d = s.formula(int(n))
-    return ScheduleParams(float(a1), float(a2), float(a3), float(d))
+    values = s.formula(int(n))
+    try:
+        a1, a2, a3, d = values
+        return ScheduleParams(float(a1), float(a2), float(a3), float(d))
+    except (TypeError, ValueError):
+        raise _malformed(s, values, "real numbers") from None
+
+
+def _malformed(s: Schedule, values, want: str) -> InputError:
+    """The error for a formula result that is not four ``want``."""
+    try:
+        got = f"{len(values)} values of shapes " + ", ".join(str(np.shape(v)) for v in values)
+    except (TypeError, ValueError):
+        got = f"a {type(values).__name__}"
+    kind = f"schedule {s.kind}: formula must return (alpha1, alpha2, alpha3, delta)"
+    return InputError(f"{kind} as four {want}, got {got}")
 
 
 class Status(enum.Enum):
@@ -299,48 +315,65 @@ def _meets_condition_i(a1, a2, a3, d):
     )
 
 
-def _last_decade(ns: np.ndarray) -> slice:
-    """The tail every heuristic reads: the indices ``n >= max(N // 10, ns[0])``."""
-    return slice(int(np.searchsorted(ns, max(ns[-1] // 10, ns[0]))), None)
+_BLOCK = 1 << 15  # indices per validator block: each float64 temporary is 256 KiB
 
 
-def _tail_exponent(log_ns: np.ndarray, values: np.ndarray):
-    """Least-squares slope of ``log(values)`` against ``log_ns`` over the positive values.
+class _TailFit:
+    """Least-squares slope of ``log(values)`` against ``log n`` over the positive values, by block.
 
-    The centred closed form ``sum((x - x_bar)(y - y_bar)) / sum((x - x_bar)^2)``;
-    ``None`` when fewer than 10 values are positive.
+    One block gives the centred closed form ``sum((x - x_bar)(y - y_bar)) / sum((x - x_bar)^2)``;
+    blocks' centred moments are merged by the pairwise update of Chan, Golub and LeVeque
+    (Am. Stat. 37, 1983), which keeps the digits that raw sums of ``x`` and ``x^2`` lose.
     """
-    sel = values > 0.0
-    kept = np.count_nonzero(sel)
-    if kept < 10:
-        return None
-    if kept < len(values):
-        log_ns, values = log_ns[sel], values[sel]
-    x = log_ns - np.mean(log_ns)
-    y = np.log(values)
-    y -= np.mean(y)
-    return float(np.dot(x, y) / np.dot(x, x))
+
+    def __init__(self):
+        self.moments = (0, 0.0, 0.0, 0.0, 0.0)  # count, mean_x, mean_y, Sxx, Sxy
+
+    def add(self, log_ns: np.ndarray, values: np.ndarray) -> None:
+        sel = values > 0.0
+        kept = int(np.count_nonzero(sel))
+        if kept == 0:
+            return
+        if kept < len(values):
+            log_ns, values = log_ns[sel], values[sel]
+        mean_x = np.mean(log_ns)
+        x = log_ns - mean_x
+        y = np.log(values)
+        mean_y = np.mean(y)
+        y -= mean_y
+        count, mx, my, sxx, sxy = self.moments
+        total, dx, dy = count + kept, mean_x - mx, mean_y - my
+        weight = count * kept / total  # 0 for the first block, whose moments are taken as they are
+        self.moments = (
+            total, mx + dx * (kept / total), my + dy * (kept / total),
+            sxx + np.dot(x, x) + dx * dx * weight, sxy + np.dot(x, y) + dx * dy * weight,
+        )
+
+    def slope(self) -> Optional[float]:
+        """``None`` when fewer than 10 values were positive."""
+        count, _, _, sxx, sxy = self.moments
+        return None if count < 10 else float(sxy / sxx)
 
 
-def _series_verdict(limit_seq, tail, slope, partial_sum, name, summable):
+def _series_verdict(tail, slope, partial_sum, name, summable, all_zero=False):
     """Heuristic verdict for 'limit 0, series finite' or 'divergent' (capped).
 
-    ``limit_seq`` is the sequence that must tend to 0, ``tail`` its
-    :func:`_last_decade` and ``slope`` the tail exponent of the series'
-    summand; ``summable`` says whether the condition needs the series
-    finite or divergent.
+    ``tail`` is ``(min, max, first, last, mean)`` of the magnitudes of the
+    sequence that must tend to 0 over the last decade and ``slope`` the tail
+    exponent of the series' summand; ``summable`` says whether the condition
+    needs the series finite or divergent.  ``all_zero`` says whether the
+    sequence vanishes over the whole horizon, which matters for divergence.
     """
-    mags = np.abs(limit_seq)
-    if not summable and np.all(mags <= 1e-15):
+    lo, _, first, last, mean = tail
+    if not summable and all_zero:
         return ConditionFinding(
             Status.VIOLATED,
             f"{name} is identically zero over the horizon; its series is finite",
         )
-    tail_mags = mags[tail]
-    if np.min(tail_mags) > 1e-6 and tail_mags[-1] >= 0.5 * tail_mags[0]:
+    if lo > 1e-6 and last >= 0.5 * first:
         return ConditionFinding(
             Status.VIOLATED,
-            f"{name} appears to have a nonzero limit (tail mean {np.mean(tail_mags):.4g})",
+            f"{name} appears to have a nonzero limit (tail mean {mean:.4g})",
         )
     if slope is not None and summable and slope >= -1.05:
         return ConditionFinding(
@@ -362,25 +395,25 @@ def _series_verdict(limit_seq, tail, slope, partial_sum, name, summable):
     )
 
 
-def _band_inside_unit_interval(ns: np.ndarray, a2: np.ndarray):
+def _band_inside_unit_interval(a2, first_n: int, last_n: int):
     """Heuristic verdict for '0 < liminf <= limsup < 1' (capped) from alpha2's last decade.
 
-    ``ns`` are the indices of that decade and ``a2`` alpha2 over them.
+    ``a2`` is ``(min, max, first, last, mean)`` of alpha2 over ``[first_n, last_n]``.
     """
-    gap_hi = 1.0 - a2
-    gap_lo = a2
-    if np.min(gap_hi) < 1e-3 and gap_hi[-1] <= 0.5 * gap_hi[0]:
+    lo, hi, first, last, _ = a2
+    top_gap = 1.0 - hi  # the least of 1 - alpha2
+    if top_gap < 1e-3 and 1.0 - last <= 0.5 * (1.0 - first):
         return ConditionFinding(
             Status.VIOLATED, "limsup appears to reach 1 (upper gap shrinking)"
         )
-    if np.min(gap_lo) < 1e-3 and gap_lo[-1] <= 0.5 * gap_lo[0]:
+    if lo < 1e-3 and last <= 0.5 * first:
         return ConditionFinding(
             Status.VIOLATED, "liminf appears to reach 0 (lower gap shrinking)"
         )
     return ConditionFinding(
         Status.INCONCLUSIVE,
-        f"values stay within [{np.min(gap_lo):.4g}, {1 - np.min(gap_hi):.4g}] "
-        f"over n in [{int(ns[0])}, {int(ns[-1])}]; asymptotic bounds not certifiable "
+        f"values stay within [{lo:.4g}, {1 - top_gap:.4g}] "
+        f"over n in [{first_n}, {last_n}]; asymptotic bounds not certifiable "
         "from finite data",
     )
 
@@ -396,8 +429,14 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     to the start index are probed too: simplex failures there land in
     ``range_violations`` without affecting the condition verdicts.
 
-    Findings are report content; this function does not raise on them.
+    The indices are walked in blocks of ``_BLOCK``, so memory does not grow
+    with the horizon; only the list of range violations does.  Findings are
+    report content; this function does not raise on them.
     """
+    try:
+        horizon = operator.index(horizon)
+    except TypeError:
+        raise InputError(f"horizon must be an integer, got {horizon!r}") from None
     if horizon < 100:
         raise InputError(f"horizon must be >= 100, got {horizon}")
     if horizon <= s.start_index:
@@ -405,55 +444,82 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
             f"horizon {horizon} must exceed the start index {s.start_index}"
         )
 
-    ns_all = np.arange(1, horizon + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # read-only views: the formula's arrays are read, never copied
-        a1, a2, a3, d = (
-            np.broadcast_to(np.asarray(v, dtype=np.float64), ns_all.shape)
-            for v in s.formula(ns_all)
-        )
-        # a pole below the start index gives inf - inf = NaN, which fails (i)
-        ok = _meets_condition_i(a1, a2, a3, d)
-    range_violations = (np.flatnonzero(~ok) + 1).tolist()
+    facts, start = s.facts, s.start_index
+    tail_start = max(horizon // 10, start)  # the last decade, which every heuristic reads
+    range_violations = []
+    drift_sum = tail_sum = -0.0  # -0.0 + x is x for every float x
+    d_min, d_max, d_prev, first_drop = np.inf, -np.inf, np.empty(0), None
+    drift_fit, tail_fit = _TailFit(), _TailFit()
+    # facts-free heuristics only: the largest |drift|, per-block tail rows, the last finite ratio
+    drift_peak, tail_rows, ratio_last = 0.0, [], None
+    for lo in range(1, horizon + 1, _BLOCK):
+        ns = np.arange(lo, min(lo + _BLOCK, horizon + 1), dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = s.formula(ns)
+            try:
+                # read-only views: the formula's arrays are read, never copied
+                a1, a2, a3, d = (
+                    np.broadcast_to(np.asarray(v, dtype=np.float64), ns.shape) for v in values
+                )
+            except (TypeError, ValueError):
+                raise _malformed(s, values, f"scalars or arrays of shape {ns.shape}") from None
+            # a pole below the start index gives inf - inf = NaN, which fails (i)
+            ok = _meets_condition_i(a1, a2, a3, d)
+        range_violations.extend((np.flatnonzero(~ok) + lo).tolist())
+        if lo + len(ns) <= start:
+            continue
+        live = slice(max(start - lo, 0), None)  # the indices n >= start_index
+        ns, a2, a3, d = ns[live], a2[live], a3[live], d[live]
+        drift = 1.0 - a3 * d - a2
+        tail_summand = a3 * (1.0 - d)
+        drift_sum += float(np.sum(drift))
+        tail_sum += float(np.sum(tail_summand))
+        d_min, d_max = np.minimum(d_min, np.min(d)), np.maximum(d_max, np.max(d))
+        rising = np.diff(d, prepend=d_prev) >= -1e-15  # d_prev: the last delta before the block
+        if first_drop is None and not np.all(rising):
+            first_drop = int(ns[0]) - len(d_prev) + int(np.argmin(rising))
+        d_prev = d[-1:]
+        drift_mags = np.abs(drift)
+        tail = slice(max(tail_start - int(ns[0]), 0), None)
+        log_ns = np.log(ns[tail])
+        drift_fit.add(log_ns, drift_mags[tail])
+        tail_fit.add(log_ns, np.abs(tail_summand[tail]))
+        if facts is None:
+            drift_peak = np.maximum(drift_peak, np.max(drift_mags))
+            if len(log_ns):
+                tail_rows.append([
+                    (np.min(v), np.max(v), v[0], v[-1], np.sum(v))
+                    for v in (drift_mags[tail], np.abs(a3[tail]), a2[tail])
+                ])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = a3 / (1.0 - a2 - a3 * d)
+            finite = np.flatnonzero(np.isfinite(ratio))
+            ratio_last = ratio[finite[-1]] if finite.size else ratio_last
 
-    live = slice(s.start_index - 1, None)  # the indices n >= start_index
-    live_ok = ok[live]
-    if np.all(live_ok):
+    first_bad = next((n for n in range_violations if n >= start), None)
+    if first_bad is None:
         cond_i = ConditionFinding(
             Status.SATISFIED,
             f"weights on the simplex and delta in (0,1) for all n in "
-            f"[{s.start_index}, {horizon}]",
+            f"[{start}, {horizon}]",
         )
     else:
-        first_bad = s.start_index + int(np.argmin(live_ok))
         cond_i = ConditionFinding(
             Status.VIOLATED, f"simplex/range constraint fails first at n = {first_bad}"
         )
+    drift_exp, tail_exp = drift_fit.slope(), tail_fit.slope()
+    d_min, d_max = float(d_min), float(d_max)
 
-    ns, a2v, a3v, dv = ns_all[live], a2[live], a3[live], d[live]
-    drift = 1.0 - a3v * dv - a2v
-    tail_summand = a3v * (1.0 - dv)
-    drift_sum = float(np.sum(drift))
-    tail_sum = float(np.sum(tail_summand))
-    tail = _last_decade(ns)
-    log_ns = np.log(ns[tail])
-    drift_exp = _tail_exponent(log_ns, np.abs(drift[tail]))
-    tail_exp = _tail_exponent(log_ns, np.abs(tail_summand[tail]))
-
-    facts = s.facts
-    monotone = bool(np.all(np.diff(dv) >= -1e-15))
-    d_min, d_max = float(np.min(dv)), float(np.max(dv))
     upper = facts.delta_upper if facts is not None else d_max
-    if monotone and d_min > 0.0 and d_max < 1.0:
+    if first_drop is None and d_min > 0.0 and d_max < 1.0:
         cond_v = ConditionFinding(
             Status.SATISFIED,
             f"delta nondecreasing with bounds [{d_min:.6g}, {upper:.6g}] inside (0, 1)",
         )
     else:
         reasons = []
-        if not monotone:
-            first = int(ns[np.argmax(np.diff(dv) < -1e-15)])
-            reasons.append(f"delta decreases near n = {first}")
+        if first_drop is not None:
+            reasons.append(f"delta decreases near n = {first_drop}")
         if d_min <= 0.0:
             reasons.append(f"delta reaches {d_min:g}")
         if d_max >= 1.0:
@@ -503,16 +569,20 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
             cond_iv = ConditionFinding(Status.VIOLATED, "; ".join(parts))
         ratio_txt = f"declared limit {facts.ratio_limit:g}"
     else:
-        cond_ii = _series_verdict(drift, tail, drift_exp, drift_sum, "drift", summable=False)
-        cond_iii = _band_inside_unit_interval(ns[tail], a2v[tail])
-        cond_iv = _series_verdict(a3v, tail, tail_exp, tail_sum, "alpha3", summable=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_seq = a3v / (1.0 - a2v - a3v * dv)
-        ratio_tail = ratio_seq[np.isfinite(ratio_seq)]
-        if len(ratio_tail):
-            ratio_txt = f"horizon value {ratio_tail[-1]:.4g} (no declared limit)"
-        else:
+        tail_len = horizon - tail_start + 1
+        drift_tail, a3_tail, a2_tail = (
+            (np.min(q[:, 0]), np.max(q[:, 1]), q[0, 2], q[-1, 3], np.sum(q[:, 4]) / tail_len)
+            for q in np.array(tail_rows).transpose(1, 0, 2)  # per block: min, max, first, last, sum
+        )
+        cond_ii = _series_verdict(
+            drift_tail, drift_exp, drift_sum, "drift", False, all_zero=drift_peak <= 1e-15
+        )
+        cond_iii = _band_inside_unit_interval(a2_tail, tail_start, horizon)
+        cond_iv = _series_verdict(a3_tail, tail_exp, tail_sum, "alpha3", True)
+        if ratio_last is None:
             ratio_txt = "undefined over the horizon"
+        else:
+            ratio_txt = f"horizon value {ratio_last:.4g} (no declared limit)"
 
     diagnostics = {
         "drift_partial_sum": drift_sum,

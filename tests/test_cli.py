@@ -425,6 +425,42 @@ def test_validate_schedule_preset(capsys):
     assert "range violations at n = 1" in out
 
 
+_RATIO_TAIL = " (reported independently of condition (iv))"
+VALIDATE_AT_1E6 = {
+    "eq75": [
+        "schedule: eq75 (start index 2)",
+        "(i) satisfied: weights on the simplex and delta in (0,1) for all n in [2, 1000000]",
+        "(ii) satisfied: declared: drift limit 0 with divergent series "
+        "(partial sum 13.64 at the horizon)",
+        "(iii) violated: declared: liminf 1, limsup 1 (must lie strictly inside (0, 1))",
+        "(iv) violated: sum alpha3*(1 - delta) declared divergent "
+        "(partial sum 6.946 at the horizon)",
+        "(v) satisfied: delta nondecreasing with bounds [0.333333, 0.5] inside (0, 1)",
+        "range violations at n = 1",
+        f"same-limit ratio alpha3/(1 - alpha2 - alpha3*delta): declared limit 1{_RATIO_TAIL}",
+    ],
+    "compare-t16": [
+        "schedule: compare-t16 (start index 2)",
+        "(i) satisfied: weights on the simplex and delta in (0,1) for all n in [2, 1000000]",
+        "(ii) satisfied: declared: drift limit 0 with divergent series "
+        "(partial sum 13.72 at the horizon)",
+        "(iii) violated: declared: liminf 1, limsup 1 (must lie strictly inside (0, 1))",
+        "(iv) satisfied: declared: alpha3 tends to 0 and sum alpha3*(1 - delta) is finite "
+        "(partial sum 0.3225)",
+        "(v) satisfied: delta nondecreasing with bounds [0.5, 0.5] inside (0, 1)",
+        "range violations at n = 1",
+        f"same-limit ratio alpha3/(1 - alpha2 - alpha3*delta): declared limit 0{_RATIO_TAIL}",
+    ],
+}
+
+
+@pytest.mark.parametrize("preset", list(VALIDATE_AT_1E6))
+def test_validate_schedule_at_horizon_one_million_verbatim(preset, capsys):
+    # the whole report over 10^6 indices, i.e. many validator blocks
+    assert main(["validate-schedule", "--preset", preset, "--horizon", "1000000"]) == 0
+    assert capsys.readouterr().out.split("\n") == VALIDATE_AT_1E6[preset] + [""]
+
+
 def test_validate_schedule_halpern(capsys):
     assert main(["validate-schedule", "--preset", "halpern-mix", "--horizon", "1000"]) == 0
     assert "(ii) violated" in capsys.readouterr().out

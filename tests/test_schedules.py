@@ -5,16 +5,24 @@ from hypothesis import strategies as st
 
 from viscofix import (
     ConfigurationError,
+    GeneralizedContraction,
     InputError,
+    NonexpansiveMap,
     Schedule,
+    SchemeKind,
+    SolverConfig,
     Status,
     compare_t16,
     custom_rational,
     eq75,
+    euclidean,
     halpern_mix,
+    linear_modulus,
+    run,
     schedule_eval,
     validate_assumption12,
 )
+from viscofix import schedules
 
 
 def test_eq75_exact_values():
@@ -367,3 +375,263 @@ def test_benchmark_schedules_at_horizon_one_million(schedule):
     report = validate_assumption12(schedule, 1_000_000)
     assert {key: finding.status for key, finding in report.conditions.items()} == statuses
     assert report.range_violations == ranges
+
+
+def test_validator_horizon_must_be_an_integer():
+    # a float horizon used to be accepted and printed as "[2, 10000.0]"
+    with pytest.raises(InputError, match=r"^horizon must be an integer, got 10000\.0$"):
+        validate_assumption12(eq75(), 1e4)
+    with pytest.raises(InputError, match=r"^horizon must be an integer, got 10000\.5$"):
+        validate_assumption12(eq75(), 10000.5)
+    report = validate_assumption12(eq75(), np.int64(10_000))
+    assert report.conditions["i"].detail.endswith("for all n in [2, 10000]")
+
+
+_THREE_VALUES = Schedule(kind="three-values", start_index=1, formula=lambda n: (0.5, 0.5, 0 * n))
+_WRONG_SHAPE = Schedule(
+    kind="wrong-shape", start_index=1, formula=lambda n: (0 * n, 0.5 + 0 * n, np.full(3, 0.5), 0.5)
+)
+
+
+def test_malformed_formula_on_the_scalar_path():
+    with pytest.raises(InputError, match=r"^schedule three-values: formula must return "
+                       r"\(alpha1, alpha2, alpha3, delta\) as four real numbers, "
+                       r"got 3 values of shapes \(\), \(\), \(\)$"):
+        schedule_eval(_THREE_VALUES, 5)
+    with pytest.raises(InputError, match=r"^schedule wrong-shape: .* got 4 values of shapes "
+                       r"\(\), \(\), \(3,\), \(\)$"):
+        schedule_eval(_WRONG_SHAPE, 5)
+    not_a_tuple = Schedule(kind="scalar", start_index=1, formula=lambda n: 0.5)
+    with pytest.raises(InputError, match=r"^schedule scalar: .* got a float$"):
+        schedule_eval(not_a_tuple, 5)
+
+
+def test_malformed_formula_reaches_run_as_an_input_error():
+    half = NonexpansiveMap(lambda x: 0.5 * x, label="x/2")
+    quarter = GeneralizedContraction(lambda x: 0.25 * x, linear_modulus(0.25), label="x/4")
+    with pytest.raises(InputError, match="schedule three-values: .* got 3 values"):
+        run(euclidean(1), SchemeKind.NEW_IMPLICIT, quarter, half, _THREE_VALUES,
+            np.array([1.0]), SolverConfig())
+
+
+def test_malformed_formula_on_the_block_path():
+    with pytest.raises(InputError, match=r"^schedule three-values: formula must return "
+                       r"\(alpha1, alpha2, alpha3, delta\) as four scalars or arrays of shape "
+                       r"\(1000,\), got 3 values of shapes \(\), \(\), \(1000,\)$"):
+        validate_assumption12(_THREE_VALUES, 1000)
+    with pytest.raises(InputError, match=r"^schedule wrong-shape: .* got 4 values of shapes "
+                       r"\(1000,\), \(1000,\), \(3,\), \(\)$"):
+        validate_assumption12(_WRONG_SHAPE, 1000)
+
+
+# The whole-array validator the blocked one replaced, kept here as its oracle:
+# every index is evaluated at once and each summary is read off full arrays.
+
+
+def _oracle_tail_exponent(log_ns, values):
+    sel = values > 0.0
+    if np.count_nonzero(sel) < 10:
+        return None
+    x = log_ns[sel] - np.mean(log_ns[sel])
+    y = np.log(values[sel])
+    y -= np.mean(y)
+    return float(np.dot(x, y) / np.dot(x, x))
+
+
+def _oracle_series_verdict(limit_seq, tail, slope, partial_sum, name, summable):
+    mags = np.abs(limit_seq)
+    if not summable and np.all(mags <= 1e-15):
+        return (_VIO, f"{name} is identically zero over the horizon; its series is finite")
+    tail_mags = mags[tail]
+    if np.min(tail_mags) > 1e-6 and tail_mags[-1] >= 0.5 * tail_mags[0]:
+        mean = np.mean(tail_mags)
+        return (_VIO, f"{name} appears to have a nonzero limit (tail mean {mean:.4g})")
+    if slope is not None and summable and slope >= -1.05:
+        return (_VIO, f"series divergence suspected (tail exponent {slope:.2f} >= -1.05)")
+    if slope is not None and not summable and slope < -1.05:
+        return (_VIO, f"{name} series appears summable (tail exponent {slope:.2f}), "
+                "but the condition needs divergence")
+    slope_txt = "n/a" if slope is None else f"{slope:.2f}"
+    return (_INC, f"consistent with the condition numerically (partial sum {partial_sum:.4g}, "
+            f"tail exponent {slope_txt}) but not certifiable from finite data")
+
+
+def _oracle_band(ns, a2):
+    gap_hi, gap_lo = 1.0 - a2, a2
+    if np.min(gap_hi) < 1e-3 and gap_hi[-1] <= 0.5 * gap_hi[0]:
+        return (_VIO, "limsup appears to reach 1 (upper gap shrinking)")
+    if np.min(gap_lo) < 1e-3 and gap_lo[-1] <= 0.5 * gap_lo[0]:
+        return (_VIO, "liminf appears to reach 0 (lower gap shrinking)")
+    return (_INC, f"values stay within [{np.min(gap_lo):.4g}, {1 - np.min(gap_hi):.4g}] over n in "
+            f"[{int(ns[0])}, {int(ns[-1])}]; asymptotic bounds not certifiable from finite data")
+
+
+def _oracle(s, horizon):
+    """``(findings, range violations, diagnostics)``; findings of (ii)-(iv) without facts only."""
+    ns_all = np.arange(1, horizon + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a1, a2, a3, d = (np.broadcast_to(np.asarray(v, dtype=np.float64), ns_all.shape)
+                         for v in s.formula(ns_all))
+        ok = schedules._meets_condition_i(a1, a2, a3, d)
+    range_violations = (np.flatnonzero(~ok) + 1).tolist()
+    live = slice(s.start_index - 1, None)
+    if np.all(ok[live]):
+        cond_i = (_SAT, f"weights on the simplex and delta in (0,1) for all n in "
+                  f"[{s.start_index}, {horizon}]")
+    else:
+        first_bad = s.start_index + int(np.argmin(ok[live]))
+        cond_i = (_VIO, f"simplex/range constraint fails first at n = {first_bad}")
+    ns, a2v, a3v, dv = ns_all[live], a2[live], a3[live], d[live]
+    drift = 1.0 - a3v * dv - a2v
+    tail_summand = a3v * (1.0 - dv)
+    drift_sum, tail_sum = float(np.sum(drift)), float(np.sum(tail_summand))
+    tail = slice(int(np.searchsorted(ns, max(ns[-1] // 10, ns[0]))), None)
+    log_ns = np.log(ns[tail])
+    drift_exp = _oracle_tail_exponent(log_ns, np.abs(drift[tail]))
+    tail_exp = _oracle_tail_exponent(log_ns, np.abs(tail_summand[tail]))
+    monotone = bool(np.all(np.diff(dv) >= -1e-15))
+    d_min, d_max = float(np.min(dv)), float(np.max(dv))
+    if monotone and d_min > 0.0 and d_max < 1.0:
+        upper = s.facts.delta_upper if s.facts is not None else d_max
+        cond_v = (_SAT, f"delta nondecreasing with bounds [{d_min:.6g}, {upper:.6g}] inside (0, 1)")
+    else:
+        reasons = []
+        if not monotone:
+            reasons.append(f"delta decreases near n = {int(ns[np.argmax(np.diff(dv) < -1e-15)])}")
+        if d_min <= 0.0:
+            reasons.append(f"delta reaches {d_min:g}")
+        if d_max >= 1.0:
+            reasons.append(f"delta reaches {d_max:g}")
+        cond_v = (_VIO, "; ".join(reasons))
+    conditions = {"i": cond_i, "v": cond_v}
+    if s.facts is None:
+        conditions["ii"] = _oracle_series_verdict(drift, tail, drift_exp, drift_sum, "drift", False)
+        conditions["iii"] = _oracle_band(ns[tail], a2v[tail])
+        conditions["iv"] = _oracle_series_verdict(a3v, tail, tail_exp, tail_sum, "alpha3", True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = a3v / (1.0 - a2v - a3v * dv)
+        ratio = ratio[np.isfinite(ratio)]
+        ratio_txt = (f"horizon value {ratio[-1]:.4g} (no declared limit)" if len(ratio)
+                     else "undefined over the horizon")
+    else:
+        ratio_txt = f"declared limit {s.facts.ratio_limit:g}"
+    diagnostics = {
+        "drift_partial_sum": drift_sum, "drift_tail_exponent": drift_exp,
+        "tail_partial_sum": tail_sum, "tail_exponent": tail_exp,
+        "delta_min": d_min, "delta_max": d_max, "same_limit_ratio": ratio_txt,
+    }
+    return conditions, range_violations, diagnostics
+
+
+def _assert_matches_oracle(s, horizon):
+    report = validate_assumption12(s, horizon)
+    conditions, range_violations, diagnostics = _oracle(s, horizon)
+    assert report.range_violations == range_violations
+    for key, (status, detail) in conditions.items():
+        assert (report.status(key), report.conditions[key].detail) == (status, detail), key
+    bitwise = horizon <= schedules._BLOCK
+    for key, want in diagnostics.items():
+        got = report.diagnostics[key]
+        if isinstance(want, str) or want is None or bitwise:
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (key, got, want)
+        elif key.endswith("exponent"):
+            assert abs(got - want) <= 1e-13, (key, got, want)
+        else:
+            assert abs(got - want) <= 1e-14 * abs(want), (key, got, want)
+    return report
+
+
+B = schedules._BLOCK
+
+
+def _where(n, cond, yes, no):
+    """``yes`` where ``cond`` holds and ``no`` elsewhere, for a python int or an array ``n``."""
+    return np.where(cond, yes, no) + 0 * n
+
+
+PLANTED = {
+    # delta falls by 0.1 at each block boundary, first from n = B to n = B + 1
+    "delta-drop-at-boundary": (
+        Schedule(kind="drop", start_index=1, formula=lambda n: (
+            0.25 + 0 * n, 0.25 + 0 * n, 0.5 + 0 * n, 0.6 - 0.1 * ((n - 1) // B),
+        )),
+        3 * B,
+    ),
+    # the simplex fails at n = B and n = B + 1 only
+    "range-violation-at-boundary": (
+        Schedule(kind="range", start_index=1, formula=lambda n: (
+            _where(n, (n == B) | (n == B + 1), 0.5, 0.25), 0.25 + 0 * n, 0.5 + 0 * n, 0.5 + 0 * n,
+        )),
+        2 * B + 17,
+    ),
+    # the summand alpha3 * (1 - delta) vanishes on every other tail block
+    "summand-zero-on-some-tail-blocks": (
+        Schedule(kind="gaps", start_index=1, formula=lambda n: (
+            1 / (n + 1) - _where(n, (n - 1) // B % 2 == 1, 0.0, 1 / (n + 1) ** 2),
+            1 - 1 / (n + 1) + 0 * n,
+            _where(n, (n - 1) // B % 2 == 1, 0.0, 1 / (n + 1) ** 2),
+            0.5 + 0 * n,
+        )),
+        6 * B + 3,
+    ),
+    # eight positive tail summands, four on each side of the first boundary: exponent n/a
+    "too-few-positive-spread-over-two-blocks": (
+        Schedule(kind="sparse", start_index=1, formula=lambda n: (
+            0.5 - _where(n, np.abs(n - B - 0.5) < 4, 1e-3, 0.0),
+            0.5 + 0 * n,
+            _where(n, np.abs(n - B - 0.5) < 4, 1e-3, 0.0),
+            0.5 + 0 * n,
+        )),
+        3 * B,
+    ),
+    # the start index lies inside the second block, and the tail from 1.5 B on
+    "start-inside-second-block": (eq75(start_index=B + 10), 15 * B + 5),
+    # the tail starts at 1.2 B, inside the second block
+    "tail-start-inside-a-block": (
+        custom_rational((0, 0.5, 0), (1, -1.5, 0), (0, 1, 0), (0.5, -0.5, 1), start_index=2),
+        12 * B + 7,
+    ),
+    "one-block": (BENCH_CUSTOM, B),
+    "one-block-and-one-index": (BENCH_CUSTOM, B + 1),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED))
+def test_blocked_validator_matches_the_whole_array_oracle(name):
+    schedule, horizon = PLANTED[name]
+    report = _assert_matches_oracle(schedule, horizon)
+    if name == "delta-drop-at-boundary":
+        assert report.conditions["v"].detail == f"delta decreases near n = {B}"
+    elif name == "range-violation-at-boundary":
+        assert report.range_violations == [B, B + 1]
+        assert report.conditions["i"].detail == f"simplex/range constraint fails first at n = {B}"
+    elif name == "too-few-positive-spread-over-two-blocks":
+        assert report.diagnostics["tail_exponent"] is None
+        assert "tail exponent n/a" in report.conditions["iv"].detail
+
+
+@pytest.mark.parametrize("horizon", [100, 1000, 10_000])
+@pytest.mark.parametrize(
+    "schedule",
+    [eq75(), halpern_mix(), compare_t16(), BENCH_CUSTOM]
+    + [custom_rational(*triples) for triples in (
+        ((0, 0, 0), (1, 0, 0), (0, 0, 0), (0.5, 0, 0)),
+        ((0, 1, 1), (0.5, 0, 0), (0.5, -1, 1), (0.5, 0, 0)),
+        ((0, 0, 0), (1, -1e-3, 1), (0, 1e-3, 1), (1, -1, 1)),
+        ((0, 0.5, 0), (0.5, -0.5, 0), (0.5, 0, 0), (0.2, 0.5, 0)),
+    )],
+)
+def test_validator_within_one_block_is_bitwise_the_oracle(schedule, horizon):
+    _assert_matches_oracle(schedule, horizon)
+
+
+def test_validator_memory_does_not_grow_with_the_horizon():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        validate_assumption12(eq75(), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
