@@ -222,20 +222,6 @@ class AuditReport:
     seed: int
 
 
-def _row_inner(space, a, b):
-    """``<a_i, b_i>`` of every row pair in one pass, equal bit for bit to a per-row ``np.dot``."""
-    return np.vecdot(a if space.unit_weights else space.weights * a, b)
-
-
-def _row_norms(space, rows):
-    """``space.norm`` of every row, bit for bit, rows whose sum overflows included."""
-    sums = _row_inner(space, rows, rows)
-    norms = np.sqrt(sums)
-    for i in np.flatnonzero(sums == np.inf):
-        norms[i] = space.norm(rows[i])
-    return norms
-
-
 def _images(space, fn, points, name):
     """``fn`` at every row of ``points``, stacked into one ``(k, dim)`` array.
 
@@ -245,13 +231,12 @@ def _images(space, fn, points, name):
     values = [fn(p) for p in points]
     try:
         stacked = np.array(values, dtype=np.float64)
-    except ValueError as exc:
-        raise InputError(f"{name} is not a point of the space: {exc}") from None
-    if stacked.shape != points.shape:
-        raise InputError(
-            f"{name} is not a point of the space: expected a point of dimension "
-            f"{space.dim}, got shape {stacked.shape[1:]}"
-        )
+    except ValueError:
+        stacked = None
+    if stacked is None or stacked.shape != points.shape:
+        # some value is not a point: the first one raises, with its reason
+        for value in values:
+            space.value_point(value, name)
     return stacked
 
 
@@ -278,7 +263,7 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=
         xs = np.array([spc.project(space, domain, x) for x in xs])
         ys = np.array([spc.project(space, domain, y) for y in ys])
     diffs = xs - ys
-    dists = _row_norms(space, diffs)
+    dists = space.row_norms(diffs)
     apart = dists != 0.0
     if not apart.all():
         xs, ys, diffs, dists = xs[apart], ys[apart], diffs[apart], dists[apart]
@@ -326,7 +311,7 @@ def check_nonexpansive(
     """
 
     def ratio(gaps, _diffs, dists):
-        return _row_norms(space, gaps) / dists
+        return space.row_norms(gaps) / dists
 
     return _audit(
         space, n_samples, seed, T, "T(x)", ratio, operator.gt, 0.0, 1.0 + 1e-10, T.domain
@@ -352,7 +337,7 @@ def check_contraction(
     """
 
     def slack(gaps, _diffs, dists):
-        return f.modulus.value(dists) - _row_norms(space, gaps)
+        return f.modulus.value(dists) - space.row_norms(gaps)
 
     return _audit(space, n_samples, seed, f, "f(x)", slack, operator.lt, np.inf, -1e-10)
 
@@ -379,9 +364,9 @@ def check_inverse_strongly_monotone(
         # Python's float ** 2 (libm pow), as in the point-wise form: on
         # ~0.1% of values it differs from n * n in the last bit.  Where the
         # square overflows, ** raises OverflowError and n * n gives inf.
-        norms = _row_norms(space, gaps).tolist()
+        norms = space.row_norms(gaps).tolist()
         squares = np.array([n ** 2 if n < 1e154 else n * n for n in norms])
-        return _row_inner(space, gaps, diffs) - A.ism_alpha * squares
+        return space.inner(gaps, diffs) - A.ism_alpha * squares
 
     return _audit(space, n_samples, seed, A, "A(x)", slack, operator.lt, np.inf, -1e-10)
 

@@ -170,30 +170,16 @@ class SolveReport:
     message: str = ""
 
 
-def _check_params(p: ScheduleParams, where: str) -> None:
-    """Raise a :class:`ScheduleRangeError` naming the first way ``p`` fails condition (i)."""
-    if _meets_condition_i(*p):
-        return
+def _condition_i_failure(p: ScheduleParams, where: str) -> str:
+    """The first way ``p`` fails condition (i), as text located by ``where``; ``p`` must fail it."""
     a1, a2, a3, d = p
     if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3) and math.isfinite(d)):
-        raise ScheduleRangeError(f"non-finite weights {where}")
+        return f"non-finite weights {where}"
     if not (0.0 <= a1 <= 1.0 and 0.0 <= a2 <= 1.0 and 0.0 <= a3 <= 1.0):
-        raise ScheduleRangeError(
-            f"weight outside [0, 1] {where}: ({a1:g}, {a2:g}, {a3:g})"
-        )
+        return f"weight outside [0, 1] {where}: ({a1:g}, {a2:g}, {a3:g})"
     if abs(a1 + a2 + a3 - 1.0) > _SIMPLEX_TOL:
-        raise ScheduleRangeError(
-            f"weights do not sum to 1 {where} (sum = {a1 + a2 + a3!r})"
-        )
-    raise ScheduleRangeError(f"delta outside (0, 1) {where}: {d:g}")
-
-
-def _value_point(space: spc.SpaceDescriptor, value, name: str) -> np.ndarray:
-    """``value`` as a point of ``space``; an :class:`InputError` names ``name`` if it is not."""
-    try:
-        return space.point(value)
-    except InputError as exc:
-        raise InputError(f"{name} is not a point of the space: {exc}") from None
+        return f"weights do not sum to 1 {where} (sum = {a1 + a2 + a3!r})"
+    return f"delta outside (0, 1) {where}: {d:g}"
 
 
 def _collapsed_weight(p: ScheduleParams) -> float:
@@ -202,8 +188,7 @@ def _collapsed_weight(p: ScheduleParams) -> float:
     s = p.alpha1 + p.alpha3
     if s <= 0.0:
         raise ScheduleRangeError(
-            "alpha1 + alpha3 = 0: the single-parameter schemes cannot consume "
-            "this schedule index"
+            "alpha1 + alpha3 = 0: the single-parameter schemes cannot consume the weights"
         )
     return p.alpha1 / s
 
@@ -373,16 +358,14 @@ def inner_implicit_solve(
     """
     a1, a2, a3 = (float(a) for a in alphas)
     p = ScheduleParams(a1, a2, a3, float(delta))
-    try:
-        _check_params(p, "in the supplied weights")
-    except ScheduleRangeError as exc:
-        raise InputError(str(exc)) from None
+    if not _meets_condition_i(*p):
+        raise InputError(_condition_i_failure(p, "in the supplied weights"))
     x = space.point(x_n)
-    fx = x if f is None else _value_point(space, f.evaluator(x), "f(x_n)")
+    fx = x if f is None else space.value_point(f.evaluator(x), "f(x_n)")
     base, coef, anchor, u_weight = _inner_pieces(SchemeKind.NEW_IMPLICIT, x, fx, p)
 
     def t_eval(v, _T=T.evaluator):
-        return _value_point(space, _T(v), "a value of T")
+        return space.value_point(_T(v), "a value of T")
 
     return _picard_affine_solve(base, coef, t_eval, anchor, u_weight, x, cfg, space.norm, record)
 
@@ -403,10 +386,10 @@ def run(
     ``||x_n - T x_n|| <= outer_tol`` (including the initial point), at the
     first ``n`` whose residual is not finite (``NON_FINITE``; the initial
     point is checked too), when ``max_outer`` steps have been taken, or
-    when the schedule leaves its admissible ranges.  ``observer``, when
-    given, receives every :class:`IterationState` including the initial
-    one; the trace records one row per executed step when
-    ``cfg.record_trace`` is set.  An :class:`InnerSolveError` of an
+    when the weights at ``n`` leave their admissible ranges (the message
+    says ``at n = N``).  ``observer``, when given, receives every
+    :class:`IterationState` including the initial one; the trace records
+    one row per executed step when ``cfg.record_trace`` is set.  An :class:`InnerSolveError` of an
     implicit step is raised again with the outer step ``n`` appended.
     ``x1``, ``T(x1)`` and ``f(x1)`` must be points of the space; an
     :class:`InputError` says which is not.
@@ -426,7 +409,7 @@ def run(
     t_eval = T.evaluator
     n = n1 = schedule.start_index
     x = space.point(x1)
-    tx = _value_point(space, t_eval(x), "T(x1)")
+    tx = space.value_point(t_eval(x), "T(x1)")
     residual = nrm(x - tx)
     if observer is not None:
         observer(IterationState(n=n, x=x, last_inner_iters=0, residual=residual))
@@ -435,13 +418,15 @@ def run(
     for _ in range(cfg.max_outer):
         if residual <= cfg.outer_tol or not math.isfinite(residual):
             break
+        p = schedule_eval(schedule, n)
+        if not _meets_condition_i(*p):
+            termination = Termination.SCHEDULE_RANGE_VIOLATION
+            message = _condition_i_failure(p, f"at n = {n}")
+            break
         try:
-            p = schedule_eval(schedule, n)
-            if not _meets_condition_i(*p):
-                _check_params(p, f"at n = {n}")
             fx = x if f_eval is None else f_eval(x)
             if n == n1 and f_eval is not None:
-                fx = _value_point(space, fx, "f(x1)")
+                fx = space.value_point(fx, "f(x1)")
             if scheme is SchemeKind.EXPLICIT:
                 a = _collapsed_weight(p)
                 x_next, inner_iters = a * fx + (1.0 - a) * tx, 0
@@ -451,7 +436,7 @@ def run(
                     base, coef, t_eval, anchor, u_weight, x, cfg, nrm, t_u0=tx
                 )
         except ScheduleRangeError as exc:
-            termination, message = Termination.SCHEDULE_RANGE_VIOLATION, str(exc)
+            termination, message = Termination.SCHEDULE_RANGE_VIOLATION, f"{exc} at n = {n}"
             break
         except InnerSolveError as exc:
             raise InnerSolveError(f"{exc} (outer step n = {n})") from exc

@@ -69,8 +69,8 @@ class SpaceDescriptor:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        # With unit weights ``w * v`` is ``v`` exactly, so the norm can
-        # skip the product and keep every bit.
+        # With unit weights ``w * v`` is ``v`` exactly, so the pairing and
+        # the norm can skip the product and keep every bit.
         object.__setattr__(self, "unit_weights", bool(np.all(w == 1.0)))
 
     def point(self, coords) -> np.ndarray:
@@ -82,6 +82,24 @@ class SpaceDescriptor:
         if x.shape != (self.dim,):
             raise InputError(f"expected a point of dimension {self.dim}, got shape {x.shape}")
         return x
+
+    def value_point(self, value, name: str) -> np.ndarray:
+        """:meth:`point` of a map's ``value``; an :class:`InputError` names ``name`` if it fails."""
+        try:
+            return self.point(value)
+        except (InputError, ValueError) as exc:
+            raise InputError(f"{name} is not a point of the space: {exc}") from None
+
+    def inner(self, a: np.ndarray, b: np.ndarray):
+        """Weighted pairing ``sum_i w_i a_i b_i`` over the last axis.
+
+        A float64 for two points, one value per row for two ``(k, dim)``
+        stacks; shapes are not checked.  Each value is bit for bit
+        ``np.vdot(weights * a, b)`` of its pair, and ``np.dot``'s but in
+        dimension 1, where ``np.dot`` returns a lone ``-0.0`` product as
+        it is.  With unit weights the product by 1.0 is skipped.
+        """
+        return np.vecdot(a if self.unit_weights else self.weights * a, b)
 
     def norm(self, v: np.ndarray) -> float:
         """Weighted norm ``sqrt(sum_i w_i v_i^2)`` of a point.
@@ -109,7 +127,20 @@ class SpaceDescriptor:
         if top == math.inf:
             return top
         u = v / top
-        return top * math.sqrt(float(np.vdot(self.weights * u, u)))
+        return top * math.sqrt(float(self.inner(u, u)))
+
+    def row_norms(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`norm` of every row of a ``(k, dim)`` stack, bit for bit.
+
+        Rows whose sum of squares overflows take the rescaled form as
+        :meth:`norm` does; the overflow itself warns under numpy's error
+        state.
+        """
+        sums = self.inner(rows, rows)
+        norms = np.sqrt(sums)
+        for i in np.flatnonzero(sums == math.inf):
+            norms[i] = self._rescaled_norm(rows[i])
+        return norms
 
 
 def euclidean(dim: int) -> SpaceDescriptor:
@@ -151,9 +182,7 @@ def same_space(a: SpaceDescriptor, b: SpaceDescriptor) -> bool:
 
 def inner(space: SpaceDescriptor, x, y) -> float:
     """Weighted inner product ``sum_i w_i x_i y_i``."""
-    x = space.point(x)
-    y = space.point(y)
-    return float(np.dot(space.weights * x, y))
+    return float(space.inner(space.point(x), space.point(y)))
 
 
 def norm(space: SpaceDescriptor, x) -> float:
@@ -257,12 +286,10 @@ class Halfspace(ConvexSetBase):
         x = space.point(x)
         if self.normal.shape != (space.dim,):
             raise InputError("halfspace normal does not match the space dimension")
-        wn = space.weights * self.normal
-        nn = float(np.dot(wn, self.normal))
-        excess = float(np.dot(wn, x)) - self.offset
+        excess = float(space.inner(self.normal, x)) - self.offset
         if excess <= 0.0:
             return x
-        return x - (excess / nn) * self.normal
+        return x - (excess / float(space.inner(self.normal, self.normal))) * self.normal
 
     def __repr__(self):
         return f"Halfspace(normal={self.normal!r}, offset={self.offset!r})"

@@ -605,6 +605,13 @@ def test_compare_schedule_range_violation_exits_1(tmp_path, capsys):
     assert "limit distance" not in captured.out
 
 
+def test_solve_abbreviates_a_long_final_point(tmp_path, capsys):
+    # zero kernel: the solution is the source term t on the 9 grid nodes
+    cfg = _config(tmp_path, _FREDHOLM)
+    assert main(["solve", "--config", cfg]) == 0
+    assert "final point: (0, 0.125, 0.25, ..., 1) [9 components]\n" in capsys.readouterr().out
+
+
 def test_fredholm_zero_kernel(tmp_path, capsys):
     text = """
 [problem]

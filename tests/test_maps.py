@@ -380,6 +380,7 @@ _BAD_VALUES = {
     "shape-1": lambda x: x[:1],
     "scalar": lambda x: float(x[0]),
     "ragged": lambda x: x if x[0] < 0.0 else x[:1],
+    "text": lambda x: "x",
 }
 
 

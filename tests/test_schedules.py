@@ -294,6 +294,15 @@ def test_validator_delta_monotone_check():
     assert "decreases" in report.conditions["v"].detail
 
 
+@pytest.mark.parametrize("delta, detail", [(0.0, "delta reaches 0"), (1.2, "delta reaches 1.2")])
+def test_validator_names_a_delta_off_the_open_unit_interval(delta, detail):
+    flat = custom_rational((0.25, 0, 0), (0.25, 0, 0), (0.5, 0, 0), (delta, 0, 0))
+    report = validate_assumption12(flat, 200)
+    assert report.status("v") is Status.VIOLATED
+    assert report.conditions["v"].detail == detail
+    assert report.range_violations == list(range(1, 201))
+
+
 def test_validator_horizon_gate():
     with pytest.raises(InputError):
         validate_assumption12(eq75(), 99)

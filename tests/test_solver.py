@@ -185,6 +185,36 @@ def test_collapse_needs_positive_weight_mass():
     assert report.trace == []
 
 
+@pytest.mark.parametrize(
+    "scheme, schedule, message",
+    [
+        (
+            SchemeKind.EXPLICIT,
+            custom_rational((0, 0, 0), (1, 0, 0), (0, 0, 0), (0.5, 0, 0), start_index=3),
+            "alpha1 + alpha3 = 0: the single-parameter schemes cannot consume the weights "
+            "at n = 3",
+        ),
+        # 1 - delta rounds to 1, so the inner map's factor alpha3 * (1 - delta) is 1
+        (
+            SchemeKind.THREE_TERM,
+            custom_rational((0, 0, 0), (0, 0, 0), (1, 0, 0), (5e-324, 0, 0)),
+            "inner map contraction factor 1 is not below 1 at n = 1",
+        ),
+        (
+            SchemeKind.NEW_IMPLICIT,
+            vx.Schedule("nan", 1, lambda n: (math.nan, 0.5, 0.5, 0.5)),
+            "non-finite weights at n = 1",
+        ),
+    ],
+    ids=["collapsed-weight", "inner-factor", "non-finite"],
+)
+def test_schedule_range_failures_name_the_step(scheme, schedule, message):
+    report = _one_step(scheme, schedule=schedule)
+    assert report.termination is Termination.SCHEDULE_RANGE_VIOLATION
+    assert report.message == message
+    assert (report.n_final, report.trace) == (schedule.start_index, [])
+
+
 def test_identity_presets_refuse_viscosity_term():
     with pytest.raises(ConfigurationError, match="f=None"):
         _one_step(SchemeKind.MANN_IMPLICIT, QUARTER)
@@ -565,6 +595,13 @@ def test_run_rejects_an_f_value_that_is_not_a_point(scheme, value, shape):
         "f(x1) is not a point of the space: expected a point of dimension 2, "
         f"got shape {shape}"
     )
+
+
+def test_run_rejects_a_T_value_that_is_not_a_number():
+    T = NonexpansiveMap(lambda x: "x", label="text")
+    with pytest.raises(InputError) as caught:
+        run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, T, halpern_mix(), [1.0], SolverConfig())
+    assert str(caught.value).startswith("T(x1) is not a point of the space: could not convert")
 
 
 def test_inner_solve_rejects_an_f_value_that_is_not_a_point():

@@ -228,6 +228,84 @@ def test_norm_survives_an_overflowing_sum_of_squares():
     assert math.isnan(tr.norm(np.array([1e200, math.inf, math.nan, 0.0, 0.0])))
 
 
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@st.composite
+def _spaces(draw):
+    """A unit-weight or a randomly weighted space of dimension 1-40."""
+    dim = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return euclidean(dim)
+    return SpaceDescriptor(dim, draw(hnp.arrays(np.float64, dim, elements=st.floats(1e-3, 1e3))))
+
+
+def _rows(space, k, bound):
+    return hnp.arrays(
+        np.float64, (k, space.dim), elements=st.floats(-bound, bound, allow_subnormal=True)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pairing_is_the_weighted_dot_bit_for_bit(data):
+    space = data.draw(_spaces())
+    k = data.draw(st.integers(1, 6))
+    a, b = data.draw(_rows(space, k, 1e100)), data.draw(_rows(space, k, 1e100))
+    stacked = space.inner(a, b)
+    assert stacked.shape == (k,)
+    for i in range(k):
+        expected = np.dot(space.weights * a[i], b[i])
+        # np.dot returns a lone product as it is, while vecdot (like vdot)
+        # adds it to +0.0: the pairings differ only in the sign of a zero
+        # pairing in dimension 1
+        expected = _bits(expected + 0.0 if space.dim == 1 else expected)
+        assert _bits(space.inner(a[i], b[i])) == expected
+        assert _bits(inner(space, a[i], b[i])) == expected
+        assert _bits(stacked[i]) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_norms_are_the_point_norms_bit_for_bit(data):
+    space = data.draw(_spaces())
+    k = data.draw(st.integers(1, 6))
+    # rows of ordinary size, subnormal size, and past the overflow of the squares
+    scales = data.draw(
+        hnp.arrays(np.float64, k, elements=st.sampled_from([1.0, 1e-160, 1e155, 1e300]))
+    )
+    rows = data.draw(_rows(space, k, 1.0)) * scales[:, None]
+    with np.errstate(over="ignore"):
+        norms = space.row_norms(rows)
+    assert _bits(norms) == _bits([space.norm(r) for r in rows])
+
+
+def _outcome(compute):
+    """The bits of ``compute()``, or the text of the ZeroDivisionError it raises."""
+    try:
+        return _bits(compute())
+    except ZeroDivisionError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_halfspace_projection_is_the_weighted_dot_formula_bit_for_bit(data):
+    space = data.draw(_spaces())
+    vec = hnp.arrays(np.float64, space.dim, elements=st.floats(-100.0, 100.0))
+    normal = data.draw(vec.filter(lambda n: np.any(n != 0.0)))
+    offset, x = data.draw(st.floats(-100.0, 100.0)), data.draw(vec)
+
+    def formula():
+        wn = space.weights * normal
+        excess = float(np.dot(wn, x)) - offset
+        return x if excess <= 0.0 else x - (excess / float(np.dot(wn, normal))) * normal
+
+    # a tiny normal whose <n, n> underflows to 0 divides by zero in both
+    assert _outcome(lambda: Halfspace(normal, offset).project(space, x)) == _outcome(formula)
+
+
 def test_inner_symmetry_and_parallelogram():
     space = trapezoid(5)
     rng = np.random.default_rng(11)
