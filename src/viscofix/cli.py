@@ -37,7 +37,7 @@ from .config import (
     schedule_from_section,
     schedule_preset,
 )
-from .errors import ConfigurationError, InnerSolveError, ViscofixError
+from .errors import ConfigurationError, ViscofixError
 from .problems import ProblemSetup, build_problem
 from .schedules import Status, validate_assumption12
 from .solver import (
@@ -91,9 +91,9 @@ def _run_configured(
 def _termination_exit(report: SolveReport) -> int:
     if report.termination is Termination.CONVERGED:
         return EXIT_OK
-    if report.termination in (Termination.MAX_ITERS, Termination.NON_FINITE):
-        return EXIT_NOT_CONVERGED
-    return EXIT_CONFIG
+    if report.termination is Termination.SCHEDULE_RANGE_VIOLATION:
+        return EXIT_CONFIG
+    return EXIT_NOT_CONVERGED
 
 
 def cmd_solve(args) -> int:
@@ -163,17 +163,15 @@ def cmd_compare(args) -> int:
             f"final {_format_point(report.final_point)}, "
             f"residual {report.final_residual:.6g}",
         )
+        if report.message:
+            print(f"note: {report.message}")
         reports.append(report)
-    if any(r.termination is Termination.SCHEDULE_RANGE_VIOLATION for r in reports):
+    codes = [_termination_exit(report) for report in reports]
+    if EXIT_CONFIG in codes:
         print("error: schedule evaluated outside its valid range", file=sys.stderr)
         return EXIT_CONFIG
-    not_converged = [
-        (scheme, report)
-        for scheme, report in zip(schemes, reports)
-        if report.termination is not Termination.CONVERGED
-    ]
-    if not_converged:
-        which = ", ".join(str(scheme) for scheme, _ in not_converged)
+    which = ", ".join(str(scheme) for scheme, code in zip(schemes, codes) if code != EXIT_OK)
+    if which:
         print(f"error: run did not converge for: {which}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     distance = compare_limits(reports[0], reports[1])
@@ -192,6 +190,8 @@ def cmd_fredholm(args) -> int:
     _print_schedule_warnings(cfg.schedule)
     report = _run_configured(setup, cfg.scheme, cfg.schedule, cfg.solver)
     print(f"termination: {report.termination}")
+    if report.message:
+        print(f"note: {report.message}")
     print(f"final residual: {report.final_residual:.6g}")
     if setup.closed_form is not None:
         exact = setup.closed_form(setup.nodes)
@@ -247,9 +247,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InnerSolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
     except (ViscofixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

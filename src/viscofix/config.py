@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from .errors import ConfigurationError
-from .schedules import Schedule, compare_t16, custom_rational, eq75, halpern_mix
+from .schedules import Schedule, ScheduleParams, compare_t16, custom_rational, eq75, halpern_mix
 from .solver import SchemeKind, SolverConfig
 
 __all__ = [
@@ -180,9 +180,7 @@ def schedule_from_section(view: SectionView) -> Schedule:
         raise view.error(
             "needs 'preset = <name>' or 'kind = custom-rational' with coefficients"
         )
-    triples = {}
-    for key in ("alpha1", "alpha2", "alpha3", "delta"):
-        triples[key] = tuple(view.float_list(key, count=3))
+    triples = {key: tuple(view.float_list(key, count=3)) for key in ScheduleParams._fields}
     view.finish()
     return custom_rational(start_index=1 if n0 is None else n0, **triples)
 

@@ -35,6 +35,7 @@ class InnerSolveError(ViscofixError, RuntimeError):
     Under the documented preconditions (nonexpansive map, contraction
     factor < 1) the budget suffices, so running out signals a map that is
     not nonexpansive.  A non-finite gap means a non-finite ``T`` value or start.
+    Only ``inner_implicit_solve`` lets it out; ``run`` ends ``inner_solve_failed``.
     """
 
 

@@ -328,12 +328,8 @@ def check_contraction(
 
     The slack of a pair is ``m(||x - y||) - ||fx - fy||``; the check passes
     when the worst slack is at least ``-1e-10``, and the witness is the
-    first pair with that slack.  ``n_samples`` must be at least 1
-    (:class:`InputError` otherwise).  All pairs are scored in array passes
-    with one ``f`` call per point; pairs at zero distance are dropped
-    before ``f`` is called.  A non-finite slack fails the audit and is
-    reported as ``worst``.  A value of ``f`` that is not a point of the
-    space raises :class:`InputError`.
+    first pair with that slack.  ``n_samples``, dropped pairs, a non-finite
+    slack and a value that is not a point are handled as in :func:`check_nonexpansive`.
     """
 
     def slack(gaps, _diffs, dists):
@@ -352,12 +348,8 @@ def check_inverse_strongly_monotone(
 
     The slack of a pair is the left side minus the right side; the check
     passes when the worst slack is at least ``-1e-10``, and the witness is
-    the first pair with that slack.  ``n_samples`` must be at least 1
-    (:class:`InputError` otherwise).  All pairs are scored in array passes
-    with one ``A`` call per point; pairs at zero distance are dropped
-    before ``A`` is called.  A non-finite slack fails the audit and is
-    reported as ``worst``.  A value of ``A`` that is not a point of the
-    space raises :class:`InputError`.
+    the first pair with that slack.  ``n_samples``, dropped pairs, a non-finite
+    slack and a value that is not a point are handled as in :func:`check_nonexpansive`.
     """
 
     def slack(gaps, diffs, _dists):

@@ -203,12 +203,7 @@ def custom_rational(
     "inconclusive" for the limit and series conditions.
     """
     coeffs = []
-    for name, triple in (
-        ("alpha1", alpha1),
-        ("alpha2", alpha2),
-        ("alpha3", alpha3),
-        ("delta", delta),
-    ):
+    for name, triple in zip(ScheduleParams._fields, (alpha1, alpha2, alpha3, delta)):
         if len(triple) != 3:
             raise ConfigurationError(
                 f"{name} needs three coefficients (a, b, c), got {triple!r}"

@@ -97,6 +97,7 @@ class Termination(enum.Enum):
     MAX_ITERS = "max_iters"
     SCHEDULE_RANGE_VIOLATION = "schedule_range_violation"
     NON_FINITE = "non_finite"
+    INNER_SOLVE_FAILED = "inner_solve_failed"
 
     def __str__(self):
         return self.value
@@ -156,9 +157,10 @@ class SolveReport:
     """Outcome of a run.
 
     ``n_final`` is the index of ``final_point`` in the iteration (the
-    start index when the initial point already met the tolerance, and the
-    first index with a non-finite residual for ``NON_FINITE``).  The
-    trace is empty when recording was disabled or no step was taken.
+    start index when the initial point already met the tolerance, the
+    first index with a non-finite residual for ``NON_FINITE``, and the
+    step whose inner solve failed for ``INNER_SOLVE_FAILED``).  The trace
+    is empty when recording was disabled or no step was taken.
     """
 
     final_point: np.ndarray
@@ -385,14 +387,16 @@ def run(
     The loop starts at the schedule's start index and stops when
     ``||x_n - T x_n|| <= outer_tol`` (including the initial point), at the
     first ``n`` whose residual is not finite (``NON_FINITE``; the initial
-    point is checked too), when ``max_outer`` steps have been taken, or
-    when the weights at ``n`` leave their admissible ranges (the message
-    says ``at n = N``).  ``observer``, when given, receives every
-    :class:`IterationState` including the initial one; the trace records
-    one row per executed step when ``cfg.record_trace`` is set.  An :class:`InnerSolveError` of an
-    implicit step is raised again with the outer step ``n`` appended.
-    ``x1``, ``T(x1)`` and ``f(x1)`` must be points of the space; an
-    :class:`InputError` says which is not.
+    point is checked too), when ``max_outer`` steps have been taken, when
+    the weights at ``n`` leave their admissible ranges (the message says
+    ``at n = N``), or when the inner solve of the step at ``n`` fails
+    (``INNER_SOLVE_FAILED``; the message ends ``(outer step n = N)``).
+    ``observer``, when given, receives every :class:`IterationState`
+    including the initial one; the trace records one row per executed
+    step when ``cfg.record_trace`` is set.  Every stop returns a report;
+    ``run`` raises only for bad inputs: an :class:`InputError` when
+    ``x1``, ``T(x1)`` or ``f(x1)`` is not a point of the space or the
+    schedule's formula is malformed, and whatever ``T`` or ``f`` raise.
 
     Each step at ``n`` evaluates the weights, checks their ranges and
     forms ``x_{n+1}``: by the collapsed single-weight update for
@@ -439,7 +443,8 @@ def run(
             termination, message = Termination.SCHEDULE_RANGE_VIOLATION, f"{exc} at n = {n}"
             break
         except InnerSolveError as exc:
-            raise InnerSolveError(f"{exc} (outer step n = {n})") from exc
+            termination, message = Termination.INNER_SOLVE_FAILED, f"{exc} (outer step n = {n})"
+            break
         tx = t_eval(x_next)
         residual = nrm(x_next - tx)
         if cfg.record_trace:
@@ -528,7 +533,9 @@ def read_trace_csv(path) -> List[TraceRow]:
         if header != list(TRACE_FIELDS):
             raise InputError(f"unexpected trace header: {header!r}")
         for record in reader:
-            if len(record) != len(TRACE_FIELDS):
-                raise InputError(f"malformed trace row: {record!r}")
-            rows.append(TraceRow._make([conv(v) for conv, v in zip(_TRACE_TYPES, record)]))
+            try:  # a short or long row, or a field that does not convert
+                values = [conv(v) for conv, v in zip(_TRACE_TYPES, record, strict=True)]
+            except ValueError as exc:
+                raise InputError(f"malformed trace row: {record!r}") from exc
+            rows.append(TraceRow._make(values))
     return rows

@@ -286,10 +286,16 @@ class Halfspace(ConvexSetBase):
         x = space.point(x)
         if self.normal.shape != (space.dim,):
             raise InputError("halfspace normal does not match the space dimension")
-        excess = float(space.inner(self.normal, x)) - self.offset
+        normal, offset = self.normal, self.offset
+        nn = float(space.inner(normal, normal))
+        if nn == 0.0:  # <n, n> underflows: the same halfspace written with n / max|n|
+            top = float(np.max(np.abs(normal)))
+            normal, offset = normal / top, offset / top
+            nn = float(space.inner(normal, normal))
+        excess = float(space.inner(normal, x)) - offset
         if excess <= 0.0:
             return x
-        return x - (excess / float(space.inner(self.normal, self.normal))) * self.normal
+        return x - (excess / nn) * normal
 
     def __repr__(self):
         return f"Halfspace(normal={self.normal!r}, offset={self.offset!r})"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import viscofix
-from viscofix import problems, read_trace_csv
+from viscofix import SolveReport, Termination, cli, euclidean, problems, read_trace_csv
 from viscofix.cli import main
 
 LINEAR_BASE = """
@@ -400,7 +400,87 @@ def test_inner_solve_error_exit_code(tmp_path, capsys, monkeypatch):
     _non_finite_constant_point(monkeypatch, np.inf)
     cfg = _config(tmp_path, _swap("preset = halpern-mix", "preset = eq75", _CONSTANT_POINT))
     assert main(["solve", "--config", cfg]) == 2
-    assert "error: inner solve gap is inf at application 1" in capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert "termination: inner_solve_failed\n" in out
+    assert "note: inner solve gap is inf at application 1" in out
+
+
+# T = -0.9x is nonexpansive, but inner_tol = 1e-300 lies below the rounding
+# floor of the iterate, so the certified inner solve runs out of its budget
+_INNER_FLOOR = _swap(
+    "max_outer = 50000",
+    "max_outer = 50000\ninner_tol = 1e-300",
+    _swap("slope = 0.5", "slope = -0.9"),
+)
+_INNER_FLOOR_NOTE = (
+    "note: inner solve exceeded 420 applications (certified budget for factor 0.1875); "
+    "the operator does not contract as declared (outer step n = 7)"
+)
+
+
+def test_solve_reports_a_failed_inner_solve_with_its_partial_run(tmp_path, capsys):
+    cfg = _config(tmp_path, _INNER_FLOOR)
+    trace_path = tmp_path / "trace.csv"
+    assert main(["solve", "--config", cfg, "--trace", str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[:5] == [
+        "termination: inner_solve_failed",
+        _INNER_FLOOR_NOTE,
+        "iterations: 6",
+        "final point: (0.0134225750589)",
+        "final residual: 0.0255029",
+    ]
+    assert "error:" not in captured.err
+    # the trace of the six completed steps is written
+    assert [row.n for row in read_trace_csv(trace_path)] == [1, 2, 3, 4, 5, 6]
+    # the report holds x_7, as the run capped at six steps does
+    capped = _config(tmp_path, _swap("max_outer = 50000", "max_outer = 6", _INNER_FLOOR), "6.cfg")
+    assert main(["solve", "--config", capped]) == 2
+    capped_lines = capsys.readouterr().out.splitlines()
+    assert capped_lines[0] == "termination: max_iters"
+    assert capped_lines[2:5] == lines[2:5]
+
+
+def test_compare_runs_both_schemes_past_a_failed_inner_solve(tmp_path, capsys):
+    cfg = _config(tmp_path, _INNER_FLOOR)
+    assert main(["compare", "--config", cfg, "--schemes", "new_implicit,three_term"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "new_implicit: termination inner_solve_failed, final (0.0134225750589), "
+        "residual 0.0255029",
+        _INNER_FLOOR_NOTE,
+        "three_term: termination inner_solve_failed, final (2.90399285059e-06), "
+        "residual 5.51759e-06",
+        "note: inner solve exceeded 451 applications (certified budget for factor 0.214286); "
+        "the operator does not contract as declared (outer step n = 13)",
+    ]
+    assert captured.err.splitlines()[-1] == (
+        "error: run did not converge for: new_implicit, three_term"
+    )
+
+
+def test_every_termination_has_the_readme_exit_code():
+    # one README phrase per kind, in the exit-code table's row of its code;
+    # a new kind fails here until it is given its code
+    phrases = {
+        Termination.CONVERGED: (0, "converged"),
+        Termination.SCHEDULE_RANGE_VIOLATION: (1, "schedule range violations"),
+        Termination.MAX_ITERS: (2, "iteration budget reached"),
+        Termination.NON_FINITE: (2, "a non-finite iterate"),
+        Termination.INNER_SOLVE_FAILED: (2, "a failed inner solve"),
+    }
+    assert set(phrases) == set(Termination)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.split("Exit codes:", 1)[1].split("## ", 1)[0].splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 2 and cells[0].isdigit():
+            rows[int(cells[0])] = cells[1]
+    for kind, (code, phrase) in phrases.items():
+        assert phrase in rows[code]
+        report = SolveReport(np.zeros(1), kind, [], 1, 0.0, euclidean(1))
+        assert cli._termination_exit(report) == code, kind
 
 
 def test_readme_config_example(tmp_path, monkeypatch, capsys):
@@ -702,6 +782,16 @@ outer_tol = 1e-10
             break
         v = v_next
     assert np.max(np.abs(data[:, 1] - v)) <= 1e-8
+
+
+def test_fredholm_prints_the_note_of_a_run_that_stops_early(tmp_path, capsys):
+    text = _FREDHOLM.replace("kernel = zero", "kernel = separable-linear")
+    cfg = _config(tmp_path, text + "[solver]\nmax_outer = 1\n")
+    assert main(["fredholm", "--config", cfg]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "termination: max_iters"
+    assert lines[1].startswith("note: residual ")
+    assert lines[1].endswith(" above tolerance after 1 steps")
 
 
 def test_fredholm_command_needs_fredholm_problem(tmp_path, capsys):

@@ -652,15 +652,42 @@ def test_inner_solve_budget_is_the_certified_count():
     assert [row.inner_iters for row in report.trace] == [3, 3, 3]
     # a map that expands still fails: its iterate overflows within the
     # budget (the norm of a finite gap is finite up to the largest float),
-    # and the error names the outer step
+    # and the run ends at the start point with a message naming the outer step
     liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x")
-    with pytest.raises(InnerSolveError) as caught, np.errstate(over="ignore"):
-        run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, liar, SLOW_INNER, np.array([1.0]), cfg)
-    assert str(caught.value) == (
+    with np.errstate(over="ignore"):
+        failed = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, liar, SLOW_INNER, np.array([1.0]), cfg)
+    assert failed.termination is Termination.INNER_SOLVE_FAILED
+    assert failed.message == (
         "inner solve gap is inf at application 659: T or the starting point is "
         "not finite (outer step n = 1)"
     )
-    assert isinstance(caught.value.__cause__, InnerSolveError)
+    assert (failed.n_final, failed.final_point.tolist(), failed.final_residual) == (1, [1.0], 2.0)
+    assert failed.trace == []
+
+
+def test_a_failed_inner_solve_ends_the_run_with_its_partial_report():
+    # 3x is not nonexpansive: the inner solve of the step at n = 3 runs past
+    # its certified budget, and the report holds x_3 as the run capped
+    # after two steps does, bit for bit, with the trace of those two steps
+    liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x")
+    states = []
+    report = run(SP1, "new_implicit", QUARTER, liar, halpern_mix(), [1.0], SolverConfig(),
+                 observer=states.append)
+    assert report.termination is Termination.INNER_SOLVE_FAILED
+    assert str(report.termination) == "inner_solve_failed"
+    assert report.message == (
+        "inner solve exceeded 22 applications (certified budget for factor 0.125); "
+        "the operator does not contract as declared (outer step n = 3)"
+    )
+    assert report.n_final == 3 and [state.n for state in states] == [1, 2, 3]
+    assert [row.inner_iters for row in report.trace] == [1, 18]
+    capped = run(SP1, "new_implicit", QUARTER, liar, halpern_mix(), [1.0],
+                 SolverConfig(max_outer=2))
+    assert capped.termination is Termination.MAX_ITERS and capped.n_final == 3
+    assert report.final_point.tobytes() == capped.final_point.tobytes()
+    assert report.final_point[0] == pytest.approx(0.5381944, abs=1e-7)
+    assert report.final_residual == capped.final_residual == 1.0763888888914153
+    assert report.trace == capped.trace
 
 
 def test_inner_solve_long_honest_solve_stays_within_its_budget():
@@ -872,11 +899,17 @@ def test_read_trace_rejects_foreign_header(tmp_path):
         read_trace_csv(path)
 
 
-def test_read_trace_rejects_short_row(tmp_path):
-    path = tmp_path / "short.csv"
-    path.write_text("n,residual,step_norm,inner_iters,alpha1,alpha2,alpha3,delta\n1,0,0,0,0,1,0\n")
-    with pytest.raises(InputError, match="malformed trace row"):
+@pytest.mark.parametrize(
+    "row",
+    ["1,0,0,0,0,1,0", "1,abc,0,0,0,1,0,0", "1.5,0,0,0,0,1,0,0"],
+    ids=["short", "residual-not-a-number", "n-not-an-integer"],
+)
+def test_read_trace_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "malformed.csv"
+    path.write_text("n,residual,step_norm,inner_iters,alpha1,alpha2,alpha3,delta\n" + row + "\n")
+    with pytest.raises(InputError) as caught:
         read_trace_csv(path)
+    assert str(caught.value) == f"malformed trace row: {row.split(',')!r}"
 
 
 def test_summable_t_weight_schedule_stalls_off_the_fixed_set():

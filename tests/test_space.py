@@ -281,14 +281,6 @@ def test_row_norms_are_the_point_norms_bit_for_bit(data):
     assert _bits(norms) == _bits([space.norm(r) for r in rows])
 
 
-def _outcome(compute):
-    """The bits of ``compute()``, or the text of the ZeroDivisionError it raises."""
-    try:
-        return _bits(compute())
-    except ZeroDivisionError as exc:
-        return repr(exc)
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_halfspace_projection_is_the_weighted_dot_formula_bit_for_bit(data):
@@ -297,13 +289,38 @@ def test_halfspace_projection_is_the_weighted_dot_formula_bit_for_bit(data):
     normal = data.draw(vec.filter(lambda n: np.any(n != 0.0)))
     offset, x = data.draw(st.floats(-100.0, 100.0)), data.draw(vec)
 
-    def formula():
+    def formula(normal, offset):
         wn = space.weights * normal
         excess = float(np.dot(wn, x)) - offset
         return x if excess <= 0.0 else x - (excess / float(np.dot(wn, normal))) * normal
 
-    # a tiny normal whose <n, n> underflows to 0 divides by zero in both
-    assert _outcome(lambda: Halfspace(normal, offset).project(space, x)) == _outcome(formula)
+    if float(np.dot(space.weights * normal, normal)) != 0.0:
+        assert _bits(Halfspace(normal, offset).project(space, x)) == _bits(formula(normal, offset))
+        return
+    # a tiny normal whose <n, n> underflows: the same halfspace, rescaled.  Its
+    # offset may pass the largest float, and the projection with it, in both.
+    top = float(np.max(np.abs(normal)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = Halfspace(normal, offset).project(space, x)
+        assert _bits(projected) == _bits(formula(normal / top, offset / top))
+
+
+@pytest.mark.parametrize(
+    "normal, offset, x, expected",
+    [
+        ([1e-200], -1.0, [0.0], [-1e200]),
+        ([1e-170, 0.0], -1.0, [0.0, 0.0], [-1e170, 0.0]),
+        # <n, x> underflows to 0 too, so membership is decided on the rescaled halfspace
+        ([5e-324], 0.0, [0.1], [0.0]),
+    ],
+    ids=["1-d", "2-d", "membership"],
+)
+def test_halfspace_projection_survives_an_underflowing_normal(normal, offset, x, expected):
+    # <n, n> underflows to 0; the projection is taken with n / max|n| and
+    # offset / max|n|, so {1e-200 z <= -1} sends 0 to -1e200
+    space = euclidean(len(normal))
+    assert Halfspace(normal, offset).project(space, x).tolist() == expected
+    assert project(space, Halfspace(normal, offset), x).tolist() == expected
 
 
 def test_inner_symmetry_and_parallelogram():
