@@ -41,19 +41,14 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import space as spc
-from .errors import (
-    ConfigurationError,
-    InnerSolveError,
-    InputError,
-    NotConvergedError,
-    ViscofixError,
-)
+from .errors import ConfigurationError, InnerSolveError, InputError, NotConvergedError
 from .maps import GeneralizedContraction, NonexpansiveMap
 from .schedules import _SIMPLEX_TOL, Schedule, ScheduleParams, _meets_condition_i, schedule_eval
 
@@ -90,6 +85,10 @@ class SchemeKind(str, enum.Enum):
 
 # Presets that hard-wire the viscosity term to the identity map.
 IDENTITY_SCHEMES = frozenset({SchemeKind.MANN_IMPLICIT, SchemeKind.MIDPOINT_MANN})
+# Schemes that mix f(x) and T by the single weight collapsed from the schedule.
+_SINGLE_WEIGHT_SCHEMES = frozenset(
+    {SchemeKind.EXPLICIT, SchemeKind.MIDPOINT, SchemeKind.KEMA, SchemeKind.MIDPOINT_MANN}
+)
 
 
 class Termination(enum.Enum):
@@ -101,10 +100,6 @@ class Termination(enum.Enum):
 
     def __str__(self):
         return self.value
-
-
-class ScheduleRangeError(ViscofixError, RuntimeError):
-    """Schedule produced weights outside their admissible ranges."""
 
 
 @dataclass(frozen=True)
@@ -121,15 +116,22 @@ class SolverConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        if not (self.outer_tol > 0.0 and self.inner_tol > 0.0):
-            raise ConfigurationError("tolerances must be positive")
-        if self.max_outer < 1:
-            raise ConfigurationError("iteration caps must be >= 1")
+        for name in ("outer_tol", "inner_tol"):
+            tol = getattr(self, name)
+            if not 0.0 < tol < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive, got {tol!r}")
+        try:
+            max_outer = operator.index(self.max_outer)
+        except TypeError:
+            raise ConfigurationError(
+                f"max_outer must be an integer, got {self.max_outer!r}"
+            ) from None
+        if max_outer < 1:
+            raise ConfigurationError(f"max_outer must be >= 1, got {max_outer}")
 
 
-@dataclass(frozen=True, eq=False)
-class IterationState:
-    """Snapshot after a step: the iterate and its fixed-point residual."""
+class IterationState(NamedTuple):
+    """Snapshot after a step: ``x_n``, its inner applications and its fixed-point residual."""
 
     n: int
     x: np.ndarray
@@ -186,13 +188,8 @@ def _condition_i_failure(p: ScheduleParams, where: str) -> str:
 
 def _collapsed_weight(p: ScheduleParams) -> float:
     # Single-parameter schemes keep the f-vs-T mixing ratio of the
-    # three-term schedule: a = alpha1 / (alpha1 + alpha3).
-    s = p.alpha1 + p.alpha3
-    if s <= 0.0:
-        raise ScheduleRangeError(
-            "alpha1 + alpha3 = 0: the single-parameter schemes cannot consume the weights"
-        )
-    return p.alpha1 / s
+    # three-term schedule; run stops before alpha1 + alpha3 = 0.
+    return p.alpha1 / (p.alpha1 + p.alpha3)
 
 
 def _viscosity_eval(scheme: SchemeKind, f: Optional[GeneralizedContraction]):
@@ -209,6 +206,9 @@ def _viscosity_eval(scheme: SchemeKind, f: Optional[GeneralizedContraction]):
     return f.evaluator
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _picard_affine_solve(
     base: np.ndarray,
     coef: float,
@@ -216,7 +216,7 @@ def _picard_affine_solve(
     anchor: np.ndarray,
     u_weight: float,
     u0: np.ndarray,
-    cfg: SolverConfig,
+    inner_tol: float,
     nrm: Callable[[np.ndarray], float],
     record: Optional[list] = None,
     t_u0: Optional[np.ndarray] = None,
@@ -243,17 +243,17 @@ def _picard_affine_solve(
     constant and one application suffices.  The iteration budget is the
     certified count plus a margin of 10; running past it means ``T``
     shrank nothing, i.e. it is not the nonexpansive map it was declared to
-    be.  A non-finite gap fails at once.
+    be, unless the last gap is within a few ulps of its image: then
+    ``inner_tol`` lies below the iterate's rounding, and the message says
+    so.  A non-finite gap fails at once.
 
+    ``factor < 1`` is the callers' precondition: :func:`run` stops before
+    a larger one, and in :func:`inner_implicit_solve` condition (i) gives
+    ``a3 <= 1`` and ``delta < 1``, so ``fl(a3 * delta) <= delta < 1``.
     ``t_u0``, when given, is ``T(u0)``; it stands in for the first
     application's ``T`` call when that call's argument is bitwise ``u0``.
     """
     factor = coef * u_weight
-    if factor >= 1.0:
-        raise ScheduleRangeError(
-            f"inner map contraction factor {factor:g} is not below 1"
-        )
-    inner_tol = cfg.inner_tol
     # the 1e-9 slack keeps rounding in a plain step from tripping the gate
     shrink = factor * (1.0 + 1e-9)
     u = u0
@@ -284,9 +284,12 @@ def _picard_affine_solve(
             ) + 1
             cap = certified + 10
         if k >= cap:
+            blame = "the operator does not contract as declared"
+            if gap <= 4.0 * _EPS * nrm(g):  # the gap is at the iterate's rounding
+                blame = f"inner_tol {inner_tol:g} is below the iterate's rounding (gap {gap:.3g})"
             raise InnerSolveError(
                 f"inner solve exceeded {cap} applications (certified budget for "
-                f"factor {factor:g}); the operator does not contract as declared"
+                f"factor {factor:g}); {blame}"
             )
         if mixing and k > 1 and gap > shrink * gap_prev:
             # this application shrank the gap less than a plain step must:
@@ -308,17 +311,16 @@ def _picard_affine_solve(
 
 
 def _inner_pieces(scheme: SchemeKind, x: np.ndarray, fx: np.ndarray, p: ScheduleParams):
-    """Affine inner-map pieces (base, coef, anchor, u_weight) per scheme."""
-    if scheme in (SchemeKind.NEW_IMPLICIT, SchemeKind.MANN_IMPLICIT):
-        return p.alpha1 * fx + p.alpha2 * x, p.alpha3, (1.0 - p.delta) * fx, p.delta
+    """Affine inner-map pieces (base, coef, anchor, u_weight) per implicit scheme."""
+    if scheme in _SINGLE_WEIGHT_SCHEMES:  # kema, midpoint and midpoint_mann
+        a = _collapsed_weight(p)
+        if scheme is SchemeKind.KEMA:
+            return a * fx, 1.0 - a, p.delta * x, 1.0 - p.delta
+        return a * fx, 1.0 - a, 0.5 * x, 0.5
     if scheme is SchemeKind.THREE_TERM:
         return p.alpha1 * fx + p.alpha2 * x, p.alpha3, p.delta * x, 1.0 - p.delta
-    if scheme is SchemeKind.KEMA:
-        a = _collapsed_weight(p)
-        return a * fx, 1.0 - a, p.delta * x, 1.0 - p.delta
-    # midpoint and midpoint_mann
-    a = _collapsed_weight(p)
-    return a * fx, 1.0 - a, 0.5 * x, 0.5
+    # new_implicit and mann_implicit
+    return p.alpha1 * fx + p.alpha2 * x, p.alpha3, (1.0 - p.delta) * fx, p.delta
 
 
 def inner_implicit_solve(
@@ -369,7 +371,9 @@ def inner_implicit_solve(
     def t_eval(v, _T=T.evaluator):
         return space.value_point(_T(v), "a value of T")
 
-    return _picard_affine_solve(base, coef, t_eval, anchor, u_weight, x, cfg, space.norm, record)
+    return _picard_affine_solve(
+        base, coef, t_eval, anchor, u_weight, x, cfg.inner_tol, space.norm, record
+    )
 
 
 def run(
@@ -398,10 +402,12 @@ def run(
     ``x1``, ``T(x1)`` or ``f(x1)`` is not a point of the space or the
     schedule's formula is malformed, and whatever ``T`` or ``f`` raise.
 
-    Each step at ``n`` evaluates the weights, checks their ranges and
-    forms ``x_{n+1}``: by the collapsed single-weight update for
-    ``explicit``, by a certified inner solve (see
-    :func:`_picard_affine_solve`) otherwise.  The ``T(x_{n+1})`` of its
+    Each step at ``n`` evaluates the weights and forms ``x_{n+1}``: by
+    the collapsed single-weight update for ``explicit``, by a certified
+    inner solve (see :func:`_picard_affine_solve`) otherwise.  ``run``
+    checks each range rule where its numbers first exist and records the
+    stop: condition (i), then ``alpha1 + alpha3 > 0`` for the single-weight
+    schemes, then an inner factor below 1.  The ``T(x_{n+1})`` of its
     residual serves as the next step's ``T(x_n)``.
 
     Runs are deterministic: identical inputs produce bitwise-identical
@@ -416,7 +422,7 @@ def run(
     tx = space.value_point(t_eval(x), "T(x1)")
     residual = nrm(x - tx)
     if observer is not None:
-        observer(IterationState(n=n, x=x, last_inner_iters=0, residual=residual))
+        observer(IterationState(n, x, 0, residual))
     trace: List[TraceRow] = []
     termination, message = None, ""
     for _ in range(cfg.max_outer):
@@ -427,31 +433,39 @@ def run(
             termination = Termination.SCHEDULE_RANGE_VIOLATION
             message = _condition_i_failure(p, f"at n = {n}")
             break
-        try:
-            fx = x if f_eval is None else f_eval(x)
-            if n == n1 and f_eval is not None:
-                fx = space.value_point(fx, "f(x1)")
-            if scheme is SchemeKind.EXPLICIT:
-                a = _collapsed_weight(p)
-                x_next, inner_iters = a * fx + (1.0 - a) * tx, 0
-            else:
-                base, coef, anchor, u_weight = _inner_pieces(scheme, x, fx, p)
-                x_next, inner_iters = _picard_affine_solve(
-                    base, coef, t_eval, anchor, u_weight, x, cfg, nrm, t_u0=tx
+        fx = x if f_eval is None else f_eval(x)
+        if n == n1 and f_eval is not None:
+            fx = space.value_point(fx, "f(x1)")
+        if scheme in _SINGLE_WEIGHT_SCHEMES and p.alpha1 + p.alpha3 <= 0.0:
+            termination, message = Termination.SCHEDULE_RANGE_VIOLATION, (
+                "alpha1 + alpha3 = 0: the single-parameter schemes cannot consume "
+                f"the weights at n = {n}"
+            )
+            break
+        if scheme is SchemeKind.EXPLICIT:
+            a = _collapsed_weight(p)
+            x_next, inner_iters = a * fx + (1.0 - a) * tx, 0
+        else:
+            base, coef, anchor, u_weight = _inner_pieces(scheme, x, fx, p)
+            if coef * u_weight >= 1.0:
+                termination, message = Termination.SCHEDULE_RANGE_VIOLATION, (
+                    f"inner map contraction factor {coef * u_weight:g} is not below 1 at n = {n}"
                 )
-        except ScheduleRangeError as exc:
-            termination, message = Termination.SCHEDULE_RANGE_VIOLATION, f"{exc} at n = {n}"
-            break
-        except InnerSolveError as exc:
-            termination, message = Termination.INNER_SOLVE_FAILED, f"{exc} (outer step n = {n})"
-            break
+                break
+            try:
+                x_next, inner_iters = _picard_affine_solve(
+                    base, coef, t_eval, anchor, u_weight, x, cfg.inner_tol, nrm, t_u0=tx
+                )
+            except InnerSolveError as exc:
+                termination, message = Termination.INNER_SOLVE_FAILED, f"{exc} (outer step n = {n})"
+                break
         tx = t_eval(x_next)
         residual = nrm(x_next - tx)
         if cfg.record_trace:
             trace.append(TraceRow(n, residual, nrm(x_next - x), inner_iters, *p))
         n, x = n + 1, x_next
         if observer is not None:
-            observer(IterationState(n=n, x=x, last_inner_iters=inner_iters, residual=residual))
+            observer(IterationState(n, x, inner_iters, residual))
     if termination is None:
         if residual <= cfg.outer_tol:
             termination = Termination.CONVERGED

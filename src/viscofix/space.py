@@ -268,6 +268,14 @@ class Ball(ConvexSetBase):
         return f"Ball(center={self.center!r}, radius={self.radius!r})"
 
 
+def _halfspace_formula(space, normal, offset, nn, x):
+    """Projection of ``x`` onto ``{z : <normal, z> <= offset}``; ``nn`` is ``<normal, normal>``."""
+    excess = float(space.inner(normal, x)) - offset
+    if excess <= 0.0:
+        return x
+    return x - (excess / nn) * normal
+
+
 class Halfspace(ConvexSetBase):
     """Halfspace ``{z : <normal, z> <= offset}`` in the weighted pairing."""
 
@@ -286,16 +294,22 @@ class Halfspace(ConvexSetBase):
         x = space.point(x)
         if self.normal.shape != (space.dim,):
             raise InputError("halfspace normal does not match the space dimension")
-        normal, offset = self.normal, self.offset
-        nn = float(space.inner(normal, normal))
-        if nn == 0.0:  # <n, n> underflows: the same halfspace written with n / max|n|
-            top = float(np.max(np.abs(normal)))
-            normal, offset = normal / top, offset / top
+        normal = self.normal
+        with np.errstate(over="ignore", invalid="ignore"):
             nn = float(space.inner(normal, normal))
-        excess = float(space.inner(normal, x)) - offset
-        if excess <= 0.0:
-            return x
-        return x - (excess / nn) * normal
+            if 0.0 < nn < math.inf:
+                y = _halfspace_formula(space, normal, self.offset, nn, x)
+                if np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
+                    return y
+            # <n, n> or the projection left the float range: the same
+            # halfspace written with n / max|n|
+            top = float(np.max(np.abs(normal)))
+            normal = normal / top
+            nn = float(space.inner(normal, normal))
+            y = _halfspace_formula(space, normal, self.offset / top, nn, x)
+        if np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
+            return y
+        raise InputError(f"the projection of {x.tolist()} onto {self!r} is not representable")
 
     def __repr__(self):
         return f"Halfspace(normal={self.normal!r}, offset={self.offset!r})"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -194,9 +195,24 @@ def test_collapse_needs_positive_weight_mass():
             "alpha1 + alpha3 = 0: the single-parameter schemes cannot consume the weights "
             "at n = 3",
         ),
+        *(
+            (
+                scheme,
+                custom_rational((0, 0, 0), (1, 0, 0), (0, 0, 0), (0.5, 0, 0)),
+                "alpha1 + alpha3 = 0: the single-parameter schemes cannot consume the weights "
+                "at n = 1",
+            )
+            for scheme in (SchemeKind.KEMA, SchemeKind.MIDPOINT, SchemeKind.MIDPOINT_MANN)
+        ),
         # 1 - delta rounds to 1, so the inner map's factor alpha3 * (1 - delta) is 1
         (
             SchemeKind.THREE_TERM,
+            custom_rational((0, 0, 0), (0, 0, 0), (1, 0, 0), (5e-324, 0, 0)),
+            "inner map contraction factor 1 is not below 1 at n = 1",
+        ),
+        # the collapsed weight is 0, so the factor (1 - 0) * (1 - delta) is 1 too
+        (
+            SchemeKind.KEMA,
             custom_rational((0, 0, 0), (0, 0, 0), (1, 0, 0), (5e-324, 0, 0)),
             "inner map contraction factor 1 is not below 1 at n = 1",
         ),
@@ -206,10 +222,14 @@ def test_collapse_needs_positive_weight_mass():
             "non-finite weights at n = 1",
         ),
     ],
-    ids=["collapsed-weight", "inner-factor", "non-finite"],
+    ids=[
+        "collapsed-weight", "collapsed-weight-kema", "collapsed-weight-midpoint",
+        "collapsed-weight-midpoint_mann", "inner-factor", "inner-factor-kema", "non-finite",
+    ],
 )
 def test_schedule_range_failures_name_the_step(scheme, schedule, message):
-    report = _one_step(scheme, schedule=schedule)
+    f = None if scheme in vx.solver.IDENTITY_SCHEMES else QUARTER
+    report = _one_step(scheme, f, schedule)
     assert report.termination is Termination.SCHEDULE_RANGE_VIOLATION
     assert report.message == message
     assert (report.n_final, report.trace) == (schedule.start_index, [])
@@ -333,6 +353,8 @@ def test_run_observer_sees_every_state():
         SP1, SchemeKind.KEMA, QUARTER, HALF, halpern_mix(), np.array([1.0]), cfg,
         observer=seen.append,
     )
+    assert all(type(state) is vx.IterationState for state in seen)
+    assert vx.IterationState._fields == ("n", "x", "last_inner_iters", "residual")
     assert seen[0].n == 1 and seen[0].x[0] == 1.0
     assert seen[-1].n == report.n_final
     assert len(seen) == report.n_final  # states n = 1 .. n_final
@@ -629,12 +651,20 @@ def test_inner_solve_rejects_a_T_value_that_is_not_a_point():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ConfigurationError):
-        SolverConfig(outer_tol=0.0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(inner_tol=-1e-9)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(max_outer=0)
+    # an infinite tolerance certifies nothing, and a float cap is not a number of steps
+    cases = [
+        ({"outer_tol": 0.0}, "outer_tol must be finite and positive, got 0.0"),
+        ({"inner_tol": -1e-9}, "inner_tol must be finite and positive, got -1e-09"),
+        ({"max_outer": 0}, "max_outer must be >= 1, got 0"),
+        ({"outer_tol": math.inf}, "outer_tol must be finite and positive, got inf"),
+        ({"inner_tol": math.inf}, "inner_tol must be finite and positive, got inf"),
+        ({"inner_tol": math.nan}, "inner_tol must be finite and positive, got nan"),
+        ({"max_outer": 1e5}, "max_outer must be an integer, got 100000.0"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            SolverConfig(**kwargs)
+    assert SolverConfig(max_outer=np.int64(3)).max_outer == 3
 
 
 # contraction factor 0.99 * 0.99 = 0.9801 at every step

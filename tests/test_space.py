@@ -295,30 +295,54 @@ def test_halfspace_projection_is_the_weighted_dot_formula_bit_for_bit(data):
         return x if excess <= 0.0 else x - (excess / float(np.dot(wn, normal))) * normal
 
     if float(np.dot(space.weights * normal, normal)) != 0.0:
-        assert _bits(Halfspace(normal, offset).project(space, x)) == _bits(formula(normal, offset))
-        return
-    # a tiny normal whose <n, n> underflows: the same halfspace, rescaled.  Its
-    # offset may pass the largest float, and the projection with it, in both.
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = formula(normal, offset)
+        if np.all(np.isfinite(plain)):
+            assert _bits(Halfspace(normal, offset).project(space, x)) == _bits(plain)
+            return
+    # a tiny normal whose <n, n> underflows, or a projection past the largest
+    # float: the same halfspace, rescaled.  Its offset may pass the largest
+    # float, and the projection with it: that projection is not representable.
     top = float(np.max(np.abs(normal)))
     with np.errstate(over="ignore", invalid="ignore"):
-        projected = Halfspace(normal, offset).project(space, x)
-        assert _bits(projected) == _bits(formula(normal / top, offset / top))
+        rescaled = formula(normal / top, offset / top)
+    if np.all(np.isfinite(rescaled)):
+        assert _bits(Halfspace(normal, offset).project(space, x)) == _bits(rescaled)
+    else:
+        with pytest.raises(InputError, match="is not representable"):
+            Halfspace(normal, offset).project(space, x)
 
 
 @pytest.mark.parametrize(
-    "normal, offset, x, expected",
+    "weight, normal, offset, x, expected",
     [
-        ([1e-200], -1.0, [0.0], [-1e200]),
-        ([1e-170, 0.0], -1.0, [0.0, 0.0], [-1e170, 0.0]),
+        (1.0, [1e-200], -1.0, [0.0], [-1e200]),
+        (1.0, [1e-170, 0.0], -1.0, [0.0, 0.0], [-1e170, 0.0]),
         # <n, x> underflows to 0 too, so membership is decided on the rescaled halfspace
-        ([5e-324], 0.0, [0.1], [0.0]),
+        (1.0, [5e-324], 0.0, [0.1], [0.0]),
+        # <n, n> overflows instead
+        (1.0, [1e200], 0.0, [1.0], [0.0]),
+        (1.0, [1e200, 0.0], 0.0, [1.0, 2.0], [0.0, 2.0]),
+        (1e100, [1e160], 0.0, [1.0], [0.0]),
+        # <n, x> overflows, so the plain projection is -inf
+        (1.0, [1e150], 0.0, [1e200], [0.0]),
+        # the rescaled offset -4 / 2.2e-308 passes the largest float
+        (1.0, [2.2250738585072014e-308, 0.0], -4.0, [0.0, 0.0], InputError),
     ],
-    ids=["1-d", "2-d", "membership"],
+    ids=[
+        "1-d", "2-d", "membership", "overflow-1-d", "overflow-2-d", "overflow-weighted",
+        "overflow-pairing", "not-representable",
+    ],
 )
-def test_halfspace_projection_survives_an_underflowing_normal(normal, offset, x, expected):
-    # <n, n> underflows to 0; the projection is taken with n / max|n| and
-    # offset / max|n|, so {1e-200 z <= -1} sends 0 to -1e200
-    space = euclidean(len(normal))
+def test_halfspace_projection_survives_an_underflowing_normal(weight, normal, offset, x, expected):
+    # <n, n> underflows to 0 or overflows, or the projection does: it is
+    # taken with n / max|n| and offset / max|n|, so {1e-200 z <= -1} sends
+    # 0 to -1e200, and a projection still past the float range is refused
+    space = SpaceDescriptor(len(normal), np.full(len(normal), weight))
+    if expected is InputError:
+        with pytest.raises(InputError, match="is not representable"):
+            Halfspace(normal, offset).project(space, x)
+        return
     assert Halfspace(normal, offset).project(space, x).tolist() == expected
     assert project(space, Halfspace(normal, offset), x).tolist() == expected
 
