@@ -260,8 +260,9 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=
     xs, ys = np.random.default_rng(seed).standard_normal((2, n_samples, space.dim)) * 3.0
     # projecting into the whole space is the identity
     if domain is not None and type(domain) is not spc.WholeSpace:
-        xs = np.array([spc.project(space, domain, x) for x in xs])
-        ys = np.array([spc.project(space, domain, y) for y in ys])
+        project = spc.convex_set(domain).project
+        xs = np.array([project(space, x) for x in xs])
+        ys = np.array([project(space, y) for y in ys])
     diffs = xs - ys
     dists = space.row_norms(diffs)
     apart = dists != 0.0

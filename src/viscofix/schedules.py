@@ -268,10 +268,15 @@ class ConditionFinding:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Per-condition verdicts plus diagnostics and range bookkeeping."""
+    """Per-condition verdicts plus diagnostics and range bookkeeping.
+
+    ``range_violations`` holds the first eight indices where condition (i)
+    fails, in increasing order; ``range_violation_count`` counts them all.
+    """
 
     conditions: dict
     range_violations: list
+    range_violation_count: int
     diagnostics: dict
 
     def status(self, key: str) -> Status:
@@ -283,8 +288,8 @@ class ConditionReport:
             finding = self.conditions[key]
             lines.append(f"({key}) {finding.status}: {finding.detail}")
         if self.range_violations:
-            shown = ", ".join(str(n) for n in self.range_violations[:8])
-            more = "" if len(self.range_violations) <= 8 else ", ..."
+            shown = ", ".join(str(n) for n in self.range_violations)
+            more = "" if self.range_violation_count == len(self.range_violations) else ", ..."
             lines.append(f"range violations at n = {shown}{more}")
         lines.append(
             "same-limit ratio alpha3/(1 - alpha2 - alpha3*delta): "
@@ -294,6 +299,7 @@ class ConditionReport:
 
 
 _SIMPLEX_TOL = 1e-12
+_SHOWN_VIOLATIONS = 8  # range violation indices a report keeps
 
 
 def _meets_condition_i(a1, a2, a3, d):
@@ -421,12 +427,12 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     are resolved from the schedule's declared analytic facts when present;
     otherwise they are estimated from partial sums and tail exponents and
     the verdict is capped at inconclusive or violated.  Indices from 1 up
-    to the start index are probed too: simplex failures there land in
-    ``range_violations`` without affecting the condition verdicts.
+    to the start index are probed too: simplex failures there are range
+    violations that do not affect the condition verdicts.
 
-    The indices are walked in blocks of ``_BLOCK``, so memory does not grow
-    with the horizon; only the list of range violations does.  Findings are
-    report content; this function does not raise on them.
+    The indices are walked in blocks of ``_BLOCK`` and only the first range
+    violations are kept, so memory does not grow with the horizon.
+    Findings are report content; this function does not raise on them.
     """
     try:
         horizon = operator.index(horizon)
@@ -441,7 +447,7 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
 
     facts, start = s.facts, s.start_index
     tail_start = max(horizon // 10, start)  # the last decade, which every heuristic reads
-    range_violations = []
+    range_violations, n_violations, first_bad = [], 0, None
     drift_sum = tail_sum = -0.0  # -0.0 + x is x for every float x
     d_min, d_max, d_prev, first_drop = np.inf, -np.inf, np.empty(0), None
     drift_fit, tail_fit = _TailFit(), _TailFit()
@@ -460,7 +466,11 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
                 raise _malformed(s, values, f"scalars or arrays of shape {ns.shape}") from None
             # a pole below the start index gives inf - inf = NaN, which fails (i)
             ok = _meets_condition_i(a1, a2, a3, d)
-        range_violations.extend((np.flatnonzero(~ok) + lo).tolist())
+        bad = np.flatnonzero(~ok) + lo
+        n_violations += bad.size
+        range_violations.extend(bad[: _SHOWN_VIOLATIONS - len(range_violations)].tolist())
+        if first_bad is None and bad.size and bad[-1] >= start:
+            first_bad = int(bad[np.searchsorted(bad, start)])
         if lo + len(ns) <= start:
             continue
         live = slice(max(start - lo, 0), None)  # the indices n >= start_index
@@ -491,7 +501,6 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
             finite = np.flatnonzero(np.isfinite(ratio))
             ratio_last = ratio[finite[-1]] if finite.size else ratio_last
 
-    first_bad = next((n for n in range_violations if n >= start), None)
     if first_bad is None:
         cond_i = ConditionFinding(
             Status.SATISFIED,
@@ -591,5 +600,6 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     return ConditionReport(
         conditions={"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv, "v": cond_v},
         range_violations=range_violations,
+        range_violation_count=n_violations,
         diagnostics=diagnostics,
     )

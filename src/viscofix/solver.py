@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence
@@ -64,7 +65,6 @@ __all__ = [
     "run",
     "vi_residual",
     "compare_limits",
-    "TRACE_FIELDS",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -118,8 +118,10 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("outer_tol", "inner_tol"):
             tol = getattr(self, name)
-            if not 0.0 < tol < math.inf:
+            if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
                 raise ConfigurationError(f"{name} must be finite and positive, got {tol!r}")
+        if not isinstance(self.record_trace, bool):
+            raise ConfigurationError(f"record_trace must be a bool, got {self.record_trace!r}")
         try:
             max_outer = operator.index(self.max_outer)
         except TypeError:
@@ -505,8 +507,8 @@ def vi_residual(
     if len(samples) == 0:
         raise InputError("vi_residual needs at least one sample point")
     p = space.point(p)
-    direction = p - f.evaluator(p)
-    return min(spc.inner(space, direction, space.point(x) - p) for x in samples)
+    direction = p - space.value_point(f.evaluator(p), "f(p)")
+    return min(float(space.inner(direction, space.point(x) - p)) for x in samples)
 
 
 def compare_limits(report_a: SolveReport, report_b: SolveReport) -> float:
@@ -526,7 +528,6 @@ def compare_limits(report_a: SolveReport, report_b: SolveReport) -> float:
     return spc.norm(report_a.space, report_a.final_point - report_b.final_point)
 
 
-TRACE_FIELDS = TraceRow._fields
 _TRACE_LINE = "%d,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g\r\n"
 _TRACE_TYPES = (int, float, float, int, float, float, float, float)
 
@@ -534,7 +535,7 @@ _TRACE_TYPES = (int, float, float, int, float, float, float, float)
 def write_trace_csv(trace: Sequence[TraceRow], path) -> None:
     """Write trace rows as CSV with 17-significant-digit reals and ``\\r\\n`` line ends."""
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(TRACE_FIELDS) + "\r\n")
+        handle.write(",".join(TraceRow._fields) + "\r\n")
         handle.writelines(_TRACE_LINE % row for row in trace)
 
 
@@ -544,7 +545,7 @@ def read_trace_csv(path) -> List[TraceRow]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != list(TRACE_FIELDS):
+        if header != list(TraceRow._fields):
             raise InputError(f"unexpected trace header: {header!r}")
         for record in reader:
             try:  # a short or long row, or a field that does not convert

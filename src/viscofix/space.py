@@ -8,8 +8,8 @@ weights) and :func:`trapezoid` (quadrature weights on a uniform grid of
 ``[0, 1]``, so the norm discretizes the L2 norm).
 
 The normalized duality pairing on a Hilbert space is realized by the
-identity, so no separate duality machinery exists here; ``inner`` is the
-pairing.
+identity, so no separate duality machinery exists here;
+:meth:`SpaceDescriptor.inner` is the pairing.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ __all__ = [
     "euclidean",
     "trapezoid",
     "trapezoid_nodes",
-    "inner",
     "norm",
     "WholeSpace",
     "Box",
     "Ball",
-    "Halfspace",
     "AffineSpan",
-    "project",
 ]
 
 
@@ -180,23 +177,20 @@ def same_space(a: SpaceDescriptor, b: SpaceDescriptor) -> bool:
     return a.dim == b.dim and np.array_equal(a.weights, b.weights)
 
 
-def inner(space: SpaceDescriptor, x, y) -> float:
-    """Weighted inner product ``sum_i w_i x_i y_i``."""
-    return float(space.inner(space.point(x), space.point(y)))
-
-
 def norm(space: SpaceDescriptor, x) -> float:
-    """Norm induced by :func:`inner`."""
+    """Norm induced by :meth:`SpaceDescriptor.inner`; the shape of ``x`` is checked."""
     return space.norm(space.point(x))
 
 
 class ConvexSetBase:
     """Closed convex subset supporting metric projection.
 
-    Subclasses implement ``project(space, x)`` returning the unique nearest
-    point in the weighted norm.  Projections are nonexpansive and
-    idempotent; for any member ``z`` of the set the angle property
-    ``<x - Px, z - Px> <= 0`` holds.
+    The subclasses :class:`WholeSpace`, :class:`Box`, :class:`Ball` and
+    :class:`AffineSpan` implement ``project(space, x)``, the unique nearest
+    point of the set to the point ``x`` of ``space`` in its weighted norm;
+    :func:`convex_set` refuses any other object.  Projections are
+    nonexpansive and idempotent; for any member ``z`` of the set the angle
+    property ``<x - Px, z - Px> <= 0`` holds.
     """
 
     def project(self, space: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
@@ -268,53 +262,6 @@ class Ball(ConvexSetBase):
         return f"Ball(center={self.center!r}, radius={self.radius!r})"
 
 
-def _halfspace_formula(space, normal, offset, nn, x):
-    """Projection of ``x`` onto ``{z : <normal, z> <= offset}``; ``nn`` is ``<normal, normal>``."""
-    excess = float(space.inner(normal, x)) - offset
-    if excess <= 0.0:
-        return x
-    return x - (excess / nn) * normal
-
-
-class Halfspace(ConvexSetBase):
-    """Halfspace ``{z : <normal, z> <= offset}`` in the weighted pairing."""
-
-    def __init__(self, normal, offset: float):
-        normal = np.asarray(normal, dtype=np.float64)
-        if normal.ndim != 1 or not np.all(np.isfinite(normal)):
-            raise ConfigurationError("halfspace normal must be a finite 1-d array")
-        if not np.any(normal != 0.0):
-            raise ConfigurationError("halfspace normal must be nonzero")
-        if not np.isfinite(offset):
-            raise ConfigurationError("halfspace offset must be finite")
-        self.normal = normal
-        self.offset = float(offset)
-
-    def project(self, space, x):
-        x = space.point(x)
-        if self.normal.shape != (space.dim,):
-            raise InputError("halfspace normal does not match the space dimension")
-        normal = self.normal
-        with np.errstate(over="ignore", invalid="ignore"):
-            nn = float(space.inner(normal, normal))
-            if 0.0 < nn < math.inf:
-                y = _halfspace_formula(space, normal, self.offset, nn, x)
-                if np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
-                    return y
-            # <n, n> or the projection left the float range: the same
-            # halfspace written with n / max|n|
-            top = float(np.max(np.abs(normal)))
-            normal = normal / top
-            nn = float(space.inner(normal, normal))
-            y = _halfspace_formula(space, normal, self.offset / top, nn, x)
-        if np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
-            return y
-        raise InputError(f"the projection of {x.tolist()} onto {self!r} is not representable")
-
-    def __repr__(self):
-        return f"Halfspace(normal={self.normal!r}, offset={self.offset!r})"
-
-
 class AffineSpan(ConvexSetBase):
     """Affine set ``base + span(directions)`` with orthonormal directions.
 
@@ -370,26 +317,6 @@ class AffineSpan(ConvexSetBase):
 
     def __repr__(self):
         return f"AffineSpan(base={self.base!r}, k={self.directions.shape[0]})"
-
-
-def project(space: SpaceDescriptor, cset: ConvexSetBase, x) -> np.ndarray:
-    """Metric projection of ``x`` onto ``cset`` in the weighted norm.
-
-    Parameters
-    ----------
-    space : SpaceDescriptor
-    cset : ConvexSetBase
-        One of :class:`WholeSpace`, :class:`Box`, :class:`Ball`,
-        :class:`Halfspace`, :class:`AffineSpan`.
-    x : array_like
-        Point of the space.
-
-    Returns
-    -------
-    numpy.ndarray
-        The unique nearest point of ``cset``.
-    """
-    return convex_set(cset).project(space, x)
 
 
 def convex_set(cset) -> ConvexSetBase:

@@ -6,17 +6,16 @@ import viscofix
 PUBLIC_NAMES = [
     "AffineSpan", "AnalyticFacts", "AuditReport", "Ball", "Box", "ConditionFinding",
     "ConditionReport", "ConfigurationError", "ContractionModulus", "FredholmProblem",
-    "GeneralizedContraction", "Halfspace", "IDENTITY_SCHEMES", "InnerSolveError",
-    "InputError", "IterationState", "MonotoneOperatorSpec", "NonexpansiveMap",
-    "NotConvergedError", "Schedule", "ScheduleParams", "SchemeKind", "SolveReport",
-    "SolverConfig", "SpaceDescriptor", "Status", "TRACE_FIELDS", "Termination",
-    "TraceRow", "ViscofixError", "WholeSpace", "average_pseudocontraction",
-    "check_contraction", "check_inverse_strongly_monotone", "check_nonexpansive",
-    "compare_limits", "compare_t16", "custom_rational", "eq75", "euclidean",
-    "forward_projected", "fredholm_grid", "fredholm_operator", "halpern_mix", "inner",
-    "inner_implicit_solve", "linear_modulus", "norm", "project", "rational_modulus",
-    "read_trace_csv", "run", "schedule_eval", "trapezoid", "trapezoid_nodes",
-    "validate_assumption12", "vi_residual", "write_trace_csv",
+    "GeneralizedContraction", "IDENTITY_SCHEMES", "InnerSolveError", "InputError",
+    "IterationState", "MonotoneOperatorSpec", "NonexpansiveMap", "NotConvergedError",
+    "Schedule", "ScheduleParams", "SchemeKind", "SolveReport", "SolverConfig",
+    "SpaceDescriptor", "Status", "Termination", "TraceRow", "ViscofixError", "WholeSpace",
+    "average_pseudocontraction", "check_contraction", "check_inverse_strongly_monotone",
+    "check_nonexpansive", "compare_limits", "compare_t16", "custom_rational", "eq75",
+    "euclidean", "forward_projected", "fredholm_grid", "fredholm_operator", "halpern_mix",
+    "inner_implicit_solve", "linear_modulus", "norm", "rational_modulus", "read_trace_csv",
+    "run", "schedule_eval", "trapezoid", "trapezoid_nodes", "validate_assumption12",
+    "vi_residual", "write_trace_csv",
 ]
 
 REPUBLISHED = ("errors", "maps", "schedules", "solver", "space")

@@ -28,9 +28,7 @@ from viscofix import (
     fredholm_grid,
     fredholm_operator,
     linear_modulus,
-    inner,
     norm,
-    project,
     rational_modulus,
     run,
     trapezoid,
@@ -228,7 +226,7 @@ def _per_pair_audit(space, n_samples, seed, score, worse, start, bound, domain=N
     worst, witness = start, None
     for x, y in zip(xs, ys):
         if domain is not None:
-            x, y = project(space, domain, x), project(space, domain, y)
+            x, y = domain.project(space, x), domain.project(space, y)
         dist = norm(space, x - y)
         if dist == 0.0:
             continue
@@ -256,7 +254,7 @@ def _reference_contraction(space, f, n_samples, seed):
 def _reference_inverse_strongly_monotone(space, A, n_samples, seed):
     def slack(u, v, _dist):
         du = A(u) - A(v)
-        return inner(space, du, u - v) - A.ism_alpha * norm(space, du) ** 2
+        return float(space.inner(du, u - v)) - A.ism_alpha * norm(space, du) ** 2
 
     return _per_pair_audit(space, n_samples, seed, slack, operator.lt, np.inf, -1e-10)
 
@@ -507,14 +505,14 @@ def test_forward_projected_gamma_range():
 
 
 def test_forward_projected_rejects_a_constraint_that_is_not_a_convex_set():
-    # checked when the map is built, with the text project() uses
+    # checked when the map is built, with the text the audit of a map on such a domain gives
     sp = euclidean(2)
     ident = MonotoneOperatorSpec(lambda x: x, 1.0)
     with pytest.raises(ConfigurationError) as built:
         forward_projected(sp, "ball", ident, gamma=0.5)
-    with pytest.raises(ConfigurationError) as projected:
-        project(sp, "ball", np.zeros(2))
-    assert str(built.value) == str(projected.value) == "unsupported set kind: str"
+    with pytest.raises(ConfigurationError) as audited:
+        check_nonexpansive(sp, NonexpansiveMap(lambda x: x, domain="ball"), n_samples=4)
+    assert str(built.value) == str(audited.value) == "unsupported set kind: str"
 
 
 def test_forward_projected_ball_fixed_point():

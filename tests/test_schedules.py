@@ -300,7 +300,9 @@ def test_validator_names_a_delta_off_the_open_unit_interval(delta, detail):
     report = validate_assumption12(flat, 200)
     assert report.status("v") is Status.VIOLATED
     assert report.conditions["v"].detail == detail
-    assert report.range_violations == list(range(1, 201))
+    # a report keeps the first eight range violations and counts them all
+    assert report.range_violations == list(range(1, 9))
+    assert report.range_violation_count == 200
 
 
 def test_validator_horizon_gate():
@@ -535,7 +537,8 @@ def _oracle(s, horizon):
 def _assert_matches_oracle(s, horizon):
     report = validate_assumption12(s, horizon)
     conditions, range_violations, diagnostics = _oracle(s, horizon)
-    assert report.range_violations == range_violations
+    assert report.range_violations == range_violations[:8]
+    assert report.range_violation_count == len(range_violations)
     for key, (status, detail) in conditions.items():
         assert (report.status(key), report.conditions[key].detail) == (status, detail), key
     bitwise = horizon <= schedules._BLOCK
@@ -600,6 +603,17 @@ PLANTED = {
         custom_rational((0, 0.5, 0), (1, -1.5, 0), (0, 1, 0), (0.5, -0.5, 1), start_index=2),
         12 * B + 7,
     ),
+    # alpha2 = 1 - 10/n fails (i) at the nine indices below the start index 10
+    "violations-below-start": (
+        custom_rational((0, 5, 0), (1, -10, 0), (0, 5, 0), (0.5, 0, 0), start_index=10), 1000,
+    ),
+    # the same, with a live violation at n = B + 3 after the eight kept ones
+    "violations-below-start-and-one-live": (
+        Schedule(kind="early", start_index=10, formula=lambda n: (
+            5 / n + _where(n, n == B + 3, 0.5, 0.0), 1 - 10 / n, 5 / n, 0.5 + 0 * n,
+        )),
+        2 * B,
+    ),
     "one-block": (BENCH_CUSTOM, B),
     "one-block-and-one-index": (BENCH_CUSTOM, B + 1),
 }
@@ -614,6 +628,14 @@ def test_blocked_validator_matches_the_whole_array_oracle(name):
     elif name == "range-violation-at-boundary":
         assert report.range_violations == [B, B + 1]
         assert report.conditions["i"].detail == f"simplex/range constraint fails first at n = {B}"
+    elif name.startswith("violations-below-start"):
+        assert report.range_violations == list(range(1, 9))
+        live = name.endswith("live")
+        assert report.range_violation_count == 9 + live
+        assert report.conditions["i"].detail == (
+            f"simplex/range constraint fails first at n = {B + 3}" if live
+            else "weights on the simplex and delta in (0,1) for all n in [10, 1000]"
+        )
     elif name == "too-few-positive-spread-over-two-blocks":
         assert report.diagnostics["tail_exponent"] is None
         assert "tail exponent n/a" in report.conditions["iv"].detail
@@ -637,10 +659,12 @@ def test_validator_within_one_block_is_bitwise_the_oracle(schedule, horizon):
 def test_validator_memory_does_not_grow_with_the_horizon():
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        validate_assumption12(eq75(), 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    # eq75, and a schedule that fails (i) at every one of the 10^6 indices
+    for schedule in (eq75(), custom_rational((2, 0, 0), (0, 0, 0), (0, 0, 0), (0.5, 0, 0))):
+        tracemalloc.start()
+        try:
+            validate_assumption12(schedule, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"{schedule.kind}: traced peak {peak / 2**20:.1f} MiB"

@@ -396,6 +396,26 @@ def test_step_chain_reproduces_run_bitwise(scheme):
     assert seen[-1].residual == report.final_residual
 
 
+@pytest.mark.parametrize("preset", [eq75, halpern_mix, compare_t16])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_a_run_resumed_from_its_report_is_the_uninterrupted_run_bitwise(scheme, preset):
+    # split after k steps, then continue from n_final and final_point with
+    # the rest of the budget: converged and max_iters runs alike
+    sp, T, const = _plane()
+    f = None if scheme in vx.solver.IDENTITY_SCHEMES else const
+    x1, cfg = np.array([0.0, 5.0]), SolverConfig(outer_tol=1e-2, max_outer=1000)
+    whole = run(sp, scheme, f, T, preset(), x1, cfg)
+    k = len(whole.trace) // 2
+    head = run(sp, scheme, f, T, preset(), x1, dataclasses.replace(cfg, max_outer=k))
+    rest = dataclasses.replace(cfg, max_outer=cfg.max_outer - k)
+    resumed = dataclasses.replace(preset(), start_index=head.n_final)
+    tail = run(sp, scheme, f, T, resumed, head.final_point, rest)
+    assert np.array(head.trace + tail.trace).tobytes() == np.array(whole.trace).tobytes()
+    assert tail.n_final == whole.n_final
+    assert tail.final_point.tobytes() == whole.final_point.tobytes()
+    assert tail.termination is whole.termination
+
+
 def test_inner_solve_is_the_new_implicit_step_bitwise():
     sp, T, const = _plane()
     cfg = SolverConfig(max_outer=1)
@@ -660,6 +680,10 @@ def test_solver_config_validation():
         ({"inner_tol": math.inf}, "inner_tol must be finite and positive, got inf"),
         ({"inner_tol": math.nan}, "inner_tol must be finite and positive, got nan"),
         ({"max_outer": 1e5}, "max_outer must be an integer, got 100000.0"),
+        # a tolerance that is not a number, and a truthy string that is not a flag
+        ({"outer_tol": "1e-6"}, "outer_tol must be finite and positive, got '1e-6'"),
+        ({"inner_tol": None}, "inner_tol must be finite and positive, got None"),
+        ({"record_trace": "no"}, "record_trace must be a bool, got 'no'"),
     ]
     for kwargs, message in cases:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):

@@ -11,31 +11,29 @@ from viscofix import (
     Ball,
     Box,
     ConfigurationError,
-    Halfspace,
     InputError,
     SpaceDescriptor,
     WholeSpace,
     average_pseudocontraction,
     euclidean,
-    inner,
     norm,
-    project,
     trapezoid,
     trapezoid_nodes,
 )
+from viscofix.space import convex_set
 
 
 def test_inner_euclidean_values():
     sp = euclidean(2)
-    assert inner(sp, [1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert inner(sp, [3.0, 4.0], [3.0, 4.0]) == 25.0
+    assert sp.inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert sp.inner(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 25.0
 
 
 def test_inner_trapezoid_constant_one():
     sp = trapezoid(2)
     assert np.allclose(sp.weights, [0.25, 0.5, 0.25])
     # weights sum to 1 = integral of 1 over [0, 1]
-    assert inner(sp, np.ones(3), np.ones(3)) == pytest.approx(1.0, abs=1e-15)
+    assert sp.inner(np.ones(3), np.ones(3)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_norm_values():
@@ -56,8 +54,6 @@ def test_trapezoid_nodes_are_uniform():
 
 def test_dimension_mismatch_rejected():
     sp = euclidean(2)
-    with pytest.raises(InputError):
-        inner(sp, [1.0, 2.0, 3.0], [1.0, 2.0])
     with pytest.raises(InputError):
         norm(sp, [1.0])
     with pytest.raises(InputError):
@@ -86,40 +82,33 @@ def test_weights_are_read_only():
 def test_project_ball_examples():
     sp = euclidean(2)
     ball = Ball(np.zeros(2), 1.0)
-    assert np.allclose(project(sp, ball, [3.0, 4.0]), [0.6, 0.8])
+    assert np.allclose(ball.project(sp, [3.0, 4.0]), [0.6, 0.8])
     inside = np.array([0.1, -0.2])
-    assert np.array_equal(project(sp, ball, inside), inside)
+    assert np.array_equal(ball.project(sp, inside), inside)
 
 
 def test_project_box_examples():
     sp = euclidean(2)
     box = Box([0.0, 0.0], [1.0, 1.0])
-    assert np.allclose(project(sp, box, [0.5, 2.0]), [0.5, 1.0])
-    assert np.allclose(project(sp, box, [-3.0, 0.25]), [0.0, 0.25])
+    assert np.allclose(box.project(sp, [0.5, 2.0]), [0.5, 1.0])
+    assert np.allclose(box.project(sp, [-3.0, 0.25]), [0.0, 0.25])
 
 
 def test_project_affine_span_line():
     sp = euclidean(2)
     line = AffineSpan(sp, base=np.zeros(2), directions=[[1.0, 0.0]])
-    assert np.allclose(project(sp, line, [3.0, 4.0]), [3.0, 0.0])
-
-
-def test_project_halfspace():
-    sp = euclidean(2)
-    hs = Halfspace([1.0, 0.0], 1.0)
-    assert np.allclose(project(sp, hs, [3.0, 4.0]), [1.0, 4.0])
-    assert np.allclose(project(sp, hs, [0.5, -2.0]), [0.5, -2.0])
+    assert np.allclose(line.project(sp, [3.0, 4.0]), [3.0, 0.0])
 
 
 def test_project_whole_space_is_identity():
     sp = euclidean(3)
     x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(project(sp, WholeSpace(), x), x)
+    assert np.array_equal(WholeSpace().project(sp, x), x)
 
 
 def test_project_rejects_unknown_set():
-    with pytest.raises(ConfigurationError):
-        project(euclidean(1), object(), [0.0])
+    with pytest.raises(ConfigurationError, match="^unsupported set kind: object$"):
+        convex_set(object())
 
 
 def _sample_sets(space):
@@ -127,7 +116,6 @@ def _sample_sets(space):
         WholeSpace(),
         Box(-np.ones(space.dim), np.ones(space.dim)),
         Ball(np.full(space.dim, 0.3), 1.5),
-        Halfspace(np.arange(1.0, space.dim + 1.0), 0.7),
     ]
     direction = np.zeros(space.dim)
     direction[0] = 1.0 / np.sqrt(space.weights[0])
@@ -142,15 +130,15 @@ def test_projection_properties_random_pairs(space):
         for _ in range(1000):
             x = rng.standard_normal(space.dim) * 3.0
             y = rng.standard_normal(space.dim) * 3.0
-            px = project(space, cset, x)
-            py = project(space, cset, y)
+            px = cset.project(space, x)
+            py = cset.project(space, y)
             # nonexpansive
             assert norm(space, px - py) <= norm(space, x - y) + 1e-12
             # idempotent
-            assert norm(space, project(space, cset, px) - px) <= 1e-12
+            assert norm(space, cset.project(space, px) - px) <= 1e-12
             # obtuse angle against a member z of the set
-            z = project(space, cset, rng.standard_normal(space.dim) * 3.0)
-            assert inner(space, x - px, z - px) <= 1e-10
+            z = cset.project(space, rng.standard_normal(space.dim) * 3.0)
+            assert space.inner(x - px, z - px) <= 1e-10
 
 
 _coordinate = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -169,9 +157,6 @@ def _weighted_projection_cases(draw, kind):
         cset = Box(lower, lower + draw(hnp.arrays(np.float64, dim, elements=st.floats(0.0, 5.0))))
     elif kind == "ball":
         cset = Ball(draw(vec), draw(st.floats(0.1, 5.0)))
-    elif kind == "halfspace":
-        normal = draw(vec.filter(lambda n: np.max(np.abs(n)) >= 0.1))
-        cset = Halfspace(normal, draw(_coordinate))
     else:
         # orthonormal columns of Q, scaled by 1/sqrt(w), are w-orthonormal rows
         q, _ = np.linalg.qr(draw(hnp.arrays(np.float64, (dim, dim), elements=_coordinate)))
@@ -180,17 +165,17 @@ def _weighted_projection_cases(draw, kind):
     return space, cset, draw(vec), draw(vec), draw(vec)
 
 
-@pytest.mark.parametrize("kind", ["whole", "box", "ball", "halfspace", "affine"])
+@pytest.mark.parametrize("kind", ["whole", "box", "ball", "affine"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_projection_properties_in_random_weighted_spaces(kind, data):
     space, cset, x, y, z = data.draw(_weighted_projection_cases(kind))
-    px, py, pz = (project(space, cset, v) for v in (x, y, z))
+    px, py, pz = (cset.project(space, v) for v in (x, y, z))
     scale = 1.0 + max(norm(space, v) for v in (x, y, z, px, py, pz))
-    assert norm(space, project(space, cset, px) - px) <= 1e-12 * scale
+    assert norm(space, cset.project(space, px) - px) <= 1e-12 * scale
     assert norm(space, px - py) <= norm(space, x - y) + 1e-12 * scale
     # obtuse angle against the member pz of the set
-    assert inner(space, x - px, pz - px) <= 1e-12 * scale * scale
+    assert space.inner(x - px, pz - px) <= 1e-12 * scale * scale
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,7 +247,6 @@ def test_pairing_is_the_weighted_dot_bit_for_bit(data):
         # pairing in dimension 1
         expected = _bits(expected + 0.0 if space.dim == 1 else expected)
         assert _bits(space.inner(a[i], b[i])) == expected
-        assert _bits(inner(space, a[i], b[i])) == expected
         assert _bits(stacked[i]) == expected
 
 
@@ -281,79 +265,13 @@ def test_row_norms_are_the_point_norms_bit_for_bit(data):
     assert _bits(norms) == _bits([space.norm(r) for r in rows])
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_halfspace_projection_is_the_weighted_dot_formula_bit_for_bit(data):
-    space = data.draw(_spaces())
-    vec = hnp.arrays(np.float64, space.dim, elements=st.floats(-100.0, 100.0))
-    normal = data.draw(vec.filter(lambda n: np.any(n != 0.0)))
-    offset, x = data.draw(st.floats(-100.0, 100.0)), data.draw(vec)
-
-    def formula(normal, offset):
-        wn = space.weights * normal
-        excess = float(np.dot(wn, x)) - offset
-        return x if excess <= 0.0 else x - (excess / float(np.dot(wn, normal))) * normal
-
-    if float(np.dot(space.weights * normal, normal)) != 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            plain = formula(normal, offset)
-        if np.all(np.isfinite(plain)):
-            assert _bits(Halfspace(normal, offset).project(space, x)) == _bits(plain)
-            return
-    # a tiny normal whose <n, n> underflows, or a projection past the largest
-    # float: the same halfspace, rescaled.  Its offset may pass the largest
-    # float, and the projection with it: that projection is not representable.
-    top = float(np.max(np.abs(normal)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rescaled = formula(normal / top, offset / top)
-    if np.all(np.isfinite(rescaled)):
-        assert _bits(Halfspace(normal, offset).project(space, x)) == _bits(rescaled)
-    else:
-        with pytest.raises(InputError, match="is not representable"):
-            Halfspace(normal, offset).project(space, x)
-
-
-@pytest.mark.parametrize(
-    "weight, normal, offset, x, expected",
-    [
-        (1.0, [1e-200], -1.0, [0.0], [-1e200]),
-        (1.0, [1e-170, 0.0], -1.0, [0.0, 0.0], [-1e170, 0.0]),
-        # <n, x> underflows to 0 too, so membership is decided on the rescaled halfspace
-        (1.0, [5e-324], 0.0, [0.1], [0.0]),
-        # <n, n> overflows instead
-        (1.0, [1e200], 0.0, [1.0], [0.0]),
-        (1.0, [1e200, 0.0], 0.0, [1.0, 2.0], [0.0, 2.0]),
-        (1e100, [1e160], 0.0, [1.0], [0.0]),
-        # <n, x> overflows, so the plain projection is -inf
-        (1.0, [1e150], 0.0, [1e200], [0.0]),
-        # the rescaled offset -4 / 2.2e-308 passes the largest float
-        (1.0, [2.2250738585072014e-308, 0.0], -4.0, [0.0, 0.0], InputError),
-    ],
-    ids=[
-        "1-d", "2-d", "membership", "overflow-1-d", "overflow-2-d", "overflow-weighted",
-        "overflow-pairing", "not-representable",
-    ],
-)
-def test_halfspace_projection_survives_an_underflowing_normal(weight, normal, offset, x, expected):
-    # <n, n> underflows to 0 or overflows, or the projection does: it is
-    # taken with n / max|n| and offset / max|n|, so {1e-200 z <= -1} sends
-    # 0 to -1e200, and a projection still past the float range is refused
-    space = SpaceDescriptor(len(normal), np.full(len(normal), weight))
-    if expected is InputError:
-        with pytest.raises(InputError, match="is not representable"):
-            Halfspace(normal, offset).project(space, x)
-        return
-    assert Halfspace(normal, offset).project(space, x).tolist() == expected
-    assert project(space, Halfspace(normal, offset), x).tolist() == expected
-
-
 def test_inner_symmetry_and_parallelogram():
     space = trapezoid(5)
     rng = np.random.default_rng(11)
     for _ in range(1000):
         x = rng.standard_normal(space.dim) * 2.0
         y = rng.standard_normal(space.dim) * 2.0
-        assert inner(space, x, y) == pytest.approx(inner(space, y, x), abs=1e-12)
+        assert space.inner(x, y) == pytest.approx(space.inner(y, x), abs=1e-12)
         lhs = norm(space, x + y) ** 2 + norm(space, x - y) ** 2
         rhs = 2.0 * norm(space, x) ** 2 + 2.0 * norm(space, y) ** 2
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -387,8 +305,6 @@ def test_ball_and_halfspace_validation():
     with pytest.raises(ConfigurationError):
         Ball(np.array([np.nan, 0.0]), 1.0)
     with pytest.raises(ConfigurationError):
-        Halfspace(np.zeros(2), 1.0)
-    with pytest.raises(ConfigurationError):
         Box([0.0, 2.0], [1.0, 1.0])
 
 
@@ -407,12 +323,6 @@ def test_ball_and_halfspace_validation():
          "box bounds do not match the space dimension"),
         (lambda: Ball(np.zeros(2), 1.0).project(euclidean(3), np.zeros(3)), InputError,
          "ball center does not match the space dimension"),
-        (lambda: Halfspace([1.0, 0.0], 0.0).project(euclidean(3), np.zeros(3)), InputError,
-         "halfspace normal does not match the space dimension"),
-        (lambda: Halfspace([np.inf, 0.0], 0.0), ConfigurationError,
-         "halfspace normal must be a finite 1-d array"),
-        (lambda: Halfspace([1.0, 0.0], np.nan), ConfigurationError,
-         "halfspace offset must be finite"),
         (lambda: AffineSpan(euclidean(2), np.zeros(2), [1.0, 0.0]), ConfigurationError,
          "directions must have shape (k, 2), got (2,)"),
         (lambda: AffineSpan(euclidean(2), np.zeros(2), np.zeros((0, 2))), ConfigurationError,
@@ -422,8 +332,7 @@ def test_ball_and_halfspace_validation():
     ],
     ids=[
         "weights-shape", "trapezoid-nodes-0", "box-unequal", "box-2d", "box-non-finite",
-        "box-other-dim", "ball-other-dim", "halfspace-other-dim", "halfspace-normal-non-finite",
-        "halfspace-offset-non-finite", "span-directions-1d", "span-no-directions",
+        "box-other-dim", "ball-other-dim", "span-directions-1d", "span-no-directions",
         "pseudocontraction-smooth-L-0",
     ],
 )
@@ -438,6 +347,6 @@ def test_ball_projection_uses_weighted_norm():
     sp = trapezoid(2)
     ball = Ball(np.zeros(3), 1.0)
     x = np.array([4.0, 0.0, 0.0])  # weighted norm 2
-    px = project(sp, ball, x)
+    px = ball.project(sp, x)
     assert np.allclose(px, [2.0, 0.0, 0.0])
     assert norm(sp, px) == pytest.approx(1.0, abs=1e-15)
