@@ -182,12 +182,17 @@ class FredholmProblem:
     linear : bool
         Declares the kernel linear in ``x``: ``Phi(t,s,x) = Phi(t,s,1) * x``
         for all ``t, s, x``.  The operator then applies the weighted
-        quadrature matrix ``Phi(t_i, t_j, w_j)``, an ``(m+1)^2`` float64
-        array built on the first call of ``T`` and then held by the
-        operator, as one matrix-vector product per call.  The declaration
-        is spot-checked on the same samples as the Lipschitz bound; a
-        violation raises :class:`ConfigurationError`, because it would
-        change the operator, not only the convergence rate.
+        quadrature matrix ``K = Phi(t_i, t_j, w_j)``, an ``(m+1)^2``
+        float64 array built on the first call of ``T``.  Where ``K`` is
+        numerically low rank (a degenerate or smooth kernel on a large
+        enough grid) that call also factors it as ``K = L R`` within the
+        dense product's own rounding bound, and the operator holds the
+        ``O(m r)`` factors in place of the table; otherwise it holds the
+        table and applies it as one matrix-vector product per call (see
+        :func:`fredholm_operator`).  The declaration is spot-checked on the
+        same samples as the Lipschitz bound; a violation raises
+        :class:`ConfigurationError`, because it would change the operator,
+        not only the convergence rate.
     """
 
     g: Callable
@@ -484,15 +489,97 @@ def _spot_check_kernel(problem: FredholmProblem, nodes: np.ndarray) -> None:
         )
 
 
+_EPS = float(np.finfo(np.float64).eps)
+_ROW_BLOCK = 64
+
+
+def _low_rank_factors(table: np.ndarray):
+    """Factors ``(L, R)`` with ``table = L @ R`` to rounding, or None.
+
+    Cross approximation with partial pivoting (Bebendorf, Numer. Math. 86,
+    2000): each term is the residual row through the pivot row and the
+    residual column through that row's largest entry, so the factoring
+    uses plain products, costs O(n r^2) and is deterministic.  It stops
+    when the next residual row is below ``eps S``, where ``S`` is the
+    largest row sum of ``|table|``.  The factors are accepted only when
+
+    * ``r <= min(isqrt(n), (n^2 - 2^14) / (6 n))``: the cross
+      approximation then costs O(n^2) at most, and ``L @ (R @ x)``, counted as
+      ``3 n r`` entries plus ``2^13`` for its second product call, costs
+      at most half the dense product;
+    * ``max_i sum_j |table - L R|_ij <= n eps S``, the forward-error bound
+      of the dense product itself;
+    * ``max_i sum_k |L_ik| sum_j |R_kj| <= 2 S``, so the rounding and the
+      partial sums of ``L @ (R @ x)``, and with them its overflow
+      threshold, stay within a factor 2 of the dense product's.
+
+    The row sums and the O(n^2 r) check read the table in row blocks, so
+    no second n x n array is made.  A table with a non-finite entry is not
+    factored.
+    """
+    n = table.shape[0]
+    max_rank = min(math.isqrt(n), (n * n - 2**14) // (6 * n))
+    if max_rank < 1:
+        return None
+    blocks = range(0, n, _ROW_BLOCK)
+    row_sums = np.concatenate([np.abs(table[b : b + _ROW_BLOCK]).sum(axis=1) for b in blocks])
+    scale = float(np.max(row_sums))
+    if not 0.0 < scale < math.inf:
+        return None
+    cols = np.empty((max_rank, n))  # L transposed: one term per row
+    rows = np.empty((max_rank, n))
+    unused = np.ones(n, dtype=bool)
+    i = int(np.argmax(row_sums))
+    rank = 0
+    while True:
+        row = table[i] - cols[:rank, i] @ rows[:rank]
+        unused[i] = False
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) <= _EPS * scale:
+            break
+        if rank == max_rank:
+            return None
+        cols[rank] = (table[:, j] - rows[:rank, j] @ cols[:rank]) / row[j]
+        rows[rank] = row
+        rank += 1
+        i = int(np.argmax(np.where(unused, np.abs(cols[rank - 1]), -1.0)))
+    left = np.ascontiguousarray(cols[:rank].T)
+    right = rows[:rank].copy()
+    error = max(
+        float(np.max(np.abs(table[b : b + _ROW_BLOCK] - left[b : b + _ROW_BLOCK] @ right).sum(1)))
+        for b in blocks
+    )
+    growth = float(np.max(np.abs(left) @ np.abs(right).sum(axis=1)))
+    if not (error <= n * _EPS * scale and growth <= 2.0 * scale):
+        return None
+    return left, right
+
+
 def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     """Discretize the integral operator on the trapezoid grid.
 
     Returns the map with components
     ``(T x)_i = g(t_i) + sum_j w_j Phi(t_i, t_j, x_j)`` acting on the
     ``grid_size + 1`` node values.  With the declared kernel Lipschitz
-    bound at most 1 the map is nonexpansive in the weighted norm.  A kernel
-    declared ``linear`` is evaluated once, on the first call, into the
-    weighted matrix ``Phi(t_i, t_j, w_j)``; every call is then ``g + KW @ x``.
+    bound at most 1 the map is nonexpansive in the weighted norm.
+
+    A kernel declared ``linear`` is evaluated once, on the first call, into
+    the ``n x n`` weighted matrix ``K = Phi(t_i, t_j, w_j)`` (``n = m + 1``).
+    That call also tries to factor ``K = L @ R`` with ``L`` of shape
+    ``(n, r)`` and ``R`` of shape ``(r, n)``.  The factors replace the
+    table when ``r`` is small enough for ``L @ (R @ x)`` to cost at most
+    half the dense product (never for ``m < 131``), when
+    ``max_i sum_j |K - L R|_ij <= n eps max_i sum_j |K_ij|``, the
+    forward-error bound of the dense product itself, and when the partial
+    sums of ``L @ (R @ x)`` are bounded by twice those of ``K @ x``, so that
+    it overflows no sooner than within that factor.  Every call is then
+    ``g + L @ (R @ x)``, O(n r) instead of O(n^2), and the operator holds
+    ``2 n r`` float64 values instead of ``n^2`` (16 KB against 8.4 MB for
+    a rank-1 kernel at ``m = 1024``).  Otherwise, for a full-rank kernel
+    such as ``min(t, s)/2``, every call is ``g + K @ x`` bit for bit.  The
+    one-time cost of the first call includes the attempt to factor:
+    O(n^2) when it fails, O(n^2 r) when the factors are checked.  Two operators
+    built from one problem give bitwise-equal values.
     """
     space, nodes = fredholm_grid(problem)
     _spot_check_kernel(problem, nodes)
@@ -511,14 +598,20 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
 
     if problem.linear:
         # Built lazily so that set-up and commands that never call T do not
-        # pay for an (m+1)^2 kernel evaluation.
-        weighted = None
+        # pay for an (m+1)^2 kernel evaluation.  ``right`` stays None while
+        # ``left`` is the dense table.
+        left = right = None
 
         def integral_step(x):
-            nonlocal weighted
-            if weighted is None:
-                weighted = np.ascontiguousarray(kernel_table(weights[None, :]))
-            return gvals + weighted @ x
+            nonlocal left, right
+            if left is None:
+                left = np.ascontiguousarray(kernel_table(weights[None, :]))
+                factors = _low_rank_factors(left)
+                if factors is not None:
+                    left, right = factors
+            if right is None:
+                return gvals + left @ x
+            return gvals + left @ (right @ x)
 
     else:
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import space as spc
 from .errors import ConfigurationError, InnerSolveError, InputError, NotConvergedError
-from .maps import GeneralizedContraction, NonexpansiveMap
+from .maps import _EPS, GeneralizedContraction, NonexpansiveMap
 from .schedules import _SIMPLEX_TOL, Schedule, ScheduleParams, _meets_condition_i, schedule_eval
 
 __all__ = [
@@ -116,18 +116,22 @@ class SolverConfig:
     record_trace: bool = True
 
     def __post_init__(self):
+        # bool is a numbers.Real and operator.index(True) is 1, so a flag
+        # would pass for a tolerance of 1.0 or a one-step budget.
         for name in ("outer_tol", "inner_tol"):
             tol = getattr(self, name)
-            if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+            if isinstance(tol, bool) or not (
+                isinstance(tol, numbers.Real) and 0.0 < tol < math.inf
+            ):
                 raise ConfigurationError(f"{name} must be finite and positive, got {tol!r}")
         if not isinstance(self.record_trace, bool):
             raise ConfigurationError(f"record_trace must be a bool, got {self.record_trace!r}")
         try:
-            max_outer = operator.index(self.max_outer)
+            max_outer = None if isinstance(self.max_outer, bool) else operator.index(self.max_outer)
         except TypeError:
-            raise ConfigurationError(
-                f"max_outer must be an integer, got {self.max_outer!r}"
-            ) from None
+            max_outer = None
+        if max_outer is None:
+            raise ConfigurationError(f"max_outer must be an integer, got {self.max_outer!r}")
         if max_outer < 1:
             raise ConfigurationError(f"max_outer must be >= 1, got {max_outer}")
 
@@ -206,9 +210,6 @@ def _viscosity_eval(scheme: SchemeKind, f: Optional[GeneralizedContraction]):
     if f is None:
         raise ConfigurationError(f"scheme {scheme} requires a viscosity contraction f")
     return f.evaluator
-
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _picard_affine_solve(

@@ -1,5 +1,6 @@
 import dataclasses
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -665,6 +666,82 @@ def test_fredholm_builtin_linear_solve_matches_general_path(tmp_path):
     assert len(reports[0].trace) > 10
     assert [r.inner_iters for r in reports[0].trace] == [r.inner_iters for r in reports[1].trace]
     assert np.max(np.abs(reports[0].final_point - reports[1].final_point)) <= 1e-14
+
+
+def _min_kernel(t, s, x):
+    return (np.minimum(t, s) / 2.0) * x
+
+
+def _distance_kernel(t, s, x):
+    return (np.abs(t - s) / 2.0) * x
+
+
+def _linear_problem(kernel, m):
+    """A declared-linear problem with ``g = cos``, its source values and its weighted table."""
+    problem = FredholmProblem(
+        g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=m, linear=True
+    )
+    space, nodes = fredholm_grid(problem)
+    table = np.ascontiguousarray(kernel(nodes[:, None], nodes[None, :], space.weights[None, :]))
+    return problem, np.cos(nodes), table
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7e308])
+@pytest.mark.parametrize("kernel", [_separable, _gaussian])
+def test_fredholm_low_rank_table_agrees_with_the_dense_product(kernel, scale):
+    # At m = 256 a degenerate (rank-1) or smooth kernel is applied through
+    # factors; they agree with the dense product within its own forward-error
+    # bound, and near the largest float they stay finite as it does.
+    problem, gvals, table = _linear_problem(kernel, 256)
+    T = fredholm_operator(problem)
+    n = gvals.size
+    bound = n * np.finfo(np.float64).eps * np.max(np.abs(table).sum(axis=1))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = rng.uniform(-1.0, 1.0, n) * scale
+        assert np.max(np.abs(T(x) - (gvals + table @ x))) <= bound * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize(
+    "kernel, m", [(_min_kernel, 256), (_distance_kernel, 256), (_separable, 64)]
+)
+def test_fredholm_table_kept_dense_is_applied_bit_for_bit(kernel, m):
+    # a full-rank table, or one too small for factors to pay, keeps the dense product
+    problem, gvals, table = _linear_problem(kernel, m)
+    T = fredholm_operator(problem)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        x = rng.standard_normal(gvals.size)
+        assert np.array_equal(T(x), gvals + table @ x)
+
+
+@pytest.mark.parametrize("kernel", [_separable, _gaussian, _min_kernel])
+def test_fredholm_operators_built_from_one_problem_agree_bitwise(kernel):
+    problem, gvals, _ = _linear_problem(kernel, 256)
+    first, second = fredholm_operator(problem), fredholm_operator(problem)
+    x = np.random.default_rng(5).standard_normal(gvals.size)
+    assert np.array_equal(first(x), second(x))
+
+
+@pytest.mark.parametrize(
+    "kernel, factored", [(_separable, True), (_gaussian, True), (_min_kernel, False)]
+)
+def test_fredholm_low_rank_operator_drops_the_dense_table(kernel, factored):
+    problem, gvals, table = _linear_problem(kernel, 256)
+    T = fredholm_operator(problem)
+    x = np.linspace(-1.0, 1.0, gvals.size)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = T(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert value.shape == x.shape
+    if factored:
+        assert held < table.nbytes / 8  # O(m r) factors, r = 1 and 10 here
+    else:
+        assert held >= table.nbytes
 
 
 def test_fredholm_grid_matches_space():

@@ -691,6 +691,21 @@ def test_solver_config_validation():
     assert SolverConfig(max_outer=np.int64(3)).max_outer == 3
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("outer_tol", "outer_tol must be finite and positive, got True"),
+        ("inner_tol", "inner_tol must be finite and positive, got True"),
+        ("max_outer", "max_outer must be an integer, got True"),
+    ],
+)
+def test_solver_config_refuses_a_bool_for_a_number(field, message):
+    # bool is a numbers.Real and operator.index(True) is 1: unchecked, True
+    # passed for a tolerance of 1.0 or a one-step budget
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        SolverConfig(**{field: True})
+
+
 # contraction factor 0.99 * 0.99 = 0.9801 at every step
 SLOW_INNER = custom_rational((0.005, 0, 0), (0.005, 0, 0), (0.99, 0, 0), (0.99, 0, 0))
 
