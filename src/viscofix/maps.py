@@ -170,7 +170,13 @@ class FredholmProblem:
     g : callable
         Source term on ``[0, 1]``; must accept numpy arrays.
     kernel : callable
-        ``Phi(t, s, x)``, numpy-broadcastable in all three arguments.
+        ``Phi(t, s, x)``, numpy-broadcastable in all three arguments.  On
+        the grid it is called with ``t`` an ``(n, 1)`` column and ``s``,
+        ``x`` ``(1, n)`` rows (``n = m + 1``); a value that does not
+        broadcast to ``(n, n)`` raises :class:`ConfigurationError` from
+        ``T``.  A value that does not vary with ``t`` (a scalar, an ``(n,)``
+        array or a ``(1, n)`` row) costs one O(m) product per call of ``T``;
+        any other costs ``(m+1)^2`` kernel evaluations and one BLAS product.
     lipschitz_bound : float
         Declared bound with ``|Phi(t,s,x) - Phi(t,s,y)| <= bound * |x - y|``;
         must be <= 1 so the discretized operator is nonexpansive.  The bound
@@ -182,8 +188,10 @@ class FredholmProblem:
     linear : bool
         Declares the kernel linear in ``x``: ``Phi(t,s,x) = Phi(t,s,1) * x``
         for all ``t, s, x``.  The operator then applies the weighted
-        quadrature matrix ``K = Phi(t_i, t_j, w_j)``, an ``(m+1)^2``
-        float64 array built on the first call of ``T``.  Where ``K`` is
+        quadrature values ``K = Phi(t_i, t_j, w_j)``, evaluated once, on the
+        first call of ``T``.  Where they do not vary with ``t`` the operator
+        holds their one row and applies it as an O(m) product.  Otherwise
+        ``K`` is an ``(m+1)^2`` float64 matrix.  Where ``K`` is
         numerically low rank (a degenerate or smooth kernel on a large
         enough grid) that call also factors it as ``K = L R`` within the
         dense product's own rounding bound, and the operator holds the
@@ -563,10 +571,19 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     ``grid_size + 1`` node values.  With the declared kernel Lipschitz
     bound at most 1 the map is nonexpansive in the weighted norm.
 
+    The kernel's value ``Phi(t_i, t_j, x_j)`` (``n = m + 1`` nodes) is
+    reduced with as many rows as it comes back with, broadcast along ``s``
+    only.  A value that does not vary with ``t`` is one row, and each call
+    is ``g + row @ w``, one O(m) product.  A value with ``n`` rows makes
+    each call ``g + K(x) @ w``: ``(m+1)^2`` kernel evaluations and one BLAS
+    product.  A value that does not broadcast to ``(n, n)`` raises
+    :class:`ConfigurationError` from the call.
+
     A kernel declared ``linear`` is evaluated once, on the first call, into
-    the ``n x n`` weighted matrix ``K = Phi(t_i, t_j, w_j)`` (``n = m + 1``).
-    That call also tries to factor ``K = L @ R`` with ``L`` of shape
-    ``(n, r)`` and ``R`` of shape ``(r, n)``.  The factors replace the
+    the weighted values ``K = Phi(t_i, t_j, w_j)``.  One row is kept as it
+    is, and every call is ``g + row @ x``.  An ``n x n`` matrix is kept in
+    one of two forms.  The first call tries to factor ``K = L @ R`` with
+    ``L`` of shape ``(n, r)`` and ``R`` of shape ``(r, n)``.  The factors replace the
     table when ``r`` is small enough for ``L @ (R @ x)`` to cost at most
     half the dense product (never for ``m < 131``), when
     ``max_i sum_j |K - L R|_ij <= n eps max_i sum_j |K_ij|``, the
@@ -589,24 +606,31 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     weights = space.weights
     tcol = nodes[:, None]
     srow = nodes[None, :]
+    n = nodes.size
 
-    shape = (nodes.size, nodes.size)
-
-    def kernel_table(x_row):
+    def kernel_rows(x_row):
+        # Phi(t_i, s_j, x_j) broadcast along s only, to (r, n): r = 1 for a
+        # value that does not vary with t, so its rows are never repeated.
         values = np.asarray(problem.kernel(tcol, srow, x_row), dtype=np.float64)
-        return values if values.shape == shape else np.broadcast_to(values, shape)
+        if values.ndim > 2 or not set(values.shape) <= {1, n}:
+            raise ConfigurationError(
+                f"kernel value has shape {values.shape}, which does not broadcast to "
+                f"the ({n}, {n}) table of the {n}-node grid"
+            )
+        rows = values.shape[0] if values.ndim == 2 else 1
+        return values if values.shape == (rows, n) else np.broadcast_to(values, (rows, n))
 
     if problem.linear:
         # Built lazily so that set-up and commands that never call T do not
-        # pay for an (m+1)^2 kernel evaluation.  ``right`` stays None while
-        # ``left`` is the dense table.
+        # pay for a kernel evaluation.  ``right`` stays None while ``left``
+        # is the dense table, or its one row.
         left = right = None
 
         def integral_step(x):
             nonlocal left, right
             if left is None:
-                left = np.ascontiguousarray(kernel_table(weights[None, :]))
-                factors = _low_rank_factors(left)
+                left = np.ascontiguousarray(kernel_rows(weights[None, :]))
+                factors = _low_rank_factors(left) if len(left) > 1 else None
                 if factors is not None:
                     left, right = factors
             if right is None:
@@ -616,7 +640,7 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     else:
 
         def integral_step(x):
-            return gvals + kernel_table(x[None, :]) @ weights
+            return gvals + kernel_rows(x[None, :]) @ weights
 
     return NonexpansiveMap(
         evaluator=integral_step, label=f"integral operator on {problem.grid_size + 1} nodes"

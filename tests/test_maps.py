@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import operator
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,7 +38,7 @@ from viscofix import (
     trapezoid_nodes,
 )
 from viscofix.config import load_run_config
-from viscofix.problems import build_problem
+from viscofix.problems import build_problem, sine_kernel, zero_kernel
 
 
 # ---------------------------------------------------------------- modulus
@@ -617,9 +619,14 @@ def _gaussian(t, s, x):
     return (np.exp(-((t - s) ** 2)) / 2.0) * x
 
 
+def _cosine_in_s(t, s, x):
+    # linear, and its value does not vary with t: one row on the grid
+    return (np.cos(s) / 2.0) * x
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    kernel=st.sampled_from([_separable, _gaussian]),
+    kernel=st.sampled_from([_separable, _gaussian, _cosine_in_s]),
     x=st.integers(2, 64).flatmap(
         lambda m: hnp.arrays(
             np.float64, m + 1, elements=st.floats(allow_nan=False, allow_infinity=False)
@@ -742,6 +749,131 @@ def test_fredholm_low_rank_operator_drops_the_dense_table(kernel, factored):
         assert held < table.nbytes / 8  # O(m r) factors, r = 1 and 10 here
     else:
         assert held >= table.nbytes
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_fredholm_kernel_that_does_not_vary_with_t_builds_no_table(linear):
+    # The one-row value is applied as it is: the operator holds O(m), and
+    # no (m+1)^2 table is made, not even for a moment.
+    kernel = _cosine_in_s if linear else sine_kernel
+    problem = FredholmProblem(
+        g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=256, linear=linear
+    )
+    T = fredholm_operator(problem)
+    x = np.linspace(-1.0, 1.0, problem.grid_size + 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = T(x)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert value.shape == x.shape
+    assert held <= 4 * x.nbytes
+    assert peak < x.size * x.nbytes / 8  # an eighth of the (m+1)^2 table
+
+
+def test_fredholm_linear_one_row_table_is_applied_as_a_row_product():
+    problem, gvals, row = _linear_problem(_cosine_in_s, 1024)
+    assert row.shape == (1, gvals.size)
+    T = fredholm_operator(problem)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        x = rng.standard_normal(gvals.size)
+        assert np.array_equal(T(x), gvals + row[0] @ x)
+
+
+def _wrongly_shaped(bad):
+    """``t s x / 2``, which is linear, with ``bad`` applied to its values on the grid.
+
+    The spot check samples 1-D arrays and sees the right values; only
+    ``T`` evaluates the kernel on the 2-D grid.
+    """
+
+    def kernel(t, s, x):
+        value = _separable(t, s, x)
+        return value if np.ndim(value) < 2 else bad(value)
+
+    return kernel
+
+
+_BAD_SHAPES = {
+    "(3,)": lambda v: v[0, :3],
+    "(3, 9)": lambda v: v[:3],
+    "(1, 9, 9)": lambda v: v[None],
+}
+
+
+@pytest.mark.parametrize("linear", [True, False])
+@pytest.mark.parametrize("shape", list(_BAD_SHAPES))
+def test_fredholm_kernel_value_of_the_wrong_shape_is_a_configuration_error(linear, shape):
+    problem = FredholmProblem(
+        g=np.cos,
+        kernel=_wrongly_shaped(_BAD_SHAPES[shape]),
+        lipschitz_bound=0.5,
+        grid_size=8,
+        linear=linear,
+    )
+    T = fredholm_operator(problem)  # the kernel is not evaluated on the grid at set-up
+    message = f"shape {shape}, which does not broadcast to the (9, 9) table of the 9-node grid"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        T(np.zeros(9))
+
+
+def _constant_kernel(t, s, x):
+    return 0.25
+
+
+def _flat_sine(t, s, x):
+    # a 1-D (n,) value
+    return 0.5 * np.sin(np.ravel(x))
+
+
+def _general_problem(kernel, m):
+    problem = FredholmProblem(g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=m)
+    space, nodes = fredholm_grid(problem)
+    return problem, space.weights, nodes, np.cos(nodes)
+
+
+@pytest.mark.parametrize("m", [2, 8, 64, 256, 1024])
+@pytest.mark.parametrize(
+    "kernel",
+    [sine_kernel, _constant_kernel, _flat_sine, zero_kernel],
+    ids=["sine", "constant", "flat", "zero"],
+)
+def test_fredholm_kernel_that_does_not_vary_with_t_is_one_row_product(kernel, m):
+    # T(x) = g + row . w with the kernel's own row: one O(m) product, not an
+    # (m+1)^2 one over copies of the row.  That sums in another order than
+    # the repeated rows did, so the integral agrees with an exactly rounded
+    # sum of the terms within the product's forward-error bound, not bitwise.
+    problem, weights, nodes, gvals = _general_problem(kernel, m)
+    T = fredholm_operator(problem)
+    n = nodes.size
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x = rng.standard_normal(n) * 3.0
+        row = np.broadcast_to(kernel(nodes[:, None], nodes[None, :], x[None, :]), (1, n))[0]
+        integral = row @ weights
+        assert np.array_equal(T(x), gvals + integral)
+        terms = weights * row
+        bound = n * np.finfo(np.float64).eps * np.sum(np.abs(terms))
+        assert abs(integral - math.fsum(terms)) <= bound
+
+
+@pytest.mark.parametrize("m", [2, 64, 256])
+def test_fredholm_kernel_that_varies_with_t_keeps_the_table_product(m):
+    problem, weights, nodes, gvals = _general_problem(lambda t, s, x: t * np.sin(x) / 2.0, m)
+    T = fredholm_operator(problem)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = rng.standard_normal(nodes.size) * 3.0
+        table = nodes[:, None] * np.sin(x[None, :]) / 2.0
+        assert np.array_equal(T(x), gvals + table @ weights)
+
+
+def test_fredholm_zero_kernel_gives_g_for_a_nan_point():
+    problem, _, nodes, gvals = _general_problem(zero_kernel, 64)
+    assert np.array_equal(fredholm_operator(problem)(np.full(nodes.size, np.nan)), gvals)
 
 
 def test_fredholm_grid_matches_space():
