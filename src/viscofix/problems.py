@@ -139,7 +139,7 @@ def _linear_contraction(view: SectionView, space: spc.SpaceDescriptor) -> Genera
     def scaled(x, _c=float(c)):
         return _c * x
 
-    return GeneralizedContraction(scaled, modulus, label=f"linear c={c:g}")
+    return GeneralizedContraction(maps._with_rows(scaled), modulus, label=f"linear c={c:g}")
 
 
 def _rational_contraction(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
@@ -151,7 +151,16 @@ def _rational_contraction(view: SectionView, space: spc.SpaceDescriptor) -> Gene
     def damped(x, _b=float(beta), _norm=space.norm):
         return x / (1.0 + _b * _norm(x))
 
-    return GeneralizedContraction(damped, modulus, label=f"rational beta={beta:g}")
+    def damped_rows(xs, _b=float(beta)):
+        # Python floats do not warn where b ||x|| overflows, and neither
+        # does the point norm where its sum of squares does
+        with np.errstate(over="ignore"):
+            denominators = 1.0 + _b * space.row_norms(xs)
+        return xs / denominators[:, None]
+
+    return GeneralizedContraction(
+        maps._with_rows(damped, damped_rows), modulus, label=f"rational beta={beta:g}"
+    )
 
 
 def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
@@ -160,8 +169,11 @@ def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> Generalize
     def constant(_x, _p=point):
         return _p
 
+    def constant_rows(xs, _p=point):
+        return np.broadcast_to(_p, (len(xs), _p.size))
+
     return GeneralizedContraction(
-        constant, maps.linear_modulus(0.0), label="constant point"
+        maps._with_rows(constant, constant_rows), maps.linear_modulus(0.0), label="constant point"
     )
 
 
@@ -210,7 +222,7 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def linear(x, _s=float(slope)):
         return _s * x
 
-    T = NonexpansiveMap(evaluator=linear, label=f"linear slope={slope:g}")
+    T = NonexpansiveMap(evaluator=maps._with_rows(linear), label=f"linear slope={slope:g}")
     return _fixed_at_origin(cfg, space, T, known=slope != 1.0)
 
 
@@ -247,7 +259,11 @@ def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         return -_k * x
 
     T = maps.average_pseudocontraction(
-        flipped, lam=lam, theta=theta, smooth_L=smooth_l, label=f"averaged -{k:g}x"
+        maps._with_rows(flipped),
+        lam=lam,
+        theta=theta,
+        smooth_L=smooth_l,
+        label=f"averaged -{k:g}x",
     )
     return _fixed_at_origin(cfg, space, T)
 
@@ -262,7 +278,7 @@ def _monotone(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         raise view.error("'radius' only applies when set = ball")
     space = _space(cfg, "euclidean")
     constraint = spc.Ball(np.zeros(space.dim), radius) if ball else spc.WholeSpace()
-    A = maps.MonotoneOperatorSpec(lambda x: x, ism_alpha=1.0, label="identity")
+    A = maps.MonotoneOperatorSpec(maps._with_rows(lambda x: x), ism_alpha=1.0, label="identity")
     T = maps.forward_projected(space, constraint, A, gamma=gamma)
     return _fixed_at_origin(cfg, space, T)
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import operator
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from viscofix import maps, problems
 from viscofix import (
     AuditReport,
     Ball,
@@ -415,6 +417,184 @@ def test_modulus_value_is_elementwise_on_arrays():
         assert mod.value(ts).tolist() == [mod.value(float(t)) for t in ts]
         with pytest.raises(InputError):
             mod.value(np.array([1.0, -1e-300]))
+
+
+# ---------------------------------------------------------------- stack forms
+
+_TAIL = "[scheme]\nname = new_implicit\n[schedule]\npreset = halpern-mix\n"
+
+
+def _euclidean_tail(dim):
+    return f"[space]\nkind = euclidean\ndim = {dim}\n"
+
+
+# name -> config of a catalog problem whose T and f the stack-form tests build
+_CATALOG = {
+    "builtin-linear": "[problem]\nkind = builtin-linear\nslope = -0.75\n"
+    "[contraction]\nkind = linear\nc = 0.25\n",
+    "pseudocontraction": "[problem]\nkind = pseudocontraction\nk = 0.5\nlambda = 0.5\n"
+    "theta = 0.3\n[contraction]\nkind = rational\nbeta = 2.0\n",
+    "line-projection": "[problem]\nkind = line-projection\n"
+    "[contraction]\nkind = constant-point\npoint = 1.5, -2.0\n",
+    # a rational f on the trapezoid weights of 4 nodes
+    "fredholm": "[problem]\nkind = fredholm\nkernel = sine\ngrid_size = 3\n"
+    "[contraction]\nkind = rational\nbeta = 0.5\n",
+    **{
+        f"monotone-whole-space-{dim}": "[problem]\nkind = monotone\ngamma = 0.5\n"
+        "set = whole-space\n[contraction]\nkind = constant-point\npoint = "
+        + ", ".join(str(0.5 - i) for i in range(dim)) + "\n" + _euclidean_tail(dim)
+        for dim in (1, 2, 3, 4)
+    },
+    # b ||x|| overflows for rows of size 1e300
+    **{
+        f"monotone-ball-{dim}": "[problem]\nkind = monotone\ngamma = 1.5\nset = ball\n"
+        "radius = 2.0\n[contraction]\nkind = rational\nbeta = 1e9\n" + _euclidean_tail(dim)
+        for dim in (1, 2, 3, 4)
+    },
+}
+# the built maps left one call per point: a 2x2 product and the Fredholm operator
+_PER_POINT = {"line-projection:T", "fredholm:T"}
+
+
+def _half(x):
+    return 0.5 * x
+
+
+def _special_rows(dim):
+    """NaN rows, and rows the maps send to a ball's centre or sphere or onto a box face."""
+    first = np.arange(dim) == 0
+    rows = [np.zeros(dim), np.full(dim, np.nan), np.where(first, np.nan, 1.0)]
+    for j in range(dim):
+        # gamma = 1.5 sends 4 e_j to -2 e_j, on the catalog's sphere of radius 2
+        rows += [4.0 * np.eye(dim)[j], -4.0 * np.eye(dim)[j]]
+    # the forward step x -> x - x/2 sends twice a bound of the box onto it,
+    # and these to the centre 0.125 (1, ..., 1) of the ball and to its sphere
+    rows += [np.full(dim, -1.0), np.full(dim, 0.5), np.where(first, 0.5, 0.1)]
+    rows += [np.full(dim, 0.25), np.where(first, 1.75, 0.25)]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def built_maps(tmp_path_factory):
+    """name -> (space, map): the catalog's maps, and forward steps onto each set by hand."""
+    folder = tmp_path_factory.mktemp("catalog")
+    found = {}
+    for name, text in _CATALOG.items():
+        path = folder / f"{name}.cfg"
+        path.write_text(text + _TAIL)
+        setup = build_problem(load_run_config(path))
+        found[f"{name}:T"] = (setup.space, setup.T)
+        found[f"{name}:f"] = (setup.space, setup.f)
+    half = MonotoneOperatorSpec(maps._with_rows(_half), 0.5)
+    for dim in (1, 2, 3, 4):
+        sp = euclidean(dim)
+        for label, cset in [
+            ("whole-space", WholeSpace()),
+            ("box", Box(np.full(dim, -0.5), np.full(dim, 0.25))),
+            ("ball", Ball(np.full(dim, 0.125), 0.75)),
+        ]:
+            found[f"forward-{label}-{dim}:T"] = (sp, forward_projected(sp, cset, half, gamma=1.0))
+    return found
+
+
+def test_the_stack_form_cases_cover_every_catalog_map():
+    # a problem or contraction kind added to the catalog needs its case here
+    def kinds(section):
+        return {re.search(rf"\[{section}\]\nkind = (\S+)", t)[1] for t in _CATALOG.values()}
+
+    assert kinds("problem") == set(problems._PROBLEMS)
+    assert kinds("contraction") == set(problems._CONTRACTIONS)
+
+
+_STACK_CASES = [f"{name}:{m}" for name in _CATALOG for m in "Tf"] + [
+    f"forward-{label}-{dim}:T" for label in ("whole-space", "box", "ball") for dim in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("case", _STACK_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stack_form_is_the_per_point_values_bit_for_bit(built_maps, case, data):
+    space, fn = built_maps[case]
+    rows_fn = getattr(fn.evaluator, "rows", None)
+    assert (rows_fn is None) == (case in _PER_POINT)
+    if rows_fn is None:
+        return
+    k = data.draw(st.integers(1, 6))
+    # rows of ordinary size, subnormal size, and past the overflow of the squares
+    scales = data.draw(
+        hnp.arrays(np.float64, k, elements=st.sampled_from([1.0, 1e-160, 1e155, 1e300]))
+    )
+    rows = data.draw(
+        hnp.arrays(np.float64, (k, space.dim), elements=st.floats(-8.0, 8.0, allow_subnormal=True))
+    ) * scales[:, None]
+    special = data.draw(st.lists(st.sampled_from(_special_rows(space.dim)), max_size=6))
+    points = np.array(data.draw(st.permutations(list(rows) + special)))
+    stacked = rows_fn(points)
+    assert (type(stacked), stacked.dtype, stacked.shape) == (np.ndarray, np.float64, points.shape)
+    assert stacked.tobytes() == np.array([fn(p) for p in points]).tobytes()
+
+
+def _without_stack_form(target):
+    return dataclasses.replace(target, evaluator=lambda x, _ev=target.evaluator: _ev(x))
+
+
+@pytest.fixture(scope="module")
+def diagnostics(tmp_path_factory):
+    """Space, ``T`` and ``f`` of the benchmark's diagnostics problem."""
+    path = tmp_path_factory.mktemp("diagnostics") / "monotone-ball.cfg"
+    path.write_text(
+        "[problem]\nkind = monotone\ngamma = 0.5\nset = ball\nradius = 2.0\n"
+        "[contraction]\nkind = linear\nc = 0.25\n" + _euclidean_tail(3) + _TAIL
+    )
+    setup = build_problem(load_run_config(path))
+    return setup.space, setup.T, setup.f
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_audits_through_the_stack_form_match_the_per_point_loop(diagnostics, seed):
+    space, T, f = diagnostics
+    A = MonotoneOperatorSpec(maps._with_rows(lambda x: x), 1.0)
+    for check, target in [
+        (check_nonexpansive, T), (check_contraction, f), (check_inverse_strongly_monotone, A)
+    ]:
+        assert hasattr(target.evaluator, "rows")
+        stacked = check(space, target, n_samples=10_000, seed=seed)
+        looped = check(space, _without_stack_form(target), n_samples=10_000, seed=seed)
+        assert stacked.passed == looped.passed
+        assert struct.pack("<d", stacked.worst) == struct.pack("<d", looped.worst)
+        assert (stacked.witness is None) == (looped.witness is None)
+        if looped.witness is not None:
+            for got, want in zip(stacked.witness, looped.witness):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_a_replaced_evaluator_is_called_once_per_point(diagnostics):
+    space, T, _ = diagnostics
+    calls = []
+    counted = dataclasses.replace(T, evaluator=lambda x: calls.append(x.copy()) or T(x))
+    check_nonexpansive(space, counted, n_samples=300, seed=3)
+    xs, ys = np.random.default_rng(3).standard_normal((2, 300, space.dim)) * 3.0
+    assert len(calls) == 600
+    assert np.array(calls).tobytes() == np.concatenate([xs, ys]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows_fn",
+    [lambda xs: xs[:, :1], lambda xs: list(xs), lambda xs: xs.astype(np.float32)],
+    ids=["shape", "list", "float32"],
+)
+def test_a_stack_form_value_that_is_not_a_stack_falls_back_to_the_per_point_loop(rows_fn):
+    # the per-point loop then raises the first bad value's own error
+    with pytest.raises(InputError, match=re.escape("T(x) is not a point of the space: ")):
+        check_nonexpansive(
+            euclidean(2), NonexpansiveMap(maps._with_rows(lambda x: x[:1], rows_fn)), n_samples=5
+        )
+    # and a good per-point value is used as it is
+    report = check_nonexpansive(
+        euclidean(2), NonexpansiveMap(maps._with_rows(_half, rows_fn)), n_samples=50
+    )
+    assert (report.passed, report.worst) == (True, 0.5)
 
 
 # ------------------------------------------------- averaged pseudocontraction
@@ -856,6 +1036,32 @@ def test_fredholm_kernel_that_does_not_vary_with_t_is_one_row_product(kernel, m)
         integral = row @ weights
         assert np.array_equal(T(x), gvals + integral)
         terms = weights * row
+        bound = n * np.finfo(np.float64).eps * np.sum(np.abs(terms))
+        assert abs(integral - math.fsum(terms)) <= bound
+
+
+def _sine_of_t(t, s, x):
+    # an (n, 1) value: it varies with t only
+    return np.sin(t) / 4.0
+
+
+@pytest.mark.parametrize("m", [2, 8, 64, 256, 1024])
+def test_fredholm_kernel_that_varies_with_t_only_is_one_column_product(m):
+    # T(x) = g + v * sum(w) with the kernel's own column v and the weights
+    # summed once: O(m), not an (m+1)^2 product over copies of the column.
+    # Each row's integral agrees with an exactly rounded sum of its terms
+    # within the product's forward-error bound, not bitwise.
+    problem, weights, nodes, gvals = _general_problem(_sine_of_t, m)
+    T = fredholm_operator(problem)
+    n = nodes.size
+    values = _sine_of_t(nodes[:, None], nodes[None, :], None)
+    assert values.shape == (n, 1)
+    integrals = values[:, 0] * math.fsum(weights)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        assert np.array_equal(T(rng.standard_normal(n) * 3.0), gvals + integrals)
+    for v, integral in zip(values[:, 0], integrals):
+        terms = weights * v
         bound = n * np.finfo(np.float64).eps * np.sum(np.abs(terms))
         assert abs(integral - math.fsum(terms)) <= bound
 
