@@ -175,9 +175,8 @@ class FredholmProblem:
         ``x`` ``(1, n)`` rows (``n = m + 1``); a value that does not
         broadcast to ``(n, n)`` raises :class:`ConfigurationError` from
         ``T``.  A value that does not vary with ``t`` (a scalar, an ``(n,)``
-        array or a ``(1, n)`` row) costs one O(m) product per call of ``T``,
-        as does an ``(n, 1)`` column, which varies with ``t`` only; any
-        other costs ``(m+1)^2`` kernel evaluations and one BLAS product.
+        array or a ``(1, n)`` row) costs one O(m) product per call of ``T``;
+        any other costs ``(m+1)^2`` kernel evaluations and one BLAS product.
     lipschitz_bound : float
         Declared bound with ``|Phi(t,s,x) - Phi(t,s,y)| <= bound * |x - y|``;
         must be <= 1 so the discretized operator is nonexpansive.  The bound
@@ -243,9 +242,10 @@ def _with_rows(point_fn, rows_fn=None):
     bit, the stack of ``point_fn``'s values at its rows, with no warning
     that those calls would not raise.  None marks an elementwise
     ``point_fn`` that already does so.  :func:`_images` reads the mark as
-    ``point_fn.rows``; only evaluators the library builds carry it.
+    ``point_fn._viscofix_rows``, a name no user evaluator is expected to
+    have; only evaluators the library builds carry it.
     """
-    point_fn.rows = point_fn if rows_fn is None else rows_fn
+    point_fn._viscofix_rows = point_fn if rows_fn is None else rows_fn
     return point_fn
 
 
@@ -259,7 +259,7 @@ def _images(space, fn, points, name):
     row.  Both give the same bits.  An :class:`InputError` names ``name``
     when the values are not points of the space, ragged ones included.
     """
-    rows = getattr(getattr(fn, "evaluator", None), "rows", None)
+    rows = getattr(getattr(fn, "evaluator", None), "_viscofix_rows", None)
     if rows is not None:
         stacked = rows(points)
         if (
@@ -285,8 +285,8 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=
 
     Points come from a seeded normal distribution of scale 3, each projected
     into ``domain`` when one is given (one array pass for a
-    :class:`~viscofix.space.WholeSpace`, ``Box`` or ``Ball``, else one
-    ``project`` call per point).  Pairs are scored in whole-array passes.
+    :class:`~viscofix.space.WholeSpace` or ``Ball``, else one ``project``
+    call per point).  Pairs are scored in whole-array passes.
     Pairs at zero distance are dropped first, so ``fn`` is never called on
     them; ``fn`` is then evaluated at the remaining points by
     :func:`_images` (one call of a built map's stack form, or one call per
@@ -346,10 +346,8 @@ def check_nonexpansive(
     the first maximizing pair.  ``n_samples`` must be at least 1
     (:class:`InputError` otherwise).  All pairs are scored in array passes.
     ``T`` is evaluated at all the points in one call when the library
-    built it with a stack form: the maps of the ``builtin-linear``,
-    ``pseudocontraction`` and ``monotone`` problems, and those of
-    :func:`average_pseudocontraction` and :func:`forward_projected` built
-    from such maps.  Any other ``T``, including one whose evaluator was
+    built it with a stack form: the ``monotone`` problem's projected
+    forward step.  Any other ``T``, including one whose evaluator was
     replaced, is called once per point; the report is the same bit for
     bit either way.  Pairs that coincide after projection
     are dropped before ``T`` is called, so when every pair does, or ``T``
@@ -458,9 +456,6 @@ def average_pseudocontraction(
     def averaged(x, _ev=evaluator, _theta=theta):
         return _theta * x + (1.0 - _theta) * _ev(x)
 
-    rows = getattr(evaluator, "rows", None)
-    if rows is not None:
-        _with_rows(averaged, lambda xs: averaged(xs, _ev=rows))
     return NonexpansiveMap(evaluator=averaged, label=label or "averaged pseudocontraction")
 
 
@@ -494,8 +489,8 @@ def forward_projected(
     def stepped(x, _A=A.evaluator, _g=gamma, _project=cset.project, _space=space):
         return _project(_space, x - _g * _A(x))
 
-    rows = getattr(A.evaluator, "rows", None)
-    if rows is not None and type(cset)._project_rows is not spc.ConvexSetBase._project_rows:
+    rows = getattr(A.evaluator, "_viscofix_rows", None)
+    if rows is not None:
         _with_rows(stepped, lambda xs: stepped(xs, _A=rows, _project=cset._project_rows))
     return NonexpansiveMap(evaluator=stepped, label="projected forward step")
 
@@ -614,12 +609,7 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     The kernel's value ``Phi(t_i, t_j, x_j)`` (``n = m + 1`` nodes) is
     reduced with as many rows as it comes back with, broadcast along ``s``
     only.  A value that does not vary with ``t`` is one row, and each call
-    is ``g + row @ w``, one O(m) product.  A value of shape ``(n, 1)``,
-    varying with ``t`` only, makes each call ``g + v * sum(w)``, with the
-    weights summed once by ``math.fsum``: O(m), and within
-    ``n eps sum_j |w_j v_i|`` of the exact integral in row ``i``, where the
-    ``(n, n)`` product it replaces summed the repeated values in sequence.
-    Any other value with ``n`` rows makes
+    is ``g + row @ w``, one O(m) product.  A value with ``n`` rows makes
     each call ``g + K(x) @ w``: ``(m+1)^2`` kernel evaluations and one BLAS
     product.  A value that does not broadcast to ``(n, n)`` raises
     :class:`ConfigurationError` from the call.
@@ -653,19 +643,15 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     srow = nodes[None, :]
     n = nodes.size
 
-    def kernel_values(x_row):
-        # Phi(t_i, s_j, x_j) as the kernel returns it
+    def kernel_rows(x_row):
+        # Phi(t_i, s_j, x_j) broadcast along s only, to (r, n): r = 1 for a
+        # value that does not vary with t, so its rows are never repeated.
         values = np.asarray(problem.kernel(tcol, srow, x_row), dtype=np.float64)
         if values.ndim > 2 or not set(values.shape) <= {1, n}:
             raise ConfigurationError(
                 f"kernel value has shape {values.shape}, which does not broadcast to "
                 f"the ({n}, {n}) table of the {n}-node grid"
             )
-        return values
-
-    def kernel_rows(values):
-        # broadcast along s only, to (r, n): r = 1 for a value that does
-        # not vary with t, so its rows are never repeated
         rows = values.shape[0] if values.ndim == 2 else 1
         return values if values.shape == (rows, n) else np.broadcast_to(values, (rows, n))
 
@@ -678,7 +664,7 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
         def integral_step(x):
             nonlocal left, right
             if left is None:
-                left = np.ascontiguousarray(kernel_rows(kernel_values(weights[None, :])))
+                left = np.ascontiguousarray(kernel_rows(weights[None, :]))
                 factors = _low_rank_factors(left) if len(left) > 1 else None
                 if factors is not None:
                     left, right = factors
@@ -687,14 +673,9 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
             return gvals + left @ (right @ x)
 
     else:
-        weight_sum = math.fsum(weights)
 
         def integral_step(x):
-            values = kernel_values(x[None, :])
-            if values.shape == (n, 1):
-                # one value per row, constant along s: it times the weights' sum
-                return gvals + values[:, 0] * weight_sum
-            return gvals + kernel_rows(values) @ weights
+            return gvals + kernel_rows(x[None, :]) @ weights
 
     return NonexpansiveMap(
         evaluator=integral_step, label=f"integral operator on {problem.grid_size + 1} nodes"

@@ -151,16 +151,7 @@ def _rational_contraction(view: SectionView, space: spc.SpaceDescriptor) -> Gene
     def damped(x, _b=float(beta), _norm=space.norm):
         return x / (1.0 + _b * _norm(x))
 
-    def damped_rows(xs, _b=float(beta)):
-        # Python floats do not warn where b ||x|| overflows, and neither
-        # does the point norm where its sum of squares does
-        with np.errstate(over="ignore"):
-            denominators = 1.0 + _b * space.row_norms(xs)
-        return xs / denominators[:, None]
-
-    return GeneralizedContraction(
-        maps._with_rows(damped, damped_rows), modulus, label=f"rational beta={beta:g}"
-    )
+    return GeneralizedContraction(damped, modulus, label=f"rational beta={beta:g}")
 
 
 def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
@@ -169,11 +160,8 @@ def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> Generalize
     def constant(_x, _p=point):
         return _p
 
-    def constant_rows(xs, _p=point):
-        return np.broadcast_to(_p, (len(xs), _p.size))
-
     return GeneralizedContraction(
-        maps._with_rows(constant, constant_rows), maps.linear_modulus(0.0), label="constant point"
+        constant, maps.linear_modulus(0.0), label="constant point"
     )
 
 
@@ -222,7 +210,7 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def linear(x, _s=float(slope)):
         return _s * x
 
-    T = NonexpansiveMap(evaluator=maps._with_rows(linear), label=f"linear slope={slope:g}")
+    T = NonexpansiveMap(evaluator=linear, label=f"linear slope={slope:g}")
     return _fixed_at_origin(cfg, space, T, known=slope != 1.0)
 
 
@@ -259,11 +247,7 @@ def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         return -_k * x
 
     T = maps.average_pseudocontraction(
-        maps._with_rows(flipped),
-        lam=lam,
-        theta=theta,
-        smooth_L=smooth_l,
-        label=f"averaged -{k:g}x",
+        flipped, lam=lam, theta=theta, smooth_L=smooth_l, label=f"averaged -{k:g}x"
     )
     return _fixed_at_origin(cfg, space, T)
 

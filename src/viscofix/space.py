@@ -199,9 +199,9 @@ class ConvexSetBase:
     def _project_rows(self, space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
         """:meth:`project` of every row of a float64 ``(k, dim)`` stack, stacked.
 
-        One ``project`` call per row.  :class:`WholeSpace`, :class:`Box`
-        and :class:`Ball` take the stack in one array pass instead, bit for
-        bit the same and with no warning that the calls would not raise.
+        One ``project`` call per row.  :class:`WholeSpace` and
+        :class:`Ball` take the stack in one array pass instead, bit for bit
+        the same and with no warning that the calls would not raise.
         """
         return np.array([self.project(space, x) for x in rows])
 
@@ -250,15 +250,6 @@ class Box(ConvexSetBase):
         if self.lower.shape != (space.dim,):
             raise InputError("box bounds do not match the space dimension")
         return np.clip(x, self.lower, self.upper)
-
-    def _project_rows(self, space, rows):
-        if self.lower.shape != (space.dim,):
-            raise InputError("box bounds do not match the space dimension")
-        # Bounds of the rows' own shape: broadcast ones in dimension 1 take
-        # numpy's constant-bounds loop, which keeps a -0.0 at a bound 0.0
-        # where the point form returns the bound.
-        reps = (len(rows), 1)
-        return np.clip(rows, np.tile(self.lower, reps), np.tile(self.upper, reps))
 
     def __repr__(self):
         return f"Box(lower={self.lower!r}, upper={self.upper!r})"

@@ -445,15 +445,12 @@ _CATALOG = {
         + ", ".join(str(0.5 - i) for i in range(dim)) + "\n" + _euclidean_tail(dim)
         for dim in (1, 2, 3, 4)
     },
-    # b ||x|| overflows for rows of size 1e300
     **{
         f"monotone-ball-{dim}": "[problem]\nkind = monotone\ngamma = 1.5\nset = ball\n"
-        "radius = 2.0\n[contraction]\nkind = rational\nbeta = 1e9\n" + _euclidean_tail(dim)
+        "radius = 2.0\n[contraction]\nkind = linear\nc = 0.25\n" + _euclidean_tail(dim)
         for dim in (1, 2, 3, 4)
     },
 }
-# the built maps left one call per point: a 2x2 product and the Fredholm operator
-_PER_POINT = {"line-projection:T", "fredholm:T"}
 
 
 def _half(x):
@@ -506,9 +503,18 @@ def test_the_stack_form_cases_cover_every_catalog_map():
     assert kinds("contraction") == set(problems._CONTRACTIONS)
 
 
-_STACK_CASES = [f"{name}:{m}" for name in _CATALOG for m in "Tf"] + [
+_FORWARD_CASES = [
     f"forward-{label}-{dim}:T" for label in ("whole-space", "box", "ball") for dim in (1, 2, 3, 4)
 ]
+_STACK_CASES = [f"{name}:{m}" for name in _CATALOG for m in "Tf"] + _FORWARD_CASES
+# the built maps with a stack form: the monotone problem's forward step and
+# the linear contraction; every other built map is called once per point
+_STACKED = {
+    "builtin-linear:f",
+    *(f"monotone-{label}-{dim}:T" for label in ("whole-space", "ball") for dim in (1, 2, 3, 4)),
+    *(f"monotone-ball-{dim}:f" for dim in (1, 2, 3, 4)),
+    *_FORWARD_CASES,
+}
 
 
 @pytest.mark.parametrize("case", _STACK_CASES)
@@ -516,8 +522,8 @@ _STACK_CASES = [f"{name}:{m}" for name in _CATALOG for m in "Tf"] + [
 @given(data=st.data())
 def test_stack_form_is_the_per_point_values_bit_for_bit(built_maps, case, data):
     space, fn = built_maps[case]
-    rows_fn = getattr(fn.evaluator, "rows", None)
-    assert (rows_fn is None) == (case in _PER_POINT)
+    rows_fn = getattr(fn.evaluator, "_viscofix_rows", None)
+    assert (rows_fn is not None) == (case in _STACKED)
     if rows_fn is None:
         return
     k = data.draw(st.integers(1, 6))
@@ -558,7 +564,7 @@ def test_audits_through_the_stack_form_match_the_per_point_loop(diagnostics, see
     for check, target in [
         (check_nonexpansive, T), (check_contraction, f), (check_inverse_strongly_monotone, A)
     ]:
-        assert hasattr(target.evaluator, "rows")
+        assert hasattr(target.evaluator, "_viscofix_rows")
         stacked = check(space, target, n_samples=10_000, seed=seed)
         looped = check(space, _without_stack_form(target), n_samples=10_000, seed=seed)
         assert stacked.passed == looped.passed
@@ -577,6 +583,37 @@ def test_a_replaced_evaluator_is_called_once_per_point(diagnostics):
     xs, ys = np.random.default_rng(3).standard_normal((2, 300, space.dim)) * 3.0
     assert len(calls) == 600
     assert np.array(calls).tobytes() == np.concatenate([xs, ys]).tobytes()
+
+
+class _UserMap:
+    """A user's evaluator that has a ``rows`` of its own, which is not a stack form."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return 0.5 * x
+
+
+class _UserMapWithRowsMethod(_UserMap):
+    def __init__(self):
+        super().__init__(None)
+        del self.rows
+
+    def rows(self, xs):
+        # unrelated to the map's values: it would halve the audit's ratio
+        return 0.25 * xs
+
+
+@pytest.mark.parametrize(
+    "evaluator", [lambda: _UserMap(rows=3), _UserMapWithRowsMethod], ids=["int", "method"]
+)
+def test_a_user_evaluator_with_a_rows_attribute_is_called_once_per_point(evaluator):
+    ev = evaluator()
+    report = check_nonexpansive(euclidean(2), NonexpansiveMap(ev), n_samples=50, seed=4)
+    assert (report.passed, report.worst, ev.calls) == (True, 0.5, 100)
 
 
 @pytest.mark.parametrize(
@@ -1036,32 +1073,6 @@ def test_fredholm_kernel_that_does_not_vary_with_t_is_one_row_product(kernel, m)
         integral = row @ weights
         assert np.array_equal(T(x), gvals + integral)
         terms = weights * row
-        bound = n * np.finfo(np.float64).eps * np.sum(np.abs(terms))
-        assert abs(integral - math.fsum(terms)) <= bound
-
-
-def _sine_of_t(t, s, x):
-    # an (n, 1) value: it varies with t only
-    return np.sin(t) / 4.0
-
-
-@pytest.mark.parametrize("m", [2, 8, 64, 256, 1024])
-def test_fredholm_kernel_that_varies_with_t_only_is_one_column_product(m):
-    # T(x) = g + v * sum(w) with the kernel's own column v and the weights
-    # summed once: O(m), not an (m+1)^2 product over copies of the column.
-    # Each row's integral agrees with an exactly rounded sum of its terms
-    # within the product's forward-error bound, not bitwise.
-    problem, weights, nodes, gvals = _general_problem(_sine_of_t, m)
-    T = fredholm_operator(problem)
-    n = nodes.size
-    values = _sine_of_t(nodes[:, None], nodes[None, :], None)
-    assert values.shape == (n, 1)
-    integrals = values[:, 0] * math.fsum(weights)
-    rng = np.random.default_rng(9)
-    for _ in range(3):
-        assert np.array_equal(T(rng.standard_normal(n) * 3.0), gvals + integrals)
-    for v, integral in zip(values[:, 0], integrals):
-        terms = weights * v
         bound = n * np.finfo(np.float64).eps * np.sum(np.abs(terms))
         assert abs(integral - math.fsum(terms)) <= bound
 

@@ -270,8 +270,8 @@ def _row_projection_cases(draw, kind):
     """A space of dimension 1-4, a set of ``kind`` in it and a stack of rows to project.
 
     The rows are of ordinary size, subnormal size and past the overflow of
-    the squares, with NaN rows, and rows at the ball's centre, on its
-    sphere or on a face of the box mixed in.
+    the squares, with NaN rows, and rows at the ball's centre or on its
+    sphere mixed in.
     """
     dim = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -283,12 +283,6 @@ def _row_projection_cases(draw, kind):
     special = [np.full(dim, np.nan), np.where(np.arange(dim) == 0, np.nan, 1.0)]
     if kind == "whole":
         cset = WholeSpace()
-    elif kind == "box":
-        lower = draw(vec)
-        upper = lower + draw(hnp.arrays(np.float64, dim, elements=st.floats(0.0, 5.0)))
-        cset = Box(lower, upper)
-        inside = lower + 0.5 * (upper - lower)
-        special += [lower, upper, np.where(np.arange(dim) == 0, upper, inside)]
     elif kind == "ball":
         center, on_sphere = draw(vec), draw(vec)
         radius = space.norm(on_sphere - center)
@@ -306,7 +300,7 @@ def _row_projection_cases(draw, kind):
     return space, cset, np.array(draw(st.permutations(list(rows) + picked)))
 
 
-@pytest.mark.parametrize("kind", ["whole", "box", "ball", "affine"])
+@pytest.mark.parametrize("kind", ["whole", "ball", "affine"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_row_projection_is_the_point_projections_bit_for_bit(kind, data):
@@ -316,42 +310,26 @@ def test_row_projection_is_the_point_projections_bit_for_bit(kind, data):
     assert _bits(projected) == _bits([cset.project(space, r) for r in rows])
 
 
-def test_box_row_projection_keeps_the_sign_of_zero_of_the_point_form():
-    # with broadcast bounds numpy's clip keeps -0.0 here; the point form returns 0.0
-    space, box = euclidean(1), Box([0.0], [0.0])
-    rows = np.array([[-0.0], [-0.0], [0.0]])
-    projected = box._project_rows(space, rows)
-    assert _bits(projected) == _bits([box.project(space, r) for r in rows]) == _bits(np.zeros((3, 1)))
-
-
 def test_a_set_that_redefines_project_projects_a_stack_row_by_row():
     # an inherited array form never stands in for the subclass's own rule
     class Shifted(Ball):
         def project(self, space, x):
             return super().project(space, x) + 1.0
 
-    class Checked(Box):
+    class Checked(Ball):
         pass
 
     space, rows = euclidean(2), np.array([[3.0, 0.0], [0.25, 0.5]])
     shifted = Shifted(np.zeros(2), 1.0)
     assert _bits(shifted._project_rows(space, rows)) == _bits([[2.0, 1.0], [1.25, 1.5]])
-    assert Checked._project_rows is Box._project_rows
-    assert AffineSpan._project_rows is ConvexSetBase._project_rows
+    assert Checked._project_rows is Ball._project_rows
+    assert Box._project_rows is AffineSpan._project_rows is ConvexSetBase._project_rows
 
 
-@pytest.mark.parametrize(
-    "cset, message",
-    [
-        (Box([0.0, 0.0], [1.0, 1.0]), "box bounds do not match the space dimension"),
-        (Ball(np.zeros(2), 1.0), "ball center does not match the space dimension"),
-    ],
-    ids=["box", "ball"],
-)
-def test_row_projection_rejects_a_set_of_another_dimension(cset, message):
+def test_ball_row_projection_rejects_a_ball_of_another_dimension():
     with pytest.raises(InputError) as caught:
-        cset._project_rows(euclidean(3), np.zeros((2, 3)))
-    assert str(caught.value) == message
+        Ball(np.zeros(2), 1.0)._project_rows(euclidean(3), np.zeros((2, 3)))
+    assert str(caught.value) == "ball center does not match the space dimension"
 
 
 def test_inner_symmetry_and_parallelogram():
