@@ -170,13 +170,16 @@ class FredholmProblem:
     g : callable
         Source term on ``[0, 1]``; must accept numpy arrays.
     kernel : callable
-        ``Phi(t, s, x)``, numpy-broadcastable in all three arguments.  On
-        the grid it is called with ``t`` an ``(n, 1)`` column and ``s``,
-        ``x`` ``(1, n)`` rows (``n = m + 1``); a value that does not
-        broadcast to ``(n, n)`` raises :class:`ConfigurationError` from
-        ``T``.  A value that does not vary with ``t`` (a scalar, an ``(n,)``
-        array or a ``(1, n)`` row) costs one O(m) product per call of ``T``;
-        any other costs ``(m+1)^2`` kernel evaluations and one BLAS product.
+        ``Phi(t, s, x)``, numpy-broadcastable and elementwise in all three
+        arguments: a declared-linear kernel is read in row blocks and single
+        columns of the grid, so each value may depend only on its own
+        ``(t, s, x)``.  On the grid it is called with ``t`` a column and
+        ``s``, ``x`` rows (``(n, 1)`` and ``(1, n)``, ``n = m + 1``, or a
+        part of them); a value that does not broadcast to the part's shape
+        raises :class:`ConfigurationError` from ``T``.  A value that does
+        not vary with ``t`` (a scalar, an ``(n,)`` array or a ``(1, n)``
+        row) costs one O(m) product per call of ``T``; any other costs
+        ``(m+1)^2`` kernel evaluations and one BLAS product.
     lipschitz_bound : float
         Declared bound with ``|Phi(t,s,x) - Phi(t,s,y)| <= bound * |x - y|``;
         must be <= 1 so the discretized operator is nonexpansive.  The bound
@@ -188,15 +191,15 @@ class FredholmProblem:
     linear : bool
         Declares the kernel linear in ``x``: ``Phi(t,s,x) = Phi(t,s,1) * x``
         for all ``t, s, x``.  The operator then applies the weighted
-        quadrature values ``K = Phi(t_i, t_j, w_j)``, evaluated once, on the
+        quadrature values ``K = Phi(t_i, t_j, w_j)``, read once, on the
         first call of ``T``.  Where they do not vary with ``t`` the operator
-        holds their one row and applies it as an O(m) product.  Otherwise
-        ``K`` is an ``(m+1)^2`` float64 matrix.  Where ``K`` is
-        numerically low rank (a degenerate or smooth kernel on a large
-        enough grid) that call also factors it as ``K = L R`` within the
-        dense product's own rounding bound, and the operator holds the
-        ``O(m r)`` factors in place of the table; otherwise it holds the
-        table and applies it as one matrix-vector product per call (see
+        holds their one row and applies it as an O(m) product.  Where ``K``
+        is numerically low rank (a degenerate or smooth kernel on a large
+        enough grid) that call factors it as ``K = L R`` within the dense
+        product's own rounding bound, from row blocks and columns, and the
+        operator holds the ``O(m r)`` factors; ``K`` is never formed.
+        Otherwise it holds ``K``, an ``(m+1)^2`` float64 matrix, and
+        applies it as one matrix-vector product per call (see
         :func:`fredholm_operator`).  The declaration is spot-checked on the
         same samples as the Lipschitz bound; a violation raises
         :class:`ConfigurationError`, because it would change the operator,
@@ -533,39 +536,52 @@ def _spot_check_kernel(problem: FredholmProblem, nodes: np.ndarray) -> None:
 
 
 _EPS = float(np.finfo(np.float64).eps)
-_ROW_BLOCK = 64
+# Values per row block of an (n, n) table (at least 2 rows): 128 KiB of
+# float64, small enough for the allocator to reuse one block's memory for the
+# next instead of mapping it afresh; blocks twice as large page-faulted enough
+# to make the first call of a factored m = 4096 kernel up to 1.9x slower.
+_BLOCK_VALUES = 1 << 14
 
 
-def _low_rank_factors(table: np.ndarray):
-    """Factors ``(L, R)`` with ``table = L @ R`` to rounding, or None.
+def _row_block(n: int) -> int:
+    return max(2, _BLOCK_VALUES // n)
 
+
+def _low_rank_factors(n: int, read_rows, read_column):
+    """Factors ``(L, R)`` with ``K = L @ R`` to rounding, or None.
+
+    ``K`` is an ``n x n`` table that is never passed whole: ``read_rows(b0,
+    b1)`` gives its rows ``b0:b1`` as a ``(b, n)`` array (``b1`` may pass
+    ``n``), and ``read_column(j)`` gives its column ``j`` as an ``(n,)`` array.
     Cross approximation with partial pivoting (Bebendorf, Numer. Math. 86,
     2000): each term is the residual row through the pivot row and the
     residual column through that row's largest entry, so the factoring
     uses plain products, costs O(n r^2) and is deterministic.  It stops
     when the next residual row is below ``eps S``, where ``S`` is the
-    largest row sum of ``|table|``.  The factors are accepted only when
+    largest row sum of ``|K|``.  The factors are accepted only when
 
     * ``r <= min(isqrt(n), (n^2 - 2^14) / (6 n))``: the cross
       approximation then costs O(n^2) at most, and ``L @ (R @ x)``, counted as
       ``3 n r`` entries plus ``2^13`` for its second product call, costs
       at most half the dense product;
-    * ``max_i sum_j |table - L R|_ij <= n eps S``, the forward-error bound
+    * ``max_i sum_j |K - L R|_ij <= n eps S``, the forward-error bound
       of the dense product itself;
     * ``max_i sum_k |L_ik| sum_j |R_kj| <= 2 S``, so the rounding and the
       partial sums of ``L @ (R @ x)``, and with them its overflow
       threshold, stay within a factor 2 of the dense product's.
 
-    The row sums and the O(n^2 r) check read the table in row blocks, so
-    no second n x n array is made.  A table with a non-finite entry is not
-    factored.
+    The row sums and the O(n^2 r) check read ``K`` in blocks of
+    ``_row_block(n)`` rows, the pivots one row or column at a time, so
+    memory stays O(n r) plus one block.  Each entry and each row sum comes
+    out the same whatever the block, so the factors are those of the whole
+    table, bit for bit.  A table with a non-finite entry is not factored.
     """
-    n = table.shape[0]
     max_rank = min(math.isqrt(n), (n * n - 2**14) // (6 * n))
     if max_rank < 1:
         return None
-    blocks = range(0, n, _ROW_BLOCK)
-    row_sums = np.concatenate([np.abs(table[b : b + _ROW_BLOCK]).sum(axis=1) for b in blocks])
+    step = _row_block(n)
+    blocks = range(0, n, step)
+    row_sums = np.concatenate([np.abs(read_rows(b, b + step)).sum(axis=1) for b in blocks])
     scale = float(np.max(row_sums))
     if not 0.0 < scale < math.inf:
         return None
@@ -575,21 +591,21 @@ def _low_rank_factors(table: np.ndarray):
     i = int(np.argmax(row_sums))
     rank = 0
     while True:
-        row = table[i] - cols[:rank, i] @ rows[:rank]
+        row = read_rows(i, i + 1)[0] - cols[:rank, i] @ rows[:rank]
         unused[i] = False
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) <= _EPS * scale:
             break
         if rank == max_rank:
             return None
-        cols[rank] = (table[:, j] - rows[:rank, j] @ cols[:rank]) / row[j]
+        cols[rank] = (read_column(j) - rows[:rank, j] @ cols[:rank]) / row[j]
         rows[rank] = row
         rank += 1
         i = int(np.argmax(np.where(unused, np.abs(cols[rank - 1]), -1.0)))
     left = np.ascontiguousarray(cols[:rank].T)
     right = rows[:rank].copy()
     error = max(
-        float(np.max(np.abs(table[b : b + _ROW_BLOCK] - left[b : b + _ROW_BLOCK] @ right).sum(1)))
+        float(np.max(np.abs(read_rows(b, b + step) - left[b : b + step] @ right).sum(1)))
         for b in blocks
     )
     growth = float(np.max(np.abs(left) @ np.abs(right).sum(axis=1)))
@@ -614,24 +630,35 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     product.  A value that does not broadcast to ``(n, n)`` raises
     :class:`ConfigurationError` from the call.
 
-    A kernel declared ``linear`` is evaluated once, on the first call, into
-    the weighted values ``K = Phi(t_i, t_j, w_j)``.  One row is kept as it
-    is, and every call is ``g + row @ x``.  An ``n x n`` matrix is kept in
-    one of two forms.  The first call tries to factor ``K = L @ R`` with
-    ``L`` of shape ``(n, r)`` and ``R`` of shape ``(r, n)``.  The factors replace the
-    table when ``r`` is small enough for ``L @ (R @ x)`` to cost at most
-    half the dense product (never for ``m < 131``), when
+    A kernel declared ``linear`` is read once, on the first call, as the
+    weighted values ``K = Phi(t_i, t_j, w_j)``, and only in parts: blocks
+    of ``_row_block(n)`` rows, ``Phi(t[b0:b1, None], s[None, :], w[None, :])``,
+    and single columns, ``Phi(t[:, None], s[None, j:j+1], w[None, j:j+1])``.
+    The kernel must therefore be elementwise, as ``Schedule.formula`` must,
+    and a part whose value does not broadcast to the part's shape raises
+    :class:`ConfigurationError`.  A first block whose value does not vary
+    with ``t`` is kept as its one row, and every call is ``g + row @ x``.
+    Otherwise the call factors ``K = L @ R``, with ``L`` of shape ``(n, r)``
+    and ``R`` of shape ``(r, n)``, from those parts (:func:`_low_rank_factors`).
+    The factors are kept when ``r`` is small enough for ``L @ (R @ x)`` to
+    cost at most half the dense product (never for ``m < 131``), when
     ``max_i sum_j |K - L R|_ij <= n eps max_i sum_j |K_ij|``, the
     forward-error bound of the dense product itself, and when the partial
     sums of ``L @ (R @ x)`` are bounded by twice those of ``K @ x``, so that
     it overflows no sooner than within that factor.  Every call is then
-    ``g + L @ (R @ x)``, O(n r) instead of O(n^2), and the operator holds
-    ``2 n r`` float64 values instead of ``n^2`` (16 KB against 8.4 MB for
-    a rank-1 kernel at ``m = 1024``).  Otherwise, for a full-rank kernel
-    such as ``min(t, s)/2``, every call is ``g + K @ x`` bit for bit.  The
-    one-time cost of the first call includes the attempt to factor:
-    O(n^2) when it fails, O(n^2 r) when the factors are checked.  Two operators
-    built from one problem give bitwise-equal values.
+    ``g + L @ (R @ x)``, O(n r) instead of O(n^2).  A kernel that factors
+    never forms ``K``: the first call holds O(n (block + r)) values at a
+    time, and the operator keeps ``2 n r`` float64 values (16 KB for a
+    rank-1 kernel at ``m = 1024``, against 8.4 MB for ``K``).  Otherwise,
+    for a full-rank kernel such as ``min(t, s)/2``, ``K`` is filled block by
+    block into one array, with no second full-size copy, and every call is
+    ``g + K @ x`` bit for bit.  The first call reads ``K`` twice: for the
+    row sums and the forward error of the factors (O(n^2 r)), or for the
+    row sums and the table when the factoring fails (O(n^2)); below
+    ``m = 131`` it reads the table once.  At
+    ``m = 1024`` that took 14 ms for a rank-1 kernel and 19 ms for a
+    Gaussian one (one BLAS thread, 2-vCPU VM).  Two operators built from
+    one problem give bitwise-equal values.
     """
     space, nodes = fredholm_grid(problem)
     _spot_check_kernel(problem, nodes)
@@ -641,19 +668,26 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     weights = space.weights
     tcol = nodes[:, None]
     srow = nodes[None, :]
+    wrow = weights[None, :]
     n = nodes.size
 
-    def kernel_rows(x_row):
-        # Phi(t_i, s_j, x_j) broadcast along s only, to (r, n): r = 1 for a
-        # value that does not vary with t, so its rows are never repeated.
-        values = np.asarray(problem.kernel(tcol, srow, x_row), dtype=np.float64)
-        if values.ndim > 2 or not set(values.shape) <= {1, n}:
+    def kernel_rows(t, s, x):
+        # Phi(t, s, x) for a column of nodes t and rows s, x, broadcast along
+        # s only, to (r, k): r = 1 for a value that does not vary with t, so
+        # its rows are never repeated.
+        values = np.asarray(problem.kernel(t, s, x), dtype=np.float64)
+        shape = (t.shape[0], s.shape[1])
+        if values.ndim > 2 or not (
+            set(values.shape[-1:]) <= {1, shape[1]} and set(values.shape[:-1]) <= {1, shape[0]}
+        ):
+            part = "" if shape == (n, n) else f"the {shape} part of "
             raise ConfigurationError(
                 f"kernel value has shape {values.shape}, which does not broadcast to "
-                f"the ({n}, {n}) table of the {n}-node grid"
+                f"{part}the ({n}, {n}) table of the {n}-node grid"
             )
         rows = values.shape[0] if values.ndim == 2 else 1
-        return values if values.shape == (rows, n) else np.broadcast_to(values, (rows, n))
+        shape = (rows, shape[1])
+        return values if values.shape == shape else np.broadcast_to(values, shape)
 
     if problem.linear:
         # Built lazily so that set-up and commands that never call T do not
@@ -661,13 +695,28 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
         # is the dense table, or its one row.
         left = right = None
 
+        def read_rows(b0, b1):
+            t = tcol[b0:b1]
+            return np.broadcast_to(kernel_rows(t, srow, wrow), (len(t), n))
+
+        def read_column(j):
+            value = kernel_rows(tcol, srow[:, j : j + 1], wrow[:, j : j + 1])
+            return np.broadcast_to(value, (n, 1))[:, 0]
+
         def integral_step(x):
             nonlocal left, right
             if left is None:
-                left = np.ascontiguousarray(kernel_rows(weights[None, :]))
-                factors = _low_rank_factors(left) if len(left) > 1 else None
-                if factors is not None:
+                block = _row_block(n)
+                first = kernel_rows(tcol[:block], srow, wrow)
+                if len(first) == 1:
+                    left = np.ascontiguousarray(first)
+                elif (factors := _low_rank_factors(n, read_rows, read_column)) is not None:
                     left, right = factors
+                else:
+                    left = np.empty((n, n))  # filled in place: no second full-size array
+                    left[:block] = first
+                    for b in range(block, n, block):
+                        left[b : b + block] = read_rows(b, b + block)
             if right is None:
                 return gvals + left @ x
             return gvals + left @ (right @ x)
@@ -675,7 +724,7 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     else:
 
         def integral_step(x):
-            return gvals + kernel_rows(x[None, :]) @ weights
+            return gvals + kernel_rows(tcol, srow, x[None, :]) @ weights
 
     return NonexpansiveMap(
         evaluator=integral_step, label=f"integral operator on {problem.grid_size + 1} nodes"

@@ -426,9 +426,11 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     over the horizon.  The limit and series conditions (ii), (iii), (iv)
     are resolved from the schedule's declared analytic facts when present;
     otherwise they are estimated from partial sums and tail exponents and
-    the verdict is capped at inconclusive or violated.  Indices from 1 up
-    to the start index are probed too: simplex failures there are range
-    violations that do not affect the condition verdicts.
+    the verdict is capped at inconclusive or violated.  The tail exponents
+    are fitted for those estimates only, so under declared facts the
+    ``drift_tail_exponent`` and ``tail_exponent`` diagnostics are None.
+    Indices from 1 up to the start index are probed too: simplex failures
+    there are range violations that do not affect the condition verdicts.
 
     The indices are walked in blocks of ``_BLOCK`` and only the first range
     violations are kept, so memory does not grow with the horizon.
@@ -450,8 +452,9 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     range_violations, n_violations, first_bad = [], 0, None
     drift_sum = tail_sum = -0.0  # -0.0 + x is x for every float x
     d_min, d_max, d_prev, first_drop = np.inf, -np.inf, np.empty(0), None
+    # facts-free heuristics only: the tail fits, the largest |drift|, per-block
+    # tail rows, the last finite ratio
     drift_fit, tail_fit = _TailFit(), _TailFit()
-    # facts-free heuristics only: the largest |drift|, per-block tail rows, the last finite ratio
     drift_peak, tail_rows, ratio_last = 0.0, [], None
     for lo in range(1, horizon + 1, _BLOCK):
         ns = np.arange(lo, min(lo + _BLOCK, horizon + 1), dtype=np.float64)
@@ -484,22 +487,23 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
         if first_drop is None and not np.all(rising):
             first_drop = int(ns[0]) - len(d_prev) + int(np.argmin(rising))
         d_prev = d[-1:]
+        if facts is not None:
+            continue  # declared facts decide (ii)-(iv): nothing below is read
         drift_mags = np.abs(drift)
         tail = slice(max(tail_start - int(ns[0]), 0), None)
         log_ns = np.log(ns[tail])
         drift_fit.add(log_ns, drift_mags[tail])
         tail_fit.add(log_ns, np.abs(tail_summand[tail]))
-        if facts is None:
-            drift_peak = np.maximum(drift_peak, np.max(drift_mags))
-            if len(log_ns):
-                tail_rows.append([
-                    (np.min(v), np.max(v), v[0], v[-1], np.sum(v))
-                    for v in (drift_mags[tail], np.abs(a3[tail]), a2[tail])
-                ])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = a3 / (1.0 - a2 - a3 * d)
-            finite = np.flatnonzero(np.isfinite(ratio))
-            ratio_last = ratio[finite[-1]] if finite.size else ratio_last
+        drift_peak = np.maximum(drift_peak, np.max(drift_mags))
+        if len(log_ns):
+            tail_rows.append([
+                (np.min(v), np.max(v), v[0], v[-1], np.sum(v))
+                for v in (drift_mags[tail], np.abs(a3[tail]), a2[tail])
+            ])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = a3 / (1.0 - a2 - a3 * d)
+        finite = np.flatnonzero(np.isfinite(ratio))
+        ratio_last = ratio[finite[-1]] if finite.size else ratio_last
 
     if first_bad is None:
         cond_i = ConditionFinding(

@@ -968,6 +968,92 @@ def test_fredholm_low_rank_operator_drops_the_dense_table(kernel, factored):
         assert held >= table.nbytes
 
 
+def _kernel_readers(kernel, m):
+    """The weighted values ``Phi(t_i, t_j, w_j)`` as row blocks and as columns, never whole."""
+    space, nodes = fredholm_grid(
+        FredholmProblem(g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=m)
+    )
+    t, s, w = nodes[:, None], nodes[None, :], space.weights[None, :]
+
+    def read_rows(b0, b1):
+        return kernel(t[b0:b1], s, w)
+
+    def read_column(j):
+        return kernel(t, s[:, j : j + 1], w[:, j : j + 1])[:, 0]
+
+    return read_rows, read_column
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7e308])
+@pytest.mark.parametrize("m", [256, 1024])
+@pytest.mark.parametrize("kernel", [_separable, _gaussian])
+def test_fredholm_factors_from_row_blocks_are_those_of_the_whole_table(kernel, m, scale):
+    problem, gvals, table = _linear_problem(kernel, m)
+    n = gvals.size
+    streamed = maps._low_rank_factors(n, *_kernel_readers(kernel, m))
+    whole = maps._low_rank_factors(n, lambda b0, b1: table[b0:b1], lambda j: table[:, j])
+    assert whole is not None
+    for got, want in zip(streamed, whole):
+        assert got.tobytes() == want.tobytes()
+    left, right = whole
+    T = fredholm_operator(problem)
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, n) * scale
+        assert np.array_equal(T(x), gvals + left @ (right @ x))
+
+
+def _first_call_peak(kernel, m):
+    """Peak bytes traced during the first call of ``T``, and the bytes of its ``(m+1)^2`` table."""
+    problem = FredholmProblem(
+        g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=m, linear=True
+    )
+    T = fredholm_operator(problem)
+    x = np.linspace(-1.0, 1.0, m + 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, x.size * x.nbytes
+
+
+@pytest.mark.parametrize("kernel", [_separable, _gaussian])
+def test_fredholm_kernel_that_factors_never_forms_its_table(kernel):
+    # the factors come from row blocks and columns: O(m (block + r)) at a time
+    peak, table_bytes = _first_call_peak(kernel, 1024)
+    assert peak < table_bytes / 2
+
+
+def test_fredholm_full_rank_table_is_filled_without_a_second_copy():
+    peak, table_bytes = _first_call_peak(_min_kernel, 1024)
+    assert peak <= 1.1 * table_bytes
+
+
+def test_fredholm_kernel_that_factors_is_read_in_parts_on_the_first_call_only():
+    shapes = []
+
+    def counted(t, s, x):
+        shapes.append(np.broadcast(t, s, x).shape)
+        return _gaussian(t, s, x)
+
+    problem = FredholmProblem(
+        g=np.cos, kernel=counted, lipschitz_bound=0.5, grid_size=256, linear=True
+    )
+    T = fredholm_operator(problem)
+    shapes.clear()  # the spot check's samples
+    x = np.linspace(-1.0, 1.0, 257)
+    first = T(x)
+    # row blocks and columns, never the (257, 257) table
+    assert shapes and all(rows < 257 or cols == 1 for rows, cols in shapes)
+    calls = len(shapes)
+    for _ in range(3):
+        assert np.array_equal(T(x), first)
+    assert len(shapes) == calls
+
+
 @pytest.mark.parametrize("linear", [True, False])
 def test_fredholm_kernel_that_does_not_vary_with_t_builds_no_table(linear):
     # The one-row value is applied as it is: the operator holds O(m), and

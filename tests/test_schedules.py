@@ -345,8 +345,13 @@ _SAT, _VIO, _INC = Status.SATISFIED, Status.VIOLATED, Status.INCONCLUSIVE
     ids=["eq75", "halpern-mix", "compare-t16", "bench-custom", "constant"],
 )
 def test_tail_exponents_match_polyfit(schedule):
+    # the fits feed only the facts-free estimates, so declared facts leave them out
     horizon = 10_000
     report = validate_assumption12(schedule, horizon)
+    if schedule.facts is not None:
+        assert report.diagnostics["drift_tail_exponent"] is None
+        assert report.diagnostics["tail_exponent"] is None
+        return
     ns = np.arange(max(horizon // 10, schedule.start_index), horizon + 1, dtype=np.float64)
     _, a2, a3, d = (np.broadcast_to(v, ns.shape) for v in schedule.formula(ns))
     for key, summand in (
@@ -498,8 +503,10 @@ def _oracle(s, horizon):
     drift_sum, tail_sum = float(np.sum(drift)), float(np.sum(tail_summand))
     tail = slice(int(np.searchsorted(ns, max(ns[-1] // 10, ns[0]))), None)
     log_ns = np.log(ns[tail])
-    drift_exp = _oracle_tail_exponent(log_ns, np.abs(drift[tail]))
-    tail_exp = _oracle_tail_exponent(log_ns, np.abs(tail_summand[tail]))
+    drift_exp = tail_exp = None  # fitted for the facts-free estimates only
+    if s.facts is None:
+        drift_exp = _oracle_tail_exponent(log_ns, np.abs(drift[tail]))
+        tail_exp = _oracle_tail_exponent(log_ns, np.abs(tail_summand[tail]))
     monotone = bool(np.all(np.diff(dv) >= -1e-15))
     d_min, d_max = float(np.min(dv)), float(np.max(dv))
     if monotone and d_min > 0.0 and d_max < 1.0:
