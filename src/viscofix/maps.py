@@ -673,21 +673,22 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
 
     def kernel_rows(t, s, x):
         # Phi(t, s, x) for a column of nodes t and rows s, x, broadcast along
-        # s only, to (r, k): r = 1 for a value that does not vary with t, so
-        # its rows are never repeated.
+        # s only, to (r, cols): r = 1 for a value that does not vary with t,
+        # so its rows are never repeated.  The two usual shapes return first,
+        # because the general path pays this check on every call.
         values = np.asarray(problem.kernel(t, s, x), dtype=np.float64)
-        shape = (t.shape[0], s.shape[1])
+        rows, cols = len(t), s.shape[1]
+        if values.shape == (rows, cols) or values.shape == (1, cols):
+            return values
         if values.ndim > 2 or not (
-            set(values.shape[-1:]) <= {1, shape[1]} and set(values.shape[:-1]) <= {1, shape[0]}
+            set(values.shape[-1:]) <= {1, cols} and set(values.shape[:-1]) <= {1, rows}
         ):
-            part = "" if shape == (n, n) else f"the {shape} part of "
+            part = "" if (rows, cols) == (n, n) else f"the {(rows, cols)} part of "
             raise ConfigurationError(
                 f"kernel value has shape {values.shape}, which does not broadcast to "
                 f"{part}the ({n}, {n}) table of the {n}-node grid"
             )
-        rows = values.shape[0] if values.ndim == 2 else 1
-        shape = (rows, shape[1])
-        return values if values.shape == shape else np.broadcast_to(values, shape)
+        return np.broadcast_to(values, (values.shape[0] if values.ndim == 2 else 1, cols))
 
     if problem.linear:
         # Built lazily so that set-up and commands that never call T do not
