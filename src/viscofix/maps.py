@@ -655,10 +655,10 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     ``g + K @ x`` bit for bit.  The first call reads ``K`` twice: for the
     row sums and the forward error of the factors (O(n^2 r)), or for the
     row sums and the table when the factoring fails (O(n^2)); below
-    ``m = 131`` it reads the table once.  At
-    ``m = 1024`` that took 14 ms for a rank-1 kernel and 19 ms for a
-    Gaussian one (one BLAS thread, 2-vCPU VM).  Two operators built from
-    one problem give bitwise-equal values.
+    ``m = 131`` it reads the table once.  At ``m = 1024`` that call took
+    14 ms for a rank-1 kernel and 19 ms for a Gaussian one (one BLAS
+    thread, 2-vCPU VM).  Two operators built from one problem give
+    bitwise-equal values.
     """
     space, nodes = fredholm_grid(problem)
     _spot_check_kernel(problem, nodes)
