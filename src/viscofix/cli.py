@@ -98,8 +98,7 @@ def _termination_exit(report: SolveReport) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_run_config(args.config)
-    trace_path = args.trace if args.trace is not None else cfg.trace_path
-    solver_cfg = dataclasses.replace(cfg.solver, record_trace=trace_path is not None)
+    solver_cfg = dataclasses.replace(cfg.solver, record_trace=args.trace is not None)
     setup = build_problem(cfg)
     _print_schedule_warnings(cfg.schedule)
     report = _run_configured(setup, cfg.scheme, cfg.schedule, solver_cfg)
@@ -113,9 +112,9 @@ def cmd_solve(args) -> int:
     if setup.vi_samples and setup.f is not None and cfg.scheme not in IDENTITY_SCHEMES:
         value = vi_residual(setup.space, report.final_point, setup.f, setup.vi_samples)
         print(f"variational-inequality residual: {value:.6g}")
-    if trace_path is not None:
-        write_trace_csv(report.trace, trace_path)
-        print(f"trace written: {trace_path} ({len(report.trace)} rows)")
+    if args.trace is not None:
+        write_trace_csv(report.trace, args.trace)
+        print(f"trace written: {args.trace} ({len(report.trace)} rows)")
     return _termination_exit(report)
 
 

@@ -199,7 +199,6 @@ class RunConfig:
     scheme: SchemeKind
     schedule: Schedule
     solver: SolverConfig
-    trace_path: Optional[str]
     origin: str
 
 
@@ -220,14 +219,14 @@ def load_run_config(path) -> RunConfig:
 
     Validates the file syntax, the section names, the presence of
     [problem], [scheme] and [schedule], and the run-level sections
-    [scheme], [schedule], [solver] and [output].  The [problem],
+    [scheme], [schedule] and [solver].  The [problem],
     [contraction] and [space] sections are passed on as parsed; their keys
     and values are validated by :func:`viscofix.problems.build_problem`.
     """
     origin = str(path)
     sections = read_sections(path)
 
-    known = {"space", "problem", "contraction", "scheme", "schedule", "solver", "output"}
+    known = {"space", "problem", "contraction", "scheme", "schedule", "solver"}
     for name, data in sections.items():
         if name not in known:
             first = min(data.values(), key=lambda raw: raw.line) if data else None
@@ -249,7 +248,7 @@ def load_run_config(path) -> RunConfig:
 
     schedule = schedule_from_section(section("schedule"))
 
-    # an absent [solver] or [output] section reads as an empty one
+    # an absent [solver] section reads as an empty one
     solver_view = section("solver")
     given = {
         "outer_tol": solver_view.float_value("outer_tol"),
@@ -259,10 +258,6 @@ def load_run_config(path) -> RunConfig:
     solver = SolverConfig(record_trace=False, **{k: v for k, v in given.items() if v is not None})
     solver_view.finish()
 
-    output_view = section("output")
-    trace_path = output_view.str_value("trace")
-    output_view.finish()
-
     return RunConfig(
         problem=sections["problem"],
         contraction=sections.get("contraction"),
@@ -270,6 +265,5 @@ def load_run_config(path) -> RunConfig:
         scheme=scheme,
         schedule=schedule,
         solver=solver,
-        trace_path=trace_path,
         origin=origin,
     )

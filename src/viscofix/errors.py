@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for a count.
+
+Every error the package raises on purpose is a :class:`ViscofixError`:
+an :class:`InputError` for a value handed to an operation, a
+:class:`ConfigurationError` for a problem, map, space, schedule or run
+assembled from inconsistent pieces.  Every count the package takes (a
+dimension, a grid size, a start index, a sample count or seed, a budget,
+a horizon) is checked by :func:`_count`, which refuses a ``bool``, a
+float, a string and ``None`` with the error its caller names.
+"""
+
+import operator
 
 __all__ = [
     "ViscofixError",
@@ -41,3 +52,21 @@ class InnerSolveError(ViscofixError, RuntimeError):
 
 class NotConvergedError(ViscofixError, RuntimeError):
     """A diagnostic was requested for a run that did not converge."""
+
+
+def _count(value, name: str, least: int, error: type) -> int:
+    """``value`` as an ``int`` of at least ``least``; ``error`` names ``name`` otherwise.
+
+    ``operator.index`` takes a Python or numpy integer and refuses a float,
+    a string and ``None``.  A ``bool`` is refused too: it is an ``int``, so
+    ``True`` would pass for a count of 1.
+    """
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise error(f"{name} must be >= {least}, got {count}")
+    return count

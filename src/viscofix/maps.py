@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import space as spc
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, _count
 
 __all__ = [
     "ContractionModulus",
@@ -57,7 +57,7 @@ class ContractionModulus:
     increasing and unbounded.  Two parameterizations are supported:
 
     * ``linear``: ``m(t) = c * t`` with ``c`` in ``[0, 1)``.
-    * ``rational``: ``m(t) = t / (1 + beta * t)`` with ``beta > 0``.
+    * ``rational``: ``m(t) = t / (1 + beta * t)`` with finite ``beta > 0``.
     """
 
     kind: str
@@ -70,10 +70,10 @@ class ContractionModulus:
                     f"linear modulus coefficient must lie in [0, 1), got {self.coefficient}"
                 )
         elif self.kind == "rational":
-            if not (self.coefficient > 0.0):
-                raise ConfigurationError(
-                    f"rational modulus coefficient must be positive, got {self.coefficient}"
-                )
+            beta = self.coefficient
+            if not (0.0 < beta < math.inf):
+                need = "finite" if beta > 0.0 else "positive"
+                raise ConfigurationError(f"rational modulus coefficient must be {need}, got {beta}")
         else:
             raise ConfigurationError(f"unknown modulus kind: {self.kind!r}")
 
@@ -152,9 +152,10 @@ class MonotoneOperatorSpec:
     label: str = ""
 
     def __post_init__(self):
-        if not (self.ism_alpha > 0.0):
+        if not (0.0 < self.ism_alpha < math.inf):
             raise ConfigurationError(
-                f"inverse-strong-monotonicity constant must be positive, got {self.ism_alpha}"
+                "inverse-strong-monotonicity constant must be finite and positive, "
+                f"got {self.ism_alpha}"
             )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -171,39 +172,24 @@ class FredholmProblem:
         Source term on ``[0, 1]``; must accept numpy arrays.
     kernel : callable
         ``Phi(t, s, x)``, numpy-broadcastable and elementwise in all three
-        arguments: a declared-linear kernel is read in row blocks and single
-        columns of the grid, so each value may depend only on its own
-        ``(t, s, x)``.  On the grid it is called with ``t`` a column and
-        ``s``, ``x`` rows (``(n, 1)`` and ``(1, n)``, ``n = m + 1``, or a
-        part of them); a value that does not broadcast to the part's shape
-        raises :class:`ConfigurationError` from ``T``.  A value that does
-        not vary with ``t`` (a scalar, an ``(n,)`` array or a ``(1, n)``
-        row) costs one O(m) product per call of ``T``; any other costs
-        ``(m+1)^2`` kernel evaluations and one BLAS product.
+        arguments: each value may depend only on its own ``(t, s, x)``,
+        because ``T`` reads the grid's values in parts (see
+        :func:`fredholm_operator`, which also states what a call costs).
     lipschitz_bound : float
         Declared bound with ``|Phi(t,s,x) - Phi(t,s,y)| <= bound * |x - y|``;
-        must be <= 1 so the discretized operator is nonexpansive.  The bound
-        is spot-checked by sampling when the operator is built; a violation
-        warns but does not fail.
+        must lie in ``[0, 1]`` so the discretized operator is nonexpansive.
+        The bound is spot-checked by sampling when the operator is built; a
+        violation warns but does not fail.
     grid_size : int
         Number of trapezoid intervals ``m`` (the grid has ``m + 1`` nodes
         ``t_i = i/m``), at least 2.
     linear : bool
         Declares the kernel linear in ``x``: ``Phi(t,s,x) = Phi(t,s,1) * x``
-        for all ``t, s, x``.  The operator then applies the weighted
-        quadrature values ``K = Phi(t_i, t_j, w_j)``, read once, on the
-        first call of ``T``.  Where they do not vary with ``t`` the operator
-        holds their one row and applies it as an O(m) product.  Where ``K``
-        is numerically low rank (a degenerate or smooth kernel on a large
-        enough grid) that call factors it as ``K = L R`` within the dense
-        product's own rounding bound, from row blocks and columns, and the
-        operator holds the ``O(m r)`` factors; ``K`` is never formed.
-        Otherwise it holds ``K``, an ``(m+1)^2`` float64 matrix, and
-        applies it as one matrix-vector product per call (see
-        :func:`fredholm_operator`).  The declaration is spot-checked on the
-        same samples as the Lipschitz bound; a violation raises
-        :class:`ConfigurationError`, because it would change the operator,
-        not only the convergence rate.
+        for all ``t, s, x``, so that ``T`` may apply the weighted values
+        ``Phi(t_i, t_j, w_j)`` read once (see :func:`fredholm_operator`).
+        The declaration is spot-checked on the same samples as the
+        Lipschitz bound; a violation raises :class:`ConfigurationError`,
+        because it would change the operator, not only the convergence rate.
     """
 
     g: Callable
@@ -213,12 +199,11 @@ class FredholmProblem:
     linear: bool = False
 
     def __post_init__(self):
-        if not (self.lipschitz_bound <= 1.0):
+        if not (0.0 <= self.lipschitz_bound <= 1.0):
             raise ConfigurationError(
-                f"kernel Lipschitz bound must be <= 1, got {self.lipschitz_bound}"
+                f"kernel Lipschitz bound must lie in [0, 1], got {self.lipschitz_bound}"
             )
-        if self.grid_size < 2:
-            raise ConfigurationError(f"grid_size must be >= 2, got {self.grid_size}")
+        _count(self.grid_size, "grid_size", 2, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -300,8 +285,8 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=
     values worse than ``start`` are kept at all.  The audit passes unless
     the worst value is worse than ``bound``.
     """
-    if n_samples < 1:
-        raise InputError(f"n_samples must be >= 1, got {n_samples}")
+    _count(n_samples, "n_samples", 1, InputError)
+    _count(seed, "seed", 0, InputError)
     # One draw in C order: every first point, then every second point.
     xs, ys = np.random.default_rng(seed).standard_normal((2, n_samples, space.dim)) * 3.0
     if domain is not None:
@@ -619,46 +604,42 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
 
     Returns the map with components
     ``(T x)_i = g(t_i) + sum_j w_j Phi(t_i, t_j, x_j)`` acting on the
-    ``grid_size + 1`` node values.  With the declared kernel Lipschitz
+    ``n = grid_size + 1`` node values.  With the declared kernel Lipschitz
     bound at most 1 the map is nonexpansive in the weighted norm.
 
-    The kernel's value ``Phi(t_i, t_j, x_j)`` (``n = m + 1`` nodes) is
-    reduced with as many rows as it comes back with, broadcast along ``s``
-    only.  A value that does not vary with ``t`` is one row, and each call
-    is ``g + row @ w``, one O(m) product.  A value with ``n`` rows makes
-    each call ``g + K(x) @ w``: ``(m+1)^2`` kernel evaluations and one BLAS
-    product.  A value that does not broadcast to ``(n, n)`` raises
-    :class:`ConfigurationError` from the call.
+    The kernel is called with ``t`` a column of nodes and ``s``, ``x`` rows
+    (``(n, 1)`` and ``(1, n)``, or a part of them).  Its value is reduced
+    with as many rows as it comes back with, broadcast along ``s`` only, and
+    a value that does not broadcast to the part's shape raises
+    :class:`ConfigurationError` from the call.  A value that does not vary
+    with ``t`` (a scalar, an ``(n,)`` array or a ``(1, n)`` row) is one row,
+    and each call is ``g + row @ w``, one O(m) product.  A value with ``n``
+    rows makes each call ``g + K(x) @ w``: ``n^2`` kernel evaluations and
+    one BLAS product.
 
     A kernel declared ``linear`` is read once, on the first call, as the
     weighted values ``K = Phi(t_i, t_j, w_j)``, and only in parts: blocks
     of ``_row_block(n)`` rows, ``Phi(t[b0:b1, None], s[None, :], w[None, :])``,
     and single columns, ``Phi(t[:, None], s[None, j:j+1], w[None, j:j+1])``.
-    The kernel must therefore be elementwise, as ``Schedule.formula`` must,
-    and a part whose value does not broadcast to the part's shape raises
-    :class:`ConfigurationError`.  A first block whose value does not vary
-    with ``t`` is kept as its one row, and every call is ``g + row @ x``.
-    Otherwise the call factors ``K = L @ R``, with ``L`` of shape ``(n, r)``
-    and ``R`` of shape ``(r, n)``, from those parts (:func:`_low_rank_factors`).
-    The factors are kept when ``r`` is small enough for ``L @ (R @ x)`` to
-    cost at most half the dense product (never for ``m < 131``), when
+    A first block whose value does not vary with ``t`` is kept as its one
+    row, and every call is ``g + row @ x``.  Otherwise the call factors
+    ``K = L @ R``, with ``L`` of shape ``(n, r)`` and ``R`` of shape
+    ``(r, n)``, from those parts (:func:`_low_rank_factors`).  The factors
+    are kept when ``r`` is small enough for ``L @ (R @ x)`` to cost at most
+    half the dense product (never for ``m < 131``), when
     ``max_i sum_j |K - L R|_ij <= n eps max_i sum_j |K_ij|``, the
     forward-error bound of the dense product itself, and when the partial
     sums of ``L @ (R @ x)`` are bounded by twice those of ``K @ x``, so that
     it overflows no sooner than within that factor.  Every call is then
     ``g + L @ (R @ x)``, O(n r) instead of O(n^2).  A kernel that factors
     never forms ``K``: the first call holds O(n (block + r)) values at a
-    time, and the operator keeps ``2 n r`` float64 values (16 KB for a
-    rank-1 kernel at ``m = 1024``, against 8.4 MB for ``K``).  Otherwise,
-    for a full-rank kernel such as ``min(t, s)/2``, ``K`` is filled block by
-    block into one array, with no second full-size copy, and every call is
-    ``g + K @ x`` bit for bit.  The first call reads ``K`` twice: for the
-    row sums and the forward error of the factors (O(n^2 r)), or for the
-    row sums and the table when the factoring fails (O(n^2)); below
-    ``m = 131`` it reads the table once.  At ``m = 1024`` that call took
-    14 ms for a rank-1 kernel and 19 ms for a Gaussian one (one BLAS
-    thread, 2-vCPU VM).  Two operators built from one problem give
-    bitwise-equal values.
+    time, and the operator keeps ``2 n r`` float64 values.  Otherwise, for
+    a full-rank kernel such as ``min(t, s)/2``, ``K`` is filled block by
+    block into one ``n^2`` float64 array and every call is ``g + K @ x``.
+    The first call reads ``K`` twice: for the row sums and the forward
+    error of the factors (O(n^2 r)), or for the row sums and the table when
+    the factoring fails (O(n^2)); below ``m = 131`` it reads the table
+    once.  Two operators built from one problem give bitwise-equal values.
     """
     space, nodes = fredholm_grid(problem)
     _spot_check_kernel(problem, nodes)
@@ -680,15 +661,15 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
         rows, cols = len(t), s.shape[1]
         if values.shape == (rows, cols) or values.shape == (1, cols):
             return values
-        if values.ndim > 2 or not (
-            set(values.shape[-1:]) <= {1, cols} and set(values.shape[:-1]) <= {1, rows}
-        ):
+        r = rows if values.ndim == 2 and values.shape[0] == rows else 1
+        try:
+            return np.broadcast_to(values, (r, cols))
+        except ValueError:
             part = "" if (rows, cols) == (n, n) else f"the {(rows, cols)} part of "
             raise ConfigurationError(
                 f"kernel value has shape {values.shape}, which does not broadcast to "
                 f"{part}the ({n}, {n}) table of the {n}-node grid"
-            )
-        return np.broadcast_to(values, (values.shape[0] if values.ndim == 2 else 1, cols))
+            ) from None
 
     if problem.linear:
         # Built lazily so that set-up and commands that never call T do not

@@ -24,13 +24,12 @@ capped at "inconclusive" or "violated".
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, _count
 
 __all__ = [
     "ScheduleParams",
@@ -93,10 +92,7 @@ class Schedule:
     facts: Optional[AnalyticFacts] = None
 
     def __post_init__(self):
-        if self.start_index < 1:
-            raise ConfigurationError(
-                f"start index must be >= 1, got {self.start_index}"
-            )
+        _count(self.start_index, "start index", 1, ConfigurationError)
 
 
 def _eq_weights(n):
@@ -202,6 +198,7 @@ def custom_rational(
     facts are attached, so the validator can report at most
     "inconclusive" for the limit and series conditions.
     """
+    start_index = _count(start_index, "start index", 1, ConfigurationError)
     coeffs = []
     for name, triple in zip(ScheduleParams._fields, (alpha1, alpha2, alpha3, delta)):
         if len(triple) != 3:
@@ -224,16 +221,12 @@ def custom_rational(
 
 
 def schedule_eval(s: Schedule, n: int) -> ScheduleParams:
-    """Evaluate the schedule at index ``n >= start_index``.
+    """Evaluate the schedule at the integer index ``n >= start_index``.
 
     Pure and deterministic; repeated evaluation yields bitwise-identical
-    tuples.  Indices below the start index are an input error.
+    tuples.  Any other index is an input error.
     """
-    if n < s.start_index:
-        raise InputError(
-            f"schedule index {n} is below the start index {s.start_index}"
-        )
-    values = s.formula(int(n))
+    values = s.formula(_count(n, "schedule index", s.start_index, InputError))
     try:
         a1, a2, a3, d = values
         return ScheduleParams(float(a1), float(a2), float(a3), float(d))
@@ -436,12 +429,7 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     violations are kept, so memory does not grow with the horizon.
     Findings are report content; this function does not raise on them.
     """
-    try:
-        horizon = operator.index(horizon)
-    except TypeError:
-        raise InputError(f"horizon must be an integer, got {horizon!r}") from None
-    if horizon < 100:
-        raise InputError(f"horizon must be >= 100, got {horizon}")
+    horizon = _count(horizon, "horizon", 100, InputError)
     if horizon <= s.start_index:
         raise InputError(
             f"horizon {horizon} must exceed the start index {s.start_index}"

@@ -42,14 +42,13 @@ import csv
 import enum
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import space as spc
-from .errors import ConfigurationError, InnerSolveError, InputError, NotConvergedError
+from .errors import ConfigurationError, InnerSolveError, InputError, NotConvergedError, _count
 from .maps import _EPS, GeneralizedContraction, NonexpansiveMap
 from .schedules import _SIMPLEX_TOL, Schedule, ScheduleParams, _meets_condition_i, schedule_eval
 
@@ -116,8 +115,7 @@ class SolverConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        # bool is a numbers.Real and operator.index(True) is 1, so a flag
-        # would pass for a tolerance of 1.0 or a one-step budget.
+        # bool is a numbers.Real, so a flag would pass for a tolerance of 1.0
         for name in ("outer_tol", "inner_tol"):
             tol = getattr(self, name)
             if isinstance(tol, bool) or not (
@@ -126,14 +124,7 @@ class SolverConfig:
                 raise ConfigurationError(f"{name} must be finite and positive, got {tol!r}")
         if not isinstance(self.record_trace, bool):
             raise ConfigurationError(f"record_trace must be a bool, got {self.record_trace!r}")
-        try:
-            max_outer = None if isinstance(self.max_outer, bool) else operator.index(self.max_outer)
-        except TypeError:
-            max_outer = None
-        if max_outer is None:
-            raise ConfigurationError(f"max_outer must be an integer, got {self.max_outer!r}")
-        if max_outer < 1:
-            raise ConfigurationError(f"max_outer must be >= 1, got {max_outer}")
+        _count(self.max_outer, "max_outer", 1, ConfigurationError)
 
 
 class IterationState(NamedTuple):

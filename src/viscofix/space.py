@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, _count
 
 __all__ = [
     "SpaceDescriptor",
@@ -54,8 +54,7 @@ class SpaceDescriptor:
     unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigurationError(f"dimension must be >= 1, got {self.dim}")
+        _count(self.dim, "dimension", 1, ConfigurationError)
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.dim,):
             raise ConfigurationError(
@@ -142,6 +141,7 @@ class SpaceDescriptor:
 
 def euclidean(dim: int) -> SpaceDescriptor:
     """Space with unit weights (the usual Euclidean inner product)."""
+    dim = _count(dim, "dimension", 1, ConfigurationError)
     return SpaceDescriptor(dim=dim, weights=np.ones(dim))
 
 
@@ -156,8 +156,7 @@ def trapezoid(intervals: int) -> SpaceDescriptor:
         ``h = 1/m``, so they sum to 1 and the norm approximates the
         L2([0, 1]) norm.
     """
-    if intervals < 1:
-        raise ConfigurationError(f"intervals must be >= 1, got {intervals}")
+    intervals = _count(intervals, "intervals", 1, ConfigurationError)
     h = 1.0 / intervals
     w = np.full(intervals + 1, h)
     w[0] = h / 2.0
@@ -167,9 +166,7 @@ def trapezoid(intervals: int) -> SpaceDescriptor:
 
 def trapezoid_nodes(intervals: int) -> np.ndarray:
     """Grid nodes ``t_i = i / m`` matching :func:`trapezoid`."""
-    if intervals < 1:
-        raise ConfigurationError(f"intervals must be >= 1, got {intervals}")
-    return np.linspace(0.0, 1.0, intervals + 1)
+    return np.linspace(0.0, 1.0, _count(intervals, "intervals", 1, ConfigurationError) + 1)
 
 
 def same_space(a: SpaceDescriptor, b: SpaceDescriptor) -> bool:

@@ -58,11 +58,13 @@ def test_solve_writes_trace(tmp_path, capsys):
     assert "trace written" in capsys.readouterr().out
 
 
-def test_solve_trace_path_from_output_section(tmp_path, capsys):
+def test_output_section_is_an_unknown_section(tmp_path, capsys):
+    # the trace path has one setting, solve --trace; a config cannot give a second
     trace_path = tmp_path / "from_config.csv"
     cfg = _config(tmp_path, LINEAR_BASE + f"\n[output]\ntrace = {trace_path}\n")
-    assert main(["solve", "--config", cfg]) == 0
-    assert trace_path.exists()
+    assert main(["solve", "--config", cfg]) == 1
+    assert f"{cfg}: unknown section [output] (line 21)" in capsys.readouterr().err
+    assert not trace_path.exists()
 
 
 def test_unknown_key_cites_line(tmp_path, capsys):
@@ -490,7 +492,7 @@ def test_readme_config_example(tmp_path, monkeypatch, capsys):
     assert len(blocks) == 2, "README should hold exactly one ini block"
     monkeypatch.chdir(tmp_path)
     cfg = _config(tmp_path, blocks[1].split("```", 1)[0])
-    assert main(["solve", "--config", cfg]) == 0
+    assert main(["solve", "--config", cfg, "--trace", "trace.csv"]) == 0
     assert "termination: converged" in capsys.readouterr().out
     assert (tmp_path / "trace.csv").exists()
 

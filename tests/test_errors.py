@@ -1,0 +1,128 @@
+"""One rule for every count: an integer at or above its floor, or a typed error naming it."""
+
+import re
+
+import numpy as np
+import pytest
+
+from viscofix import (
+    ConfigurationError,
+    FredholmProblem,
+    GeneralizedContraction,
+    InputError,
+    MonotoneOperatorSpec,
+    NonexpansiveMap,
+    Schedule,
+    SolverConfig,
+    SpaceDescriptor,
+    check_contraction,
+    check_inverse_strongly_monotone,
+    check_nonexpansive,
+    custom_rational,
+    eq75,
+    euclidean,
+    linear_modulus,
+    schedule_eval,
+    trapezoid,
+    trapezoid_nodes,
+    validate_assumption12,
+)
+
+SPACE = euclidean(2)
+T = NonexpansiveMap(lambda x: 0.5 * x)
+F = GeneralizedContraction(lambda x: 0.25 * x, linear_modulus(0.25))
+A = MonotoneOperatorSpec(lambda x: x, ism_alpha=1.0)
+RATIONAL = ((0.0, 1.0, 1.0), (0.5, 0.0, 0.0), (0.5, -1.0, 1.0), (0.5, 0.0, 0.0))
+
+# input -> (call with the count v, error type, name in the message, floor, a valid count)
+COUNTS = {
+    "SolverConfig-max_outer": (
+        lambda v: SolverConfig(max_outer=v), ConfigurationError, "max_outer", 1, 3),
+    "validate_assumption12-horizon": (
+        lambda v: validate_assumption12(eq75(), v), InputError, "horizon", 100, 1000),
+    "schedule_eval-index": (
+        lambda v: schedule_eval(eq75(), v), InputError, "schedule index", 2, 5),
+    "Schedule-start_index": (
+        lambda v: Schedule(kind="eq75-formula", start_index=v, formula=eq75().formula),
+        ConfigurationError, "start index", 1, 2),
+    # a fractional start index used to run n = 2.5, 3.5, ... on formula(int(n))
+    "custom_rational-start_index": (
+        lambda v: custom_rational(*RATIONAL, start_index=v), ConfigurationError, "start index",
+        1, 2),
+    "eq75-start_index": (lambda v: eq75(start_index=v), ConfigurationError, "start index", 1, 2),
+    "check_nonexpansive-n_samples": (
+        lambda v: check_nonexpansive(SPACE, T, n_samples=v), InputError, "n_samples", 1, 20),
+    "check_contraction-n_samples": (
+        lambda v: check_contraction(SPACE, F, n_samples=v), InputError, "n_samples", 1, 20),
+    "check_inverse_strongly_monotone-n_samples": (
+        lambda v: check_inverse_strongly_monotone(SPACE, A, n_samples=v), InputError,
+        "n_samples", 1, 20),
+    "check_nonexpansive-seed": (
+        lambda v: check_nonexpansive(SPACE, T, n_samples=20, seed=v), InputError, "seed", 0, 3),
+    "check_contraction-seed": (
+        lambda v: check_contraction(SPACE, F, n_samples=20, seed=v), InputError, "seed", 0, 3),
+    "check_inverse_strongly_monotone-seed": (
+        lambda v: check_inverse_strongly_monotone(SPACE, A, n_samples=20, seed=v), InputError,
+        "seed", 0, 3),
+    "FredholmProblem-grid_size": (
+        lambda v: FredholmProblem(
+            g=np.cos, kernel=lambda t, s, x: 0.0 * x, lipschitz_bound=0.5, grid_size=v
+        ),
+        ConfigurationError, "grid_size", 2, 8),
+    "SpaceDescriptor-dim": (
+        lambda v: SpaceDescriptor(dim=v, weights=np.ones(2)), ConfigurationError, "dimension",
+        1, 2),
+    "euclidean-dim": (euclidean, ConfigurationError, "dimension", 1, 2),
+    "trapezoid-intervals": (trapezoid, ConfigurationError, "intervals", 1, 4),
+    "trapezoid_nodes-intervals": (trapezoid_nodes, ConfigurationError, "intervals", 1, 4),
+}
+
+
+def _refused(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value", [2.5, True, "8", None], ids=["float", "bool", "str", "None"])
+@pytest.mark.parametrize("which", list(COUNTS))
+def test_a_count_that_is_not_an_integer_is_a_typed_error_naming_it(which, value):
+    call, error, name, _, _ = COUNTS[which]
+    _refused(lambda: call(value), error, f"{name} must be an integer, got {value!r}")
+
+
+@pytest.mark.parametrize("which", list(COUNTS))
+def test_a_count_below_its_floor_is_a_typed_error_naming_it(which):
+    call, error, name, least, _ = COUNTS[which]
+    _refused(lambda: call(least - 1), error, f"{name} must be >= {least}, got {least - 1}")
+
+
+def _bits(result):
+    """What a count's result is made of, comparable with ``==``."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, SpaceDescriptor):
+        return result.dim, result.weights.tobytes()
+    if isinstance(result, Schedule):
+        return result.start_index, schedule_eval(result, 7)
+    if isinstance(result, FredholmProblem):
+        return result.grid_size
+    if hasattr(result, "witness"):  # an AuditReport
+        return result.passed, result.worst, [p.tobytes() for p in result.witness or ()]
+    if hasattr(result, "render"):  # a ConditionReport
+        return result.render()
+    return result  # a SolverConfig or a ScheduleParams
+
+
+@pytest.mark.parametrize("which", list(COUNTS))
+def test_a_numpy_integer_count_is_taken_as_the_python_integer(which):
+    call, _, _, _, valid = COUNTS[which]
+    assert _bits(call(np.int64(valid))) == _bits(call(valid))
+
+
+def test_a_float_start_index_is_refused_before_the_pole_test():
+    # c = -2.5 puts a pole at n = 2.5, which a start index of 2.5 would meet
+    message = "start index must be an integer, got 2.5"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        custom_rational((0.0, 1.0, -2.5), *RATIONAL[1:], start_index=2.5)

@@ -1209,3 +1209,111 @@ def test_fredholm_lipschitz_spot_check_warns():
     )
     with pytest.warns(UserWarning, match="Lipschitz"):
         fredholm_operator(problem)
+
+
+def _broadcast_rule(values, rows, cols, n):
+    """The rule a kernel value was held to before it became one ``np.broadcast_to``.
+
+    Returns the reduced value, broadcast along ``s`` only, or the refusal's message.
+    """
+    if values.ndim > 2 or not (
+        set(values.shape[-1:]) <= {1, cols} and set(values.shape[:-1]) <= {1, rows}
+    ):
+        part = "" if (rows, cols) == (n, n) else f"the {(rows, cols)} part of "
+        return (
+            f"kernel value has shape {values.shape}, which does not broadcast to "
+            f"{part}the ({n}, {n}) table of the {n}-node grid"
+        )
+    return np.broadcast_to(values, (values.shape[0] if values.ndim == 2 else 1, cols))
+
+
+# m = 131 is the least grid that is factored: the first block has 124 of
+# the n = 132 rows, and the factoring reads columns.
+_N = 132
+_VALUE_SHAPES = {
+    "()": (), "(1,)": (1,), "(n,)": (_N,), "(1, 1)": (1, 1), "(1, n)": (1, _N),
+    "(n, 1)": (_N, 1), "(n, n)": (_N, _N), "(3,)": (3,), "(3, n)": (3, _N), "(n, 3)": (_N, 3),
+    "(1, 1, n)": (1, 1, _N),
+}
+
+
+@pytest.mark.parametrize("shape", list(_VALUE_SHAPES))
+def test_fredholm_kernel_value_shapes_follow_one_broadcast_rule(monkeypatch, shape):
+    # A value of each shape is read on the general path, as a row block and
+    # as a column, and is taken or refused as the set-based rule took or
+    # refused it, with the same bits or the same message.
+    m, n = _N - 1, _N
+    value = np.random.default_rng(11).standard_normal(_VALUE_SHAPES[shape])
+    readers = []
+
+    def spy(size, read_rows, read_column):
+        readers.extend((read_rows, read_column))
+        return None  # the dense table is filled, from the t * s kernel below
+
+    monkeypatch.setattr(maps, "_low_rank_factors", spy)
+    given = None
+
+    def kernel(t, s, x):
+        # the spot check samples 1-D arrays; on the grid, the value under test
+        if np.ndim(t) < 2 or given is None:
+            return t * s * x / 2.0
+        return given
+
+    def read(call, rows, cols):
+        nonlocal given
+        given = value
+        try:
+            want = _broadcast_rule(value, rows, cols, n)
+            if isinstance(want, str):
+                with pytest.raises(ConfigurationError) as caught:
+                    call()
+                assert str(caught.value) == want
+                return None
+            return call(), want
+        finally:
+            given = None
+
+    x = np.random.default_rng(12).standard_normal(n)
+    general = FredholmProblem(g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=m)
+    space, nodes = fredholm_grid(general)
+    got = read(lambda: fredholm_operator(general)(x), n, n)
+    if got is not None:
+        assert got[0].tobytes() == (np.cos(nodes) + got[1] @ space.weights).tobytes()
+
+    linear = dataclasses.replace(general, linear=True)
+    fredholm_operator(linear)(x)  # reads the t * s table, and hands the spy its readers
+    read_rows, read_column = readers
+    block = maps._row_block(n)
+    got = read(lambda: read_rows(0, block), block, n)
+    if got is not None:
+        assert got[0].tobytes() == np.broadcast_to(got[1], (block, n)).tobytes()
+    got = read(lambda: read_column(5), n, 1)
+    if got is not None:
+        assert got[0].tobytes() == np.broadcast_to(got[1], (n, 1))[:, 0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # forward_projected(euclidean(1), WholeSpace(), A, gamma=1e300) took
+        # this A, and its "nonexpansive" T sent 1 to -1e300
+        (lambda: MonotoneOperatorSpec(lambda x: x, ism_alpha=math.inf),
+         "inverse-strong-monotonicity constant must be finite and positive, got inf"),
+        (lambda: MonotoneOperatorSpec(lambda x: x, ism_alpha=0.0),
+         "inverse-strong-monotonicity constant must be finite and positive, got 0.0"),
+        # rational_modulus(inf).value(0) was NaN, with a RuntimeWarning
+        (lambda: rational_modulus(math.inf), "rational modulus coefficient must be finite, got inf"),
+        (lambda: rational_modulus(math.nan), "rational modulus coefficient must be positive, got nan"),
+        # a negative bound made fredholm_operator warn "exceeds the declared bound -1"
+        (lambda: FredholmProblem(g=np.cos, kernel=_separable, lipschitz_bound=-1, grid_size=8),
+         "kernel Lipschitz bound must lie in [0, 1], got -1"),
+        (lambda: FredholmProblem(g=np.cos, kernel=_separable, lipschitz_bound=-math.inf,
+                                 grid_size=8),
+         "kernel Lipschitz bound must lie in [0, 1], got -inf"),
+    ],
+    ids=["ism-alpha-inf", "ism-alpha-0", "beta-inf", "beta-nan", "lipschitz--1", "lipschitz--inf"],
+)
+def test_declared_constants_must_be_finite_and_in_range(build, message):
+    with pytest.raises(ConfigurationError) as caught:
+        build()
+    assert str(caught.value) == message
