@@ -15,9 +15,10 @@ Commands
     Solve the configured integral equation and print the grid solution.
 
 Exit codes: 0 on success (converged, or findings printed), 1 on
-configuration problems (including schedule range violations), 2 when a
-run stops without converging (iteration budget reached, a non-finite
-iterate, or an implicit step's inner solve failing).
+configuration problems (including schedule range violations and a
+command line that does not parse), 2 when a run stops without converging
+(iteration budget reached, a non-finite iterate, or an implicit step's
+inner solve failing).
 """
 
 from __future__ import annotations
@@ -207,8 +208,17 @@ def cmd_fredholm(args) -> int:
     return _termination_exit(report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the configuration code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # the subcommand parsers are made of the same class
+    parser = _Parser(
         prog="viscofix",
         description="Fixed points of nonexpansive maps by viscosity implicit iterations.",
     )

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule for a count.
+"""Exception types shared across the package, and its one rule each for a count and a real.
 
 Every error the package raises on purpose is a :class:`ViscofixError`:
 an :class:`InputError` for a value handed to an operation, a
@@ -6,10 +6,16 @@ an :class:`InputError` for a value handed to an operation, a
 assembled from inconsistent pieces.  Every count the package takes (a
 dimension, a grid size, a start index, a sample count or seed, a budget,
 a horizon) is checked by :func:`_count`, which refuses a ``bool``, a
-float, a string and ``None`` with the error its caller names.
+float, a string and ``None`` with the error its caller names.  Every
+declared real constant (a tolerance, a radius, a modulus coefficient, a
+monotonicity constant, a step size, an averaging weight, a Lipschitz
+bound) is checked by :func:`_real`, which refuses a ``bool``, a string,
+``None`` and a value outside its range the same way.
 """
 
+import numbers
 import operator
+from typing import Callable
 
 __all__ = [
     "ViscofixError",
@@ -70,3 +76,24 @@ def _count(value, name: str, least: int, error: type) -> int:
     if count < least:
         raise error(f"{name} must be >= {least}, got {count}")
     return count
+
+
+def _real(value, name: str, need: str, within: Callable[[float], bool], error: type) -> float:
+    """``value`` as a ``float`` that ``within`` accepts; ``error`` names ``name`` otherwise.
+
+    The message is ``{name} must {need}, got {value}``.  A Python or
+    numpy real is taken.  A ``bool`` is refused: it is a
+    ``numbers.Real``, so ``True`` would pass for 1.0.  So are a string,
+    ``None``, a complex and an integer too large for a float.  A NaN
+    fails every range ``within`` states by comparisons.
+    """
+    real = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            pass
+    if real is None or not within(real):
+        shown = value if isinstance(value, numbers.Real) else repr(value)
+        raise error(f"{name} must {need}, got {shown}")
+    return real

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import space as spc
-from .errors import ConfigurationError, InputError, _count
+from .errors import ConfigurationError, InputError, _count, _real
 
 __all__ = [
     "ContractionModulus",
@@ -64,18 +64,16 @@ class ContractionModulus:
     coefficient: float
 
     def __post_init__(self):
+        name = f"{self.kind} modulus coefficient"
         if self.kind == "linear":
-            if not (0.0 <= self.coefficient < 1.0):
-                raise ConfigurationError(
-                    f"linear modulus coefficient must lie in [0, 1), got {self.coefficient}"
-                )
+            c = _real(self.coefficient, name, "lie in [0, 1)", lambda c: 0.0 <= c < 1.0,
+                      ConfigurationError)
         elif self.kind == "rational":
-            beta = self.coefficient
-            if not (0.0 < beta < math.inf):
-                need = "finite" if beta > 0.0 else "positive"
-                raise ConfigurationError(f"rational modulus coefficient must be {need}, got {beta}")
+            _real(self.coefficient, name, "be positive", lambda b: b > 0.0, ConfigurationError)
+            c = _real(self.coefficient, name, "be finite", math.isfinite, ConfigurationError)
         else:
             raise ConfigurationError(f"unknown modulus kind: {self.kind!r}")
+        object.__setattr__(self, "coefficient", c)
 
     def value(self, t):
         """Modulus value ``m(t)`` for ``t >= 0``, elementwise for an array ``t``."""
@@ -103,11 +101,11 @@ class ContractionModulus:
 
 
 def linear_modulus(c: float) -> ContractionModulus:
-    return ContractionModulus(kind="linear", coefficient=float(c))
+    return ContractionModulus(kind="linear", coefficient=c)
 
 
 def rational_modulus(beta: float) -> ContractionModulus:
-    return ContractionModulus(kind="rational", coefficient=float(beta))
+    return ContractionModulus(kind="rational", coefficient=beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +150,11 @@ class MonotoneOperatorSpec:
     label: str = ""
 
     def __post_init__(self):
-        if not (0.0 < self.ism_alpha < math.inf):
-            raise ConfigurationError(
-                "inverse-strong-monotonicity constant must be finite and positive, "
-                f"got {self.ism_alpha}"
-            )
+        alpha = _real(
+            self.ism_alpha, "inverse-strong-monotonicity constant", "be finite and positive",
+            lambda a: 0.0 < a < math.inf, ConfigurationError,
+        )
+        object.__setattr__(self, "ism_alpha", alpha)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -199,10 +197,9 @@ class FredholmProblem:
     linear: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.lipschitz_bound <= 1.0):
-            raise ConfigurationError(
-                f"kernel Lipschitz bound must lie in [0, 1], got {self.lipschitz_bound}"
-            )
+        bound = _real(self.lipschitz_bound, "kernel Lipschitz bound", "lie in [0, 1]",
+                      lambda b: 0.0 <= b <= 1.0, ConfigurationError)
+        object.__setattr__(self, "lipschitz_bound", bound)
         _count(self.grid_size, "grid_size", 2, ConfigurationError)
 
 
@@ -429,17 +426,14 @@ def average_pseudocontraction(
     ConfigurationError
         If ``theta`` is outside the admissible interval.
     """
-    if not (0.0 <= lam < 1.0):
-        raise ConfigurationError(f"pseudocontractivity constant must lie in [0, 1), got {lam}")
-    if not (smooth_L > 0.0):
-        raise ConfigurationError(f"smoothness constant must be positive, got {smooth_L}")
+    lam = _real(lam, "pseudocontractivity constant", "lie in [0, 1)",
+                lambda v: 0.0 <= v < 1.0, ConfigurationError)
+    smooth_L = _real(smooth_L, "smoothness constant", "be positive", lambda v: v > 0.0,
+                     ConfigurationError)
     upper = min(1.0, lam / (smooth_L * smooth_L))
-    if not (0.0 < theta <= upper):
-        raise ConfigurationError(
-            f"averaging weight must lie in (0, {upper:g}], got {theta}"
-        )
+    theta = _real(theta, "averaging weight", f"lie in (0, {upper:g}]",
+                  lambda v: 0.0 < v <= upper, ConfigurationError)
     evaluator = getattr(S, "evaluator", S)
-    theta = float(theta)
 
     def averaged(x, _ev=evaluator, _theta=theta):
         return _theta * x + (1.0 - _theta) * _ev(x)
@@ -466,12 +460,11 @@ def forward_projected(
         is not a :class:`~viscofix.space.ConvexSetBase`.
     """
     upper = 2.0 * A.ism_alpha
-    if not (0.0 < gamma <= upper):
-        raise ConfigurationError(
-            f"step size gamma must lie in (0, {upper:g}] (twice the declared "
-            f"monotonicity constant), got {gamma}"
-        )
-    gamma = float(gamma)
+    gamma = _real(
+        gamma, "step size gamma",
+        f"lie in (0, {upper:g}] (twice the declared monotonicity constant)",
+        lambda g: 0.0 < g <= upper, ConfigurationError,
+    )
     cset = spc.convex_set(constraint)
 
     def stepped(x, _A=A.evaluator, _g=gamma, _project=cset.project, _space=space):

@@ -41,14 +41,21 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import numbers
+from array import array
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import space as spc
-from .errors import ConfigurationError, InnerSolveError, InputError, NotConvergedError, _count
+from .errors import (
+    ConfigurationError,
+    InnerSolveError,
+    InputError,
+    NotConvergedError,
+    _count,
+    _real,
+)
 from .maps import _EPS, GeneralizedContraction, NonexpansiveMap
 from .schedules import _SIMPLEX_TOL, Schedule, ScheduleParams, _meets_condition_i, schedule_eval
 
@@ -115,13 +122,11 @@ class SolverConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        # bool is a numbers.Real, so a flag would pass for a tolerance of 1.0
         for name in ("outer_tol", "inner_tol"):
-            tol = getattr(self, name)
-            if isinstance(tol, bool) or not (
-                isinstance(tol, numbers.Real) and 0.0 < tol < math.inf
-            ):
-                raise ConfigurationError(f"{name} must be finite and positive, got {tol!r}")
+            _real(
+                getattr(self, name), name, "be finite and positive",
+                lambda tol: 0.0 < tol < math.inf, ConfigurationError,
+            )
         if not isinstance(self.record_trace, bool):
             raise ConfigurationError(f"record_trace must be a bool, got {self.record_trace!r}")
         _count(self.max_outer, "max_outer", 1, ConfigurationError)
@@ -151,6 +156,68 @@ class TraceRow(NamedTuple):
     delta: float
 
 
+# array typecodes of the TraceRow fields: int64 for n and inner_iters, double for the reals
+_TRACE_CODES = "qddqdddd"
+
+
+class _Trace(Sequence[TraceRow]):
+    """Read-only trace rows kept as eight typed columns, 64 bytes per row.
+
+    Items are :class:`TraceRow` s built on access; a slice is a list of
+    them.  A trace equals another trace or a list with the same rows.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self):
+        self._columns = tuple(array(code) for code in _TRACE_CODES)
+
+    def _append(self, row) -> None:
+        """Append the eight values of ``row``.
+
+        An ``n`` or ``inner_iters`` outside the int64 range appends nothing
+        and is an :class:`InputError` that names it.
+        """
+        n_col, res_col, step_col, inner_col, a1_col, a2_col, a3_col, delta_col = self._columns
+        n, residual, step_norm, inner_iters, alpha1, alpha2, alpha3, delta = row
+        try:
+            n_col.append(n)
+            inner_col.append(inner_iters)
+        except OverflowError:
+            # n went in when inner_iters is the one that did not fit
+            name, value = ("inner_iters", inner_iters) if len(n_col) > len(inner_col) else ("n", n)
+            del n_col[len(inner_col):]
+            message = f"trace {name} = {value} is outside the 64-bit integer range"
+            raise InputError(message) from None
+        res_col.append(residual)
+        step_col.append(step_norm)
+        a1_col.append(alpha1)
+        a2_col.append(alpha2)
+        a3_col.append(alpha3)
+        delta_col.append(delta)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(TraceRow._make, zip(*(col[index] for col in self._columns))))
+        return TraceRow._make([col[index] for col in self._columns])
+
+    def __iter__(self) -> Iterator[TraceRow]:
+        return map(TraceRow._make, zip(*self._columns))
+
+    def __eq__(self, other):
+        if isinstance(other, _Trace):
+            return self._columns == other._columns
+        if isinstance(other, list):
+            return len(other) == len(self) and list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<trace of {len(self)} rows>"
+
+
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a run.
@@ -159,12 +226,14 @@ class SolveReport:
     start index when the initial point already met the tolerance, the
     first index with a non-finite residual for ``NON_FINITE``, and the
     step whose inner solve failed for ``INNER_SOLVE_FAILED``).  The trace
-    is empty when recording was disabled or no step was taken.
+    is a read-only sequence of :class:`TraceRow`, one per executed step
+    and about 64 bytes each; ``list(report.trace)`` gives a list.  It is
+    empty when recording was disabled or no step was taken.
     """
 
     final_point: np.ndarray
     termination: Termination
-    trace: List[TraceRow]
+    trace: Sequence[TraceRow]
     n_final: int
     final_residual: float
     space: spc.SpaceDescriptor
@@ -393,8 +462,9 @@ def run(
     including the initial one; the trace records one row per executed
     step when ``cfg.record_trace`` is set.  Every stop returns a report;
     ``run`` raises only for bad inputs: an :class:`InputError` when
-    ``x1``, ``T(x1)`` or ``f(x1)`` is not a point of the space or the
-    schedule's formula is malformed, and whatever ``T`` or ``f`` raise.
+    ``x1``, ``T(x1)`` or ``f(x1)`` is not a point of the space, the
+    schedule's formula is malformed or a recorded step's ``n`` is past
+    the trace's int64 range, and whatever ``T`` or ``f`` raise.
 
     Each step at ``n`` evaluates the weights and forms ``x_{n+1}``: by
     the collapsed single-weight update for ``explicit``, by a certified
@@ -417,7 +487,7 @@ def run(
     residual = nrm(x - tx)
     if observer is not None:
         observer(IterationState(n, x, 0, residual))
-    trace: List[TraceRow] = []
+    trace = _Trace()
     termination, message = None, ""
     for _ in range(cfg.max_outer):
         if residual <= cfg.outer_tol or not math.isfinite(residual):
@@ -456,7 +526,7 @@ def run(
         tx = t_eval(x_next)
         residual = nrm(x_next - tx)
         if cfg.record_trace:
-            trace.append(TraceRow(n, residual, nrm(x_next - x), inner_iters, *p))
+            trace._append((n, residual, nrm(x_next - x), inner_iters, *p))
         n, x = n + 1, x_next
         if observer is not None:
             observer(IterationState(n, x, inner_iters, residual))
@@ -521,7 +591,7 @@ def compare_limits(report_a: SolveReport, report_b: SolveReport) -> float:
 
 
 _TRACE_LINE = "%d,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g\r\n"
-_TRACE_TYPES = (int, float, float, int, float, float, float, float)
+_TRACE_TYPES = tuple(int if code == "q" else float for code in _TRACE_CODES)
 
 
 def write_trace_csv(trace: Sequence[TraceRow], path) -> None:
@@ -531,9 +601,12 @@ def write_trace_csv(trace: Sequence[TraceRow], path) -> None:
         handle.writelines(_TRACE_LINE % row for row in trace)
 
 
-def read_trace_csv(path) -> List[TraceRow]:
-    """Parse a trace CSV back into rows (exact round-trip of floats)."""
-    rows: List[TraceRow] = []
+def read_trace_csv(path) -> Sequence[TraceRow]:
+    """Parse a trace CSV back into rows (exact round-trip of floats).
+
+    The rows are read into the same read-only sequence :func:`run` returns.
+    """
+    rows = _Trace()
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -544,5 +617,5 @@ def read_trace_csv(path) -> List[TraceRow]:
                 values = [conv(v) for conv, v in zip(_TRACE_TYPES, record, strict=True)]
             except ValueError as exc:
                 raise InputError(f"malformed trace row: {record!r}") from exc
-            rows.append(TraceRow._make(values))
+            rows._append(values)
     return rows

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, _count
+from .errors import ConfigurationError, InputError, _count, _real
 
 __all__ = [
     "SpaceDescriptor",
@@ -259,10 +259,9 @@ class Ball(ConvexSetBase):
         center = np.asarray(center, dtype=np.float64)
         if center.ndim != 1 or not np.all(np.isfinite(center)):
             raise ConfigurationError("ball center must be a finite 1-d array")
-        if not (radius > 0.0 and np.isfinite(radius)):
-            raise ConfigurationError(f"ball radius must be positive, got {radius}")
         self.center = center
-        self.radius = float(radius)
+        self.radius = _real(radius, "ball radius", "be finite and positive",
+                            lambda r: 0.0 < r < math.inf, ConfigurationError)
 
     def project(self, space, x):
         x = space.point(x)

@@ -463,6 +463,25 @@ def test_compare_runs_both_schemes_past_a_failed_inner_solve(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["validate-schedule", "--preset", "eq75", "--horizon", "1e6"],
+         "argument --horizon: invalid int value: '1e6'"),
+        (["solve"], "the following arguments are required: --config"),
+    ],
+    ids=["horizon-not-an-int", "solve-without-config"],
+)
+def test_a_usage_error_exits_with_the_configuration_code(argv, complaint, capsys):
+    # argparse's own code, 2, is the code of a run that stopped without converging
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == cli.EXIT_CONFIG == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: viscofix ")
+    assert err.splitlines()[-1].endswith(f"error: {complaint}")
+
+
 def test_every_termination_has_the_readme_exit_code():
     # one README phrase per kind, in the exit-code table's row of its code;
     # a new kind fails here until it is given its code
@@ -864,6 +883,11 @@ def test_console_script_end_to_end(tmp_path):
     result = _run_console_script("viscofix", ["solve", "--config", short], tmp_path)
     assert result.returncode == 2, result.stderr
     assert "max_iters" in result.stdout
+
+    # a command line that does not parse is a configuration problem
+    result = _run_console_script("viscofix", ["solve"], tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert "the following arguments are required: --config" in result.stderr
 
 
 @pytest.mark.skipif(

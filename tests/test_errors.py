@@ -1,4 +1,8 @@
-"""One rule for every count: an integer at or above its floor, or a typed error naming it."""
+"""One rule for every count and one for every declared real constant.
+
+A count is an integer at or above its floor, a real constant a real inside
+its range; anything else is a typed error naming the input.
+"""
 
 import re
 
@@ -6,6 +10,7 @@ import numpy as np
 import pytest
 
 from viscofix import (
+    Ball,
     ConfigurationError,
     FredholmProblem,
     GeneralizedContraction,
@@ -15,13 +20,17 @@ from viscofix import (
     Schedule,
     SolverConfig,
     SpaceDescriptor,
+    WholeSpace,
+    average_pseudocontraction,
     check_contraction,
     check_inverse_strongly_monotone,
     check_nonexpansive,
     custom_rational,
     eq75,
     euclidean,
+    forward_projected,
     linear_modulus,
+    rational_modulus,
     schedule_eval,
     trapezoid,
     trapezoid_nodes,
@@ -126,3 +135,73 @@ def test_a_float_start_index_is_refused_before_the_pole_test():
     message = "start index must be an integer, got 2.5"
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         custom_rational((0.0, 1.0, -2.5), *RATIONAL[1:], start_index=2.5)
+
+
+# input -> (call with the real v, message for v = True, a valid real)
+REALS = {
+    "SolverConfig-outer_tol": (
+        lambda v: SolverConfig(outer_tol=v), "outer_tol must be finite and positive", 1e-6),
+    "SolverConfig-inner_tol": (
+        lambda v: SolverConfig(inner_tol=v), "inner_tol must be finite and positive", 1e-9),
+    "Ball-radius": (
+        lambda v: Ball(np.zeros(2), v), "ball radius must be finite and positive", 2.0),
+    "linear_modulus-c": (
+        lambda v: linear_modulus(v), "linear modulus coefficient must lie in [0, 1)", 0.25),
+    "rational_modulus-beta": (
+        lambda v: rational_modulus(v), "rational modulus coefficient must be positive", 2.0),
+    "MonotoneOperatorSpec-ism_alpha": (
+        lambda v: MonotoneOperatorSpec(lambda x: x, ism_alpha=v),
+        "inverse-strong-monotonicity constant must be finite and positive", 0.5),
+    "forward_projected-gamma": (
+        lambda v: forward_projected(SPACE, WholeSpace(), A, gamma=v),
+        "step size gamma must lie in (0, 2] (twice the declared monotonicity constant)", 1.5),
+    "average_pseudocontraction-lam": (
+        lambda v: average_pseudocontraction(lambda x: x, lam=v, theta=0.25),
+        "pseudocontractivity constant must lie in [0, 1)", 0.5),
+    "average_pseudocontraction-smooth_L": (
+        lambda v: average_pseudocontraction(lambda x: x, lam=0.5, theta=0.25, smooth_L=v),
+        "smoothness constant must be positive", 1.0),
+    "average_pseudocontraction-theta": (
+        lambda v: average_pseudocontraction(lambda x: x, lam=0.5, theta=v),
+        "averaging weight must lie in (0, 0.5]", 0.25),
+    "FredholmProblem-lipschitz_bound": (
+        lambda v: FredholmProblem(
+            g=np.cos, kernel=lambda t, s, x: 0.0 * x, lipschitz_bound=v, grid_size=8
+        ),
+        "kernel Lipschitz bound must lie in [0, 1]", 0.5),
+}
+
+
+@pytest.mark.parametrize("which", list(REALS))
+def test_a_bool_is_not_taken_for_a_declared_real(which):
+    # bool is a numbers.Real: unchecked, True passed for 1.0 and False for 0.0
+    call, message, _ = REALS[which]
+    for flag in (True, False):
+        _refused(lambda: call(flag), ConfigurationError, f"{message}, got {flag}")
+
+
+@pytest.mark.parametrize("value", ["0.5", None, 0.5j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("which", list(REALS))
+def test_a_declared_real_that_is_not_a_number_is_a_typed_error_naming_it(which, value):
+    call, message, _ = REALS[which]
+    _refused(lambda: call(value), ConfigurationError, f"{message}, got {value!r}")
+
+
+def _real_bits(result):
+    """What a real constant's result is made of, comparable with ``==``."""
+    if isinstance(result, NonexpansiveMap):
+        x = np.array([3.0, -4.0])
+        return result(x).tobytes()
+    if isinstance(result, Ball):
+        return result.radius, type(result.radius)
+    for field in ("coefficient", "ism_alpha", "lipschitz_bound"):
+        if hasattr(result, field):
+            value = getattr(result, field)
+            return value, type(value)
+    return result  # a SolverConfig
+
+
+@pytest.mark.parametrize("which", list(REALS))
+def test_a_numpy_real_is_taken_as_the_python_float(which):
+    call, _, valid = REALS[which]
+    assert _real_bits(call(np.float64(valid))) == _real_bits(call(valid))

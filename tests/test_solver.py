@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -410,7 +411,7 @@ def test_a_run_resumed_from_its_report_is_the_uninterrupted_run_bitwise(scheme, 
     rest = dataclasses.replace(cfg, max_outer=cfg.max_outer - k)
     resumed = dataclasses.replace(preset(), start_index=head.n_final)
     tail = run(sp, scheme, f, T, resumed, head.final_point, rest)
-    assert np.array(head.trace + tail.trace).tobytes() == np.array(whole.trace).tobytes()
+    assert np.array([*head.trace, *tail.trace]).tobytes() == np.array(whole.trace).tobytes()
     assert tail.n_final == whole.n_final
     assert tail.final_point.tobytes() == whole.final_point.tobytes()
     assert tail.termination is whole.termination
@@ -980,6 +981,89 @@ def test_read_trace_rejects_malformed_row(tmp_path, row):
         read_trace_csv(path)
     assert str(caught.value) == f"malformed trace row: {row.split(',')!r}"
 
+
+def test_a_trace_is_a_read_only_sequence_of_trace_rows(tmp_path):
+    cfg = SolverConfig(outer_tol=1e-12, max_outer=6)
+    report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, eq75(), np.array([1.0]), cfg)
+    trace, rows = report.trace, list(report.trace)
+    assert len(trace) == len(rows) == 6
+    assert all(type(row) is TraceRow for row in trace)
+    assert all(type(row.n) is int and type(row.inner_iters) is int for row in trace)
+    assert all(type(value) is float for row in trace for value in row[1:3] + row[4:])
+    assert [trace[i] for i in range(-6, 6)] == rows + rows
+    assert trace[1:4] == rows[1:4] and trace[::-2] == rows[::-2]
+    assert type(trace[1:4]) is list
+    assert trace == rows and rows == trace and trace != rows[:-1] and trace != rows[::-1]
+    again = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, eq75(), np.array([1.0]), cfg)
+    assert again.trace == trace
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert read_trace_csv(path) == trace
+    with pytest.raises(IndexError):
+        trace[6]
+    with pytest.raises(TypeError):
+        trace + trace
+    for mutate in ("append", "extend", "insert", "pop", "__setitem__", "__delitem__"):
+        assert not hasattr(trace, mutate)
+
+
+def test_a_trace_holds_under_100_bytes_per_row():
+    # the rows are typed columns, 64 bytes each: as named tuples of boxed
+    # floats they took about 300
+    cfg = SolverConfig(outer_tol=1e-12, max_outer=10_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, eq75(), np.array([1.0]), cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.trace) == 10_000
+    assert held / len(report.trace) < 100
+
+
+def test_a_trace_writes_the_bytes_of_its_list(tmp_path):
+    cfg = SolverConfig(outer_tol=1e-8, max_outer=500)
+    report = run(SP1, SchemeKind.THREE_TERM, QUARTER, HALF, eq75(), np.array([1.0]), cfg)
+    write_trace_csv(report.trace, tmp_path / "trace.csv")
+    write_trace_csv(list(report.trace), tmp_path / "list.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+def test_a_trace_index_past_int64_is_refused_in_run():
+    # the step at n = 2**63 - 1 is recorded; the next one's index does not fit
+    schedule = eq75(start_index=2**63 - 1)
+    cfg = SolverConfig(outer_tol=1e-12, max_outer=2)
+    message = f"trace n = {2**63} is outside the 64-bit integer range"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, schedule, np.array([1.0]), cfg)
+    untraced = dataclasses.replace(cfg, record_trace=False)
+    report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, schedule, np.array([1.0]), untraced)
+    assert report.n_final == 2**63 + 1
+    one = dataclasses.replace(cfg, max_outer=1)
+    report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, schedule, np.array([1.0]), one)
+    assert [row.n for row in report.trace] == [2**63 - 1]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (f"{2**63},0,0,0,0,1,0,0", f"trace n = {2**63} is outside the 64-bit integer range"),
+        (f"{-(2**63) - 1},0,0,0,0,1,0,0",
+         f"trace n = {-(2**63) - 1} is outside the 64-bit integer range"),
+        (f"1,0,0,{2**63},0,1,0,0",
+         f"trace inner_iters = {2**63} is outside the 64-bit integer range"),
+    ],
+    ids=["n-above", "n-below", "inner_iters-above"],
+)
+def test_a_trace_csv_integer_past_int64_is_refused(tmp_path, row, message):
+    path = tmp_path / "wide.csv"
+    path.write_text(
+        "n,residual,step_norm,inner_iters,alpha1,alpha2,alpha3,delta\n"
+        f"{2**63 - 1},0,0,{2**63 - 1},0,1,0,0\n" + row + "\n"
+    )
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        read_trace_csv(path)
 
 def test_summable_t_weight_schedule_stalls_off_the_fixed_set():
     # with alpha3 = 1/n^2 the operator influence is summable while the
