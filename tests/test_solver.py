@@ -1065,6 +1065,7 @@ def test_a_trace_csv_integer_past_int64_is_refused(tmp_path, row, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         read_trace_csv(path)
 
+
 def test_summable_t_weight_schedule_stalls_off_the_fixed_set():
     # with alpha3 = 1/n^2 the operator influence is summable while the
     # viscosity pull is not, so on the plane-projection problem the
