@@ -265,38 +265,59 @@ def _images(space, fn, points, name):
     return stacked
 
 
+_AUDIT_VALUES = 1 << 12  # float64 values per audit chunk, 32 KiB (see _audit)
+
+
 def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=None):
     """Report the worst ``score(gaps, diffs, dists)`` under the order ``worse``.
 
     Points come from a seeded normal distribution of scale 3, each projected
     into ``domain`` when one is given (one array pass for a
     :class:`~viscofix.space.WholeSpace` or ``Ball``, else one ``project``
-    call per point).  Pairs are scored in whole-array passes.
-    Pairs at zero distance are dropped first, so ``fn`` is never called on
-    them; ``fn`` is then evaluated at the remaining points by
-    :func:`_images` (one call of a built map's stack form, or one call per
-    point).  ``score`` gets, one row per pair, ``fn(x) - fn(y)``, ``x - y``
-    and ``||x - y||``, and returns one score per pair.  A non-finite score
-    fails the audit: ``worst`` is the first such score and the witness its
-    pair.  Otherwise the first of equally bad pairs is kept, and only
-    values worse than ``start`` are kept at all.  The audit passes unless
-    the worst value is worse than ``bound``.
+    call per point).  The first points are drawn whole, an ``(n_samples,
+    dim)`` array; the second points continue the same stream through one
+    reused buffer of ``max(1, _AUDIT_VALUES // dim)`` rows, and the pairs are
+    projected, scored and evaluated in chunks of that many.  So beyond its
+    first points an audit holds a few arrays of about ``_AUDIT_VALUES``
+    values, whatever ``n_samples`` is.
+    In each chunk, pairs at zero distance are dropped first, so ``fn`` is never
+    called on them; ``fn`` is then evaluated at the chunk's remaining first
+    points and then at its second points by :func:`_images` (one call of a
+    built map's stack form, or one call per point).  ``score`` gets, one row
+    per pair, ``fn(x) - fn(y)``, ``x - y`` and ``||x - y||``, and returns one
+    score per pair.  A non-finite score fails the audit: ``worst`` is the
+    first such score and the witness its pair.  Otherwise the first of
+    equally bad pairs is kept, and only values worse than ``start`` are kept
+    at all.  Every chunk is evaluated, so a value that is not a point raises
+    wherever it lies.  The audit passes unless the worst value is worse than
+    ``bound``.  The report is that of one pass over all the pairs.
     """
     _count(n_samples, "n_samples", 1, InputError)
     _count(seed, "seed", 0, InputError)
-    # One draw in C order: every first point, then every second point.
-    xs, ys = np.random.default_rng(seed).standard_normal((2, n_samples, space.dim)) * 3.0
-    if domain is not None:
-        project_rows = spc.convex_set(domain)._project_rows
-        xs, ys = project_rows(space, xs), project_rows(space, ys)
-    diffs = xs - ys
-    dists = space.row_norms(diffs)
-    apart = dists != 0.0
-    if not apart.all():
-        xs, ys, diffs, dists = xs[apart], ys[apart], diffs[apart], dists[apart]
+    rng = np.random.default_rng(seed)
+    # One stream in C order: every first point, then every second point.
+    xs = rng.standard_normal((n_samples, space.dim))
+    xs *= 3.0
+    project_rows = None if domain is None else spc.convex_set(domain)._project_rows
+    step = max(1, _AUDIT_VALUES // space.dim)
+    second = np.empty((min(step, n_samples), space.dim))
     worst, witness, broken = start, None, False
-    if dists.size:
-        fx, fy = _images(space, fn, xs, name), _images(space, fn, ys, name)
+    for lo in range(0, n_samples, step):
+        x = xs[lo : lo + step]
+        y = rng.standard_normal(out=second[: len(x)])
+        y *= 3.0
+        if project_rows is not None:
+            x, y = project_rows(space, x), project_rows(space, y)
+        diffs = x - y
+        dists = space.row_norms(diffs)
+        apart = dists != 0.0
+        if not apart.all():
+            x, y, diffs, dists = x[apart], y[apart], diffs[apart], dists[apart]
+        if not dists.size:
+            continue
+        fx, fy = _images(space, fn, x, name), _images(space, fn, y, name)
+        if broken:
+            continue  # the first non-finite score stands
         # non-finite values of fn are scored, and fail the audit, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             scores = score(fx - fy, diffs, dists)
@@ -306,8 +327,8 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=
             i = int(np.argmax(nonfinite))
         else:
             i = int(np.argmax(scores) if worse is operator.gt else np.argmin(scores))
-        if broken or worse(scores[i], start):
-            worst, witness = scores[i], (xs[i].copy(), ys[i].copy())
+        if broken or worse(scores[i], worst):
+            worst, witness = scores[i], (x[i].copy(), y[i].copy())
     return AuditReport(
         passed=not broken and not worse(worst, bound),
         worst=float(worst),
@@ -329,8 +350,9 @@ def check_nonexpansive(
     the map's domain.  The report passes when the largest observed ratio
     ``||Tx - Ty|| / ||x - y||`` is at most ``1 + 1e-10``; the witness is
     the first maximizing pair.  ``n_samples`` must be at least 1
-    (:class:`InputError` otherwise).  All pairs are scored in array passes.
-    ``T`` is evaluated at all the points in one call when the library
+    (:class:`InputError` otherwise).  Pairs are scored in array passes over
+    chunks of about 2^12 values, with the report of one pass over them all.
+    ``T`` is evaluated at a chunk's points in one call when the library
     built it with a stack form: the ``monotone`` problem's projected
     forward step.  Any other ``T``, including one whose evaluator was
     replaced, is called once per point; the report is the same bit for

@@ -309,7 +309,10 @@ def _meets_condition_i(a1, a2, a3, d):
     )
 
 
-_BLOCK = 1 << 15  # indices per validator block: each float64 temporary is 256 KiB
+# Indices per validator block: each float64 temporary is 64 KiB, half glibc's
+# 128 KiB mmap threshold, so it always comes from the heap and the validator's
+# time does not depend on the heap layout left by other code.
+_BLOCK = 1 << 13
 
 
 class _TailFit:
@@ -439,7 +442,7 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     tail_start = max(horizon // 10, start)  # the last decade, which every heuristic reads
     range_violations, n_violations, first_bad = [], 0, None
     drift_sum = tail_sum = -0.0  # -0.0 + x is x for every float x
-    d_min, d_max, d_prev, first_drop = np.inf, -np.inf, np.empty(0), None
+    d_min, d_max, d_prev, first_drop = np.inf, -np.inf, None, None
     # facts-free heuristics only: the tail fits, the largest |drift|, per-block
     # tail rows, the last finite ratio
     drift_fit, tail_fit = _TailFit(), _TailFit()
@@ -455,43 +458,69 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
                 )
             except (TypeError, ValueError):
                 raise _malformed(s, values, f"scalars or arrays of shape {ns.shape}") from None
-            # a pole below the start index gives inf - inf = NaN, which fails (i)
-            ok = _meets_condition_i(a1, a2, a3, d)
-        bad = np.flatnonzero(~ok) + lo
-        n_violations += bad.size
-        range_violations.extend(bad[: _SHOWN_VIOLATIONS - len(range_violations)].tolist())
-        if first_bad is None and bad.size and bad[-1] >= start:
-            first_bad = int(bad[np.searchsorted(bad, start)])
+            # Nine reductions decide (i) for the whole block, and the elementwise
+            # test runs only where one fails.  NaN fails every comparison either
+            # way; a pole below the start index gives inf - inf = NaN.
+            d_lo, d_hi = d.min(), d.max()
+            sums = a1 + a2
+            sums += a3
+            sums -= 1.0
+            if not (
+                d_lo > 0.0 and d_hi < 1.0
+                and a1.min() >= 0.0 and a1.max() <= 1.0
+                and a2.min() >= 0.0 and a2.max() <= 1.0
+                and a3.min() >= 0.0 and a3.max() <= 1.0
+                and np.abs(sums, out=sums).max() <= _SIMPLEX_TOL
+            ):
+                bad = np.flatnonzero(~_meets_condition_i(a1, a2, a3, d)) + lo
+                n_violations += bad.size
+                range_violations.extend(bad[: _SHOWN_VIOLATIONS - len(range_violations)].tolist())
+                if first_bad is None and bad.size and bad[-1] >= start:
+                    first_bad = int(bad[np.searchsorted(bad, start)])
         if lo + len(ns) <= start:
             continue
-        live = slice(max(start - lo, 0), None)  # the indices n >= start_index
-        ns, a2, a3, d = ns[live], a2[live], a3[live], d[live]
-        drift = 1.0 - a3 * d - a2
-        tail_summand = a3 * (1.0 - d)
-        drift_sum += float(np.sum(drift))
-        tail_sum += float(np.sum(tail_summand))
-        d_min, d_max = np.minimum(d_min, np.min(d)), np.maximum(d_max, np.max(d))
-        rising = np.diff(d, prepend=d_prev) >= -1e-15  # d_prev: the last delta before the block
-        if first_drop is None and not np.all(rising):
-            first_drop = int(ns[0]) - len(d_prev) + int(np.argmin(rising))
-        d_prev = d[-1:]
+        n0 = max(lo, start)  # the first index n >= start_index in the block
+        if lo < start:
+            a2, a3, d = a2[start - lo :], a3[start - lo :], d[start - lo :]
+            d_lo, d_hi = d.min(), d.max()
+        drift = a3 * d
+        np.subtract(1.0, drift, out=drift)
+        drift -= a2  # 1 - a3 d - a2
+        tail_summand = 1.0 - d
+        tail_summand *= a3
+        drift_sum += float(drift.sum())
+        tail_sum += float(tail_summand.sum())
+        d_min, d_max = np.minimum(d_min, d_lo), np.maximum(d_max, d_hi)
+        if first_drop is None:
+            # d_prev: the last delta before the block
+            if d_prev is not None and not d[0] - d_prev >= -1e-15:
+                first_drop = n0 - 1
+            else:
+                rises = d[1:] - d[:-1]
+                if not rises.min(initial=0.0) >= -1e-15:
+                    first_drop = n0 + int(np.argmin(rises >= -1e-15))
+        d_prev = d[-1]
         if facts is not None:
             continue  # declared facts decide (ii)-(iv): nothing below is read
-        drift_mags = np.abs(drift)
-        tail = slice(max(tail_start - int(ns[0]), 0), None)
-        log_ns = np.log(ns[tail])
-        drift_fit.add(log_ns, drift_mags[tail])
-        tail_fit.add(log_ns, np.abs(tail_summand[tail]))
-        drift_peak = np.maximum(drift_peak, np.max(drift_mags))
-        if len(log_ns):
+        drift_peak = np.maximum(drift_peak, max(drift.max(), -drift.min()))
+        if n0 + len(d) > tail_start:
+            tail = slice(max(tail_start - n0, 0), None)
+            log_ns = np.log(np.arange(n0 + tail.start, n0 + len(d), dtype=np.float64))
+            drift_mags = np.abs(drift[tail])
+            drift_fit.add(log_ns, drift_mags)
+            tail_fit.add(log_ns, np.abs(tail_summand[tail]))
             tail_rows.append([
-                (np.min(v), np.max(v), v[0], v[-1], np.sum(v))
-                for v in (drift_mags[tail], np.abs(a3[tail]), a2[tail])
+                (v.min(), v.max(), v[0], v[-1], v.sum())
+                for v in (drift_mags, np.abs(a3[tail]), a2[tail])
             ])
+        # the ratio at the block's last index, and over the block only when that is not finite
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = a3 / (1.0 - a2 - a3 * d)
-        finite = np.flatnonzero(np.isfinite(ratio))
-        ratio_last = ratio[finite[-1]] if finite.size else ratio_last
+            last = a3[-1] / (1.0 - a2[-1] - a3[-1] * d[-1])
+            if not np.isfinite(last):
+                ratio = a3 / (1.0 - a2 - a3 * d)
+                finite = np.flatnonzero(np.isfinite(ratio))
+                last = ratio[finite[-1]] if finite.size else ratio_last
+        ratio_last = last
 
     if first_bad is None:
         cond_i = ConditionFinding(

@@ -298,7 +298,8 @@ def _picard_affine_solve(
     point ``v``, mixed or not: once ``factor * ||W v - v|| <= inner_tol``
     the returned ``W v`` has residual at most ``inner_tol``.  A plain step
     shrinks the gap ``||W v - v||`` by ``factor``; mixing runs only while
-    every application does (within a relative 1e-9 for rounding).  A mixed
+    every application does, within a relative 1e-9 or, where the gap nears
+    the rounding of ``W v``, within ``4 eps (||W v|| + ||base||)``.  A mixed
     point that does not is dropped for the last plain image, and from the
     first application that does not on, the iteration is plain Picard.  So
     in exact arithmetic an honest ``T`` needs at most one application more
@@ -354,10 +355,14 @@ def _picard_affine_solve(
                 f"inner solve exceeded {cap} applications (certified budget for "
                 f"factor {factor:g}); {blame}"
             )
-        if mixing and k > 1 and gap > shrink * gap_prev:
-            # this application shrank the gap less than a plain step must:
-            # plain Picard from now on, from the last plain image if the
-            # point was mixed
+        if (
+            mixing and k > 1 and gap > shrink * gap_prev
+            and gap - shrink * gap_prev > 4.0 * _EPS * (nrm(g) + nrm(base))
+        ):
+            # this application shrank the gap less than a plain step must, by
+            # more than the rounding of g = base + coef T(...), whose terms may
+            # be larger than g: plain Picard from now on, from the last plain
+            # image if the point was mixed
             mixing = False
             if mixed:
                 u, mixed = g_prev, False

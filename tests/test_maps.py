@@ -41,6 +41,7 @@ from viscofix import (
 )
 from viscofix.config import load_run_config
 from viscofix.problems import build_problem, sine_kernel, zero_kernel
+from viscofix.space import convex_set
 
 
 # ---------------------------------------------------------------- modulus
@@ -409,6 +410,173 @@ def test_audit_never_calls_the_map_on_a_zero_distance_pair():
     T = NonexpansiveMap(lambda x: calls.append(x) or x, domain=Box([0.0, 0.0], [0.0, 0.0]))
     report = check_nonexpansive(euclidean(2), T, n_samples=20)
     assert (report.passed, report.worst, report.witness, calls) == (True, 0.0, None, [])
+
+
+def _single_pass_audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=None):
+    """The audits' single-pass reference: every pair drawn, projected and scored at once."""
+    xs, ys = np.random.default_rng(seed).standard_normal((2, n_samples, space.dim)) * 3.0
+    if domain is not None:
+        project_rows = convex_set(domain)._project_rows
+        xs, ys = project_rows(space, xs), project_rows(space, ys)
+    diffs = xs - ys
+    dists = space.row_norms(diffs)
+    apart = dists != 0.0
+    xs, ys, diffs, dists = xs[apart], ys[apart], diffs[apart], dists[apart]
+    worst, witness, broken = start, None, False
+    if dists.size:
+        fx, fy = maps._images(space, fn, xs, name), maps._images(space, fn, ys, name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = score(fx - fy, diffs, dists)
+        nonfinite = ~np.isfinite(scores)
+        broken = bool(nonfinite.any())
+        if broken:
+            i = int(np.argmax(nonfinite))
+        else:
+            i = int(np.argmax(scores) if worse is operator.gt else np.argmin(scores))
+        if broken or worse(scores[i], start):
+            worst, witness = scores[i], (xs[i].copy(), ys[i].copy())
+    return AuditReport(not broken and not worse(worst, bound), float(worst), witness, n_samples,
+                       seed)
+
+
+def _assert_single_pass_report(monkeypatch, check, space, target, n_samples, seed):
+    """``check``'s report, asserted equal to that of :func:`_single_pass_audit`."""
+    got = check(space, target, n_samples=n_samples, seed=seed)
+    with monkeypatch.context() as patched:
+        patched.setattr(maps, "_audit", _single_pass_audit)
+        want = check(space, target, n_samples=n_samples, seed=seed)
+    assert (got.passed, got.n_samples, got.seed) == (want.passed, want.n_samples, want.seed)
+    assert struct.pack("<d", got.worst) == struct.pack("<d", want.worst)
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        for got_point, want_point in zip(got.witness, want.witness):
+            assert got_point.tobytes() == want_point.tobytes()
+    return got
+
+
+def _chunk(space):
+    """Pairs per audit chunk in ``space``."""
+    return max(1, maps._AUDIT_VALUES // space.dim)
+
+
+def _audit_points(space, n_samples, seed):
+    return np.random.default_rng(seed).standard_normal((2, n_samples, space.dim)) * 3.0
+
+
+_SIN_TARGETS = [
+    (check_nonexpansive, NonexpansiveMap(np.sin)),
+    (check_contraction, GeneralizedContraction(lambda x: 0.25 * np.sin(x), linear_modulus(0.25))),
+    (check_inverse_strongly_monotone, MonotoneOperatorSpec(lambda x: x + np.sin(x), 0.25)),
+]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("check, target", _SIN_TARGETS, ids=["T", "f", "A"])
+def test_audit_in_chunks_is_the_single_pass_report_around_a_chunk(monkeypatch, check, target,
+                                                                   offset):
+    sp = euclidean(2)
+    _assert_single_pass_report(monkeypatch, check, sp, target, _chunk(sp) + offset, seed=3)
+
+
+def test_audit_keeps_the_first_of_a_tie_across_a_chunk_boundary(monkeypatch):
+    # pairs chunk - 1 and chunk are doubled, every other pair halved: ratio 2 exactly at both
+    sp = euclidean(2)
+    c = _chunk(sp)
+    xs, ys = _audit_points(sp, c + 5, 0)
+    doubled = {p.tobytes() for p in (xs[c - 1], ys[c - 1], xs[c], ys[c])}
+    T = NonexpansiveMap(lambda x: (2.0 if x.tobytes() in doubled else 0.5) * x)
+    report = _assert_single_pass_report(monkeypatch, check_nonexpansive, sp, T, c + 5, 0)
+    assert (report.passed, report.worst) == (False, 2.0)
+    assert report.witness[0].tobytes() == xs[c - 1].tobytes()
+
+
+def test_audit_reports_a_non_finite_score_of_a_later_chunk(monkeypatch):
+    # a large finite ratio in the first chunk, then NaN in the second and the third
+    sp = euclidean(2)
+    c = _chunk(sp)
+    xs, ys = _audit_points(sp, 2 * c + 10, 1)
+    doubled, broken = {xs[3].tobytes()}, {xs[c + 5].tobytes(), ys[2 * c + 1].tobytes()}
+
+    def T(x):
+        key = x.tobytes()
+        return np.full(2, np.nan) if key in broken else (2.0 if key in doubled else 0.5) * x
+
+    report = _assert_single_pass_report(
+        monkeypatch, check_nonexpansive, sp, NonexpansiveMap(T), 2 * c + 10, 1
+    )
+    assert not report.passed and np.isnan(report.worst)
+    assert report.witness[0].tobytes() == xs[c + 5].tobytes()
+
+
+def test_audit_in_chunks_drops_zero_distance_pairs_as_one_pass_does(monkeypatch):
+    # on a tiny box almost every point lands on one of four corners: about a
+    # quarter of the pairs coincide, in every chunk
+    sp = euclidean(2)
+    T = NonexpansiveMap(np.sin, domain=Box([0.0, 0.0], [1e-3, 1e-3]))
+    report = _assert_single_pass_report(monkeypatch, check_nonexpansive, sp, T,
+                                        2 * _chunk(sp) + 1, 2)
+    assert report.witness is not None
+
+
+def test_audit_raises_on_a_value_that_is_not_a_point_in_the_last_chunk():
+    # only the second point of the last pair, alone in the third chunk, is mapped off the space
+    sp = euclidean(2)
+    n = 2 * _chunk(sp) + 1
+    _, ys = _audit_points(sp, n, 0)
+    last = ys[-1].tobytes()
+    T = NonexpansiveMap(lambda x: x[:1] if x.tobytes() == last else 0.5 * x)
+    with pytest.raises(InputError, match=re.escape("T(x) is not a point of the space: ")):
+        check_nonexpansive(sp, T, n_samples=n)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_audits_in_chunks_are_the_single_pass_reports(monkeypatch, diagnostics, fredholm_256,
+                                                      seed):
+    # the benchmark's diagnostics audits, and the same three on Fredholm m = 256
+    # (257 values a point: 15 pairs a chunk)
+    space, T, f = diagnostics
+    A = MonotoneOperatorSpec(lambda x: x, ism_alpha=1.0)
+    for check, target in [
+        (check_nonexpansive, T), (check_contraction, f), (check_inverse_strongly_monotone, A)
+    ]:
+        _assert_single_pass_report(monkeypatch, check, space, target, 10_000, seed)
+    space, T, f = fredholm_256
+    A = MonotoneOperatorSpec(lambda x: x - T(x), ism_alpha=0.5)
+    for check, target in [
+        (check_nonexpansive, T), (check_contraction, f), (check_inverse_strongly_monotone, A)
+    ]:
+        _assert_single_pass_report(monkeypatch, check, space, target, 1000, seed)
+
+
+def _fredholm_setup(grid_size, tmp_dir):
+    path = tmp_dir / f"fredholm-{grid_size}.cfg"
+    path.write_text(
+        f"[problem]\nkind = fredholm\nkernel = separable-linear\ngrid_size = {grid_size}\n"
+        "[contraction]\nkind = linear\nc = 0.25\n" + _TAIL
+    )
+    setup = build_problem(load_run_config(path))
+    setup.T(np.zeros(setup.space.dim))  # the kernel's factors are read on the first call
+    return setup.space, setup.T, setup.f
+
+
+@pytest.fixture(scope="module")
+def fredholm_256(tmp_path_factory):
+    return _fredholm_setup(256, tmp_path_factory.mktemp("fredholm"))
+
+
+def test_a_fredholm_audit_holds_its_first_points_and_little_more(tmp_path):
+    # 4000 first points of 1025 values are 31.3 MiB; one pass over all the
+    # pairs held about seven times as much
+    space, T, _ = _fredholm_setup(1024, tmp_path)
+    first_points = 4000 * space.dim * 8
+    tracemalloc.start()
+    try:
+        report = check_nonexpansive(space, T, n_samples=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 1.2 * first_points, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_modulus_value_is_elementwise_on_arrays():
