@@ -118,7 +118,6 @@ class NonexpansiveMap:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     domain: spc.ConvexSetBase = field(default_factory=spc.WholeSpace)
-    label: str = ""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -130,7 +129,6 @@ class GeneralizedContraction:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     modulus: ContractionModulus
-    label: str = ""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -147,7 +145,7 @@ class MonotoneOperatorSpec:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     ism_alpha: float
-    label: str = ""
+    label: str = ""  # read by nothing; kept for callers that still pass it
 
     def __post_init__(self):
         alpha = _real(
@@ -225,10 +223,13 @@ def _with_rows(point_fn, rows_fn=None):
 
     ``rows_fn`` takes a float64 ``(k, dim)`` stack and returns, bit for
     bit, the stack of ``point_fn``'s values at its rows, with no warning
-    that those calls would not raise.  None marks an elementwise
-    ``point_fn`` that already does so.  :func:`_images` reads the mark as
-    ``point_fn._viscofix_rows``, a name no user evaluator is expected to
-    have; only evaluators the library builds carry it.
+    that those calls would not raise.  Where a value takes a norm, as a
+    ball's projection does, the bits are the points' under the BLAS
+    kernels that :meth:`~viscofix.space.SpaceDescriptor.inner` names.
+    None marks an elementwise ``point_fn`` that already does so.
+    :func:`_images` reads the mark as ``point_fn._viscofix_rows``, a name
+    no user evaluator is expected to have; only evaluators the library
+    builds carry it.
     """
     point_fn._viscofix_rows = point_fn if rows_fn is None else rows_fn
     return point_fn
@@ -268,11 +269,12 @@ def _images(space, fn, points, name):
 _AUDIT_VALUES = 1 << 12  # float64 values per audit chunk, 32 KiB (see _audit)
 
 
-def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=None):
+def _audit(space, n_samples, seed, fn, name, score, worse, start, bound,
+           domain=spc.WholeSpace()):
     """Report the worst ``score(gaps, diffs, dists)`` under the order ``worse``.
 
     Points come from a seeded normal distribution of scale 3, each projected
-    into ``domain`` when one is given (one array pass for a
+    into ``domain``, the whole space by default (one array pass for a
     :class:`~viscofix.space.WholeSpace` or ``Ball``, else one ``project``
     call per point).  The first points are drawn whole, an ``(n_samples,
     dim)`` array; the second points continue the same stream through one
@@ -290,7 +292,9 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=
     equally bad pairs is kept, and only values worse than ``start`` are kept
     at all.  Every chunk is evaluated, so a value that is not a point raises
     wherever it lies.  The audit passes unless the worst value is worse than
-    ``bound``.  The report is that of one pass over all the pairs.
+    ``bound``.  The report is that of one pass over all the pairs, bit for
+    bit under the BLAS kernels that :meth:`~viscofix.space.SpaceDescriptor.inner`
+    names; under others a chunk's pairings may differ in the last bit.
     """
     _count(n_samples, "n_samples", 1, InputError)
     _count(seed, "seed", 0, InputError)
@@ -298,7 +302,7 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=
     # One stream in C order: every first point, then every second point.
     xs = rng.standard_normal((n_samples, space.dim))
     xs *= 3.0
-    project_rows = None if domain is None else spc.convex_set(domain)._project_rows
+    project_rows = spc.convex_set(domain)._project_rows
     step = max(1, _AUDIT_VALUES // space.dim)
     second = np.empty((min(step, n_samples), space.dim))
     worst, witness, broken = start, None, False
@@ -306,8 +310,7 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound, domain=
         x = xs[lo : lo + step]
         y = rng.standard_normal(out=second[: len(x)])
         y *= 3.0
-        if project_rows is not None:
-            x, y = project_rows(space, x), project_rows(space, y)
+        x, y = project_rows(space, x), project_rows(space, y)
         diffs = x - y
         dists = space.row_norms(diffs)
         apart = dists != 0.0
@@ -399,19 +402,16 @@ def check_inverse_strongly_monotone(
 ) -> AuditReport:
     """Spot-check ``<Au - Av, u - v> >= alpha * ||Au - Av||^2`` on pairs.
 
-    The slack of a pair is the left side minus the right side; the check
+    The slack of a pair is the left side minus the right side, both taken
+    by the space's one pairing :meth:`~viscofix.space.SpaceDescriptor.inner`,
+    so the identity at alpha 1 has slack 0.0 exactly.  The check
     passes when the worst slack is at least ``-1e-10``, and the witness is
     the first pair with that slack.  ``n_samples``, dropped pairs, a non-finite
     slack and a value that is not a point are handled as in :func:`check_nonexpansive`.
     """
 
     def slack(gaps, diffs, _dists):
-        # Python's float ** 2 (libm pow), as in the point-wise form: on
-        # ~0.1% of values it differs from n * n in the last bit.  Where the
-        # square overflows, ** raises OverflowError and n * n gives inf.
-        norms = space.row_norms(gaps).tolist()
-        squares = np.array([n ** 2 if n < 1e154 else n * n for n in norms])
-        return space.inner(gaps, diffs) - A.ism_alpha * squares
+        return space.inner(gaps, diffs) - A.ism_alpha * space.inner(gaps, gaps)
 
     return _audit(space, n_samples, seed, A, "A(x)", slack, operator.lt, np.inf, -1e-10)
 
@@ -421,7 +421,6 @@ def average_pseudocontraction(
     lam: float,
     theta: float,
     smooth_L: float = 1.0,
-    label: str = "",
 ) -> NonexpansiveMap:
     """Averaged map ``T x = theta x + (1 - theta) S x`` of a pseudocontraction.
 
@@ -460,7 +459,7 @@ def average_pseudocontraction(
     def averaged(x, _ev=evaluator, _theta=theta):
         return _theta * x + (1.0 - _theta) * _ev(x)
 
-    return NonexpansiveMap(evaluator=averaged, label=label or "averaged pseudocontraction")
+    return NonexpansiveMap(evaluator=averaged)
 
 
 def forward_projected(
@@ -495,7 +494,7 @@ def forward_projected(
     rows = getattr(A.evaluator, "_viscofix_rows", None)
     if rows is not None:
         _with_rows(stepped, lambda xs: stepped(xs, _A=rows, _project=cset._project_rows))
-    return NonexpansiveMap(evaluator=stepped, label="projected forward step")
+    return NonexpansiveMap(evaluator=stepped)
 
 
 def fredholm_grid(problem: FredholmProblem):
@@ -723,6 +722,4 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
         def integral_step(x):
             return gvals + kernel_rows(tcol, srow, x[None, :]) @ weights
 
-    return NonexpansiveMap(
-        evaluator=integral_step, label=f"integral operator on {problem.grid_size + 1} nodes"
-    )
+    return NonexpansiveMap(evaluator=integral_step)

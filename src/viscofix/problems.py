@@ -139,7 +139,7 @@ def _linear_contraction(view: SectionView, space: spc.SpaceDescriptor) -> Genera
     def scaled(x, _c=float(c)):
         return _c * x
 
-    return GeneralizedContraction(maps._with_rows(scaled), modulus, label=f"linear c={c:g}")
+    return GeneralizedContraction(maps._with_rows(scaled), modulus)
 
 
 def _rational_contraction(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
@@ -151,7 +151,7 @@ def _rational_contraction(view: SectionView, space: spc.SpaceDescriptor) -> Gene
     def damped(x, _b=float(beta), _norm=space.norm):
         return x / (1.0 + _b * _norm(x))
 
-    return GeneralizedContraction(damped, modulus, label=f"rational beta={beta:g}")
+    return GeneralizedContraction(damped, modulus)
 
 
 def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
@@ -160,9 +160,7 @@ def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> Generalize
     def constant(_x, _p=point):
         return _p
 
-    return GeneralizedContraction(
-        constant, maps.linear_modulus(0.0), label="constant point"
-    )
+    return GeneralizedContraction(constant, maps.linear_modulus(0.0))
 
 
 _CONTRACTIONS = {
@@ -210,7 +208,7 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def linear(x, _s=float(slope)):
         return _s * x
 
-    T = NonexpansiveMap(evaluator=linear, label=f"linear slope={slope:g}")
+    T = NonexpansiveMap(evaluator=linear)
     return _fixed_at_origin(cfg, space, T, known=slope != 1.0)
 
 
@@ -221,7 +219,7 @@ def _line_projection(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def onto_axis(x, _axis=axis, _space=space):
         return _axis.project(_space, x)
 
-    T = NonexpansiveMap(evaluator=onto_axis, label="axis projection")
+    T = NonexpansiveMap(evaluator=onto_axis)
     samples = [np.array([s, 0.0]) for s in np.linspace(-10.0, 10.0, 41)]
     return ProblemSetup(
         space=space,
@@ -246,9 +244,7 @@ def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def flipped(x, _k=float(k)):
         return -_k * x
 
-    T = maps.average_pseudocontraction(
-        flipped, lam=lam, theta=theta, smooth_L=smooth_l, label=f"averaged -{k:g}x"
-    )
+    T = maps.average_pseudocontraction(flipped, lam=lam, theta=theta, smooth_L=smooth_l)
     return _fixed_at_origin(cfg, space, T)
 
 
@@ -262,7 +258,7 @@ def _monotone(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         raise view.error("'radius' only applies when set = ball")
     space = _space(cfg, "euclidean")
     constraint = spc.Ball(np.zeros(space.dim), radius) if ball else spc.WholeSpace()
-    A = maps.MonotoneOperatorSpec(maps._with_rows(lambda x: x), ism_alpha=1.0, label="identity")
+    A = maps.MonotoneOperatorSpec(maps._with_rows(lambda x: x), ism_alpha=1.0)
     T = maps.forward_projected(space, constraint, A, gamma=gamma)
     return _fixed_at_origin(cfg, space, T)
 

@@ -309,6 +309,18 @@ def _meets_condition_i(a1, a2, a3, d):
     )
 
 
+def _condition_i_failure(p: ScheduleParams, where: str) -> str:
+    """The first way ``p`` fails condition (i), as text located by ``where``; ``p`` must fail it."""
+    a1, a2, a3, d = p
+    if not np.isfinite(p).all():
+        return f"non-finite weights {where}"
+    if not (0.0 <= a1 <= 1.0 and 0.0 <= a2 <= 1.0 and 0.0 <= a3 <= 1.0):
+        return f"weight outside [0, 1] {where}: ({a1:g}, {a2:g}, {a3:g})"
+    if abs(a1 + a2 + a3 - 1.0) > _SIMPLEX_TOL:
+        return f"weights do not sum to 1 {where} (sum = {a1 + a2 + a3!r})"
+    return f"delta outside (0, 1) {where}: {d:g}"
+
+
 # Indices per validator block: each float64 temporary is 64 KiB, half glibc's
 # 128 KiB mmap threshold, so it always comes from the heap and the validator's
 # time does not depend on the heap layout left by other code.

@@ -57,7 +57,8 @@ from .errors import (
     _real,
 )
 from .maps import _EPS, GeneralizedContraction, NonexpansiveMap
-from .schedules import _SIMPLEX_TOL, Schedule, ScheduleParams, _meets_condition_i, schedule_eval
+from .schedules import (Schedule, ScheduleParams, _condition_i_failure, _meets_condition_i,
+                        schedule_eval)
 
 __all__ = [
     "SchemeKind",
@@ -238,18 +239,6 @@ class SolveReport:
     final_residual: float
     space: spc.SpaceDescriptor
     message: str = ""
-
-
-def _condition_i_failure(p: ScheduleParams, where: str) -> str:
-    """The first way ``p`` fails condition (i), as text located by ``where``; ``p`` must fail it."""
-    a1, a2, a3, d = p
-    if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3) and math.isfinite(d)):
-        return f"non-finite weights {where}"
-    if not (0.0 <= a1 <= 1.0 and 0.0 <= a2 <= 1.0 and 0.0 <= a3 <= 1.0):
-        return f"weight outside [0, 1] {where}: ({a1:g}, {a2:g}, {a3:g})"
-    if abs(a1 + a2 + a3 - 1.0) > _SIMPLEX_TOL:
-        return f"weights do not sum to 1 {where} (sum = {a1 + a2 + a3!r})"
-    return f"delta outside (0, 1) {where}: {d:g}"
 
 
 def _collapsed_weight(p: ScheduleParams) -> float:

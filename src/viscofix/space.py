@@ -93,7 +93,11 @@ class SpaceDescriptor:
         stacks; shapes are not checked.  Each value is bit for bit
         ``np.vdot(weights * a, b)`` of its pair, and ``np.dot``'s but in
         dimension 1, where ``np.dot`` returns a lone ``-0.0`` product as
-        it is.  With unit weights the product by 1.0 is skipped.
+        it is.  With unit weights the product by 1.0 is skipped.  Stacks
+        and points both reduce through BLAS ``ddot``: a row has its point's
+        bits under OpenBLAS's SkylakeX and Haswell kernels, not always under
+        its Katmai ones (``OPENBLAS_CORETYPE=Prescott``); other BLAS builds
+        were not tried.
         """
         return np.vecdot(a if self.unit_weights else self.weights * a, b)
 
@@ -128,9 +132,9 @@ class SpaceDescriptor:
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`norm` of every row of a ``(k, dim)`` stack, bit for bit.
 
-        Rows whose sum of squares overflows take the rescaled form as
-        :meth:`norm` does; the overflow itself warns under numpy's error
-        state.
+        Bit for bit under the BLAS kernels :meth:`inner` names.  Rows whose
+        sum of squares overflows take the rescaled form as :meth:`norm`
+        does; the overflow itself warns under numpy's error state.
         """
         sums = self.inner(rows, rows)
         norms = np.sqrt(sums)

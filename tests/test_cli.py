@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import viscofix
 from viscofix import SolveReport, Termination, cli, euclidean, problems, read_trace_csv
@@ -900,3 +903,111 @@ def test_installed_console_script_on_path(tmp_path):
     )
     assert result.returncode == 0
     assert "termination: converged" in result.stdout
+
+
+# ---------------------------------------------------------------- config fuzz
+
+_ROOT = Path(__file__).parents[1]
+_TOKENS = ["nan", "-1", "1e308", "abc", "1,2"]
+
+
+def _ci_configs():
+    """The configs that the CI workflow writes with ``printf '%s\\n' ... > NAME.cfg``."""
+    text = (_ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    pattern = r"printf '%s\\n' ((?:'[^']*'\s*(?:\\\n\s*)?)+)> (\S+)\.cfg"
+    return {
+        name: "".join(f"{line}\n" for line in re.findall(r"'([^']*)'", args))
+        for args, name in re.findall(pattern, text)
+    }
+
+
+def _small(text):
+    """``text`` with sizes of at most 16 and at most 1000 steps in every solve."""
+    def at_most(top):
+        return lambda m: m[1] + str(min(int(m[2]), top))
+
+    text = re.sub(r"(?m)^((?:grid_size|dim) *= *)(\d+)", at_most(16), text)
+    text = re.sub(r"(?m)^(max_outer *= *)(\d+)", at_most(1000), text)
+    if "[problem]" in text and "max_outer" not in text:
+        if "[solver]\n" not in text:
+            text += "[solver]\n"
+        text = text.replace("[solver]\n", "[solver]\nmax_outer = 1000\n")
+    return text
+
+
+def _fuzz_bases():
+    """(command, lines) for README's config and each CI config, made small."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    texts = [readme.split("```ini\n")[1].split("```", 1)[0], *_ci_configs().values()]
+    bases = []
+    for text in map(_small, texts):
+        if "[problem]" not in text:
+            command = ["validate-schedule", "--horizon", "1000"]
+        elif re.search(r"(?m)^kind = fredholm", text):
+            command = ["fredholm"]
+        else:
+            command = ["solve"]
+        bases.append((command, text.splitlines()))
+    return bases
+
+
+_FUZZ_BASES = _fuzz_bases()
+
+
+def test_the_config_fuzz_reads_readme_and_every_ci_config(tmp_path):
+    assert set(_ci_configs()) == {
+        "custom-rational", "violating", "fredholm-4096", "inner-floor", "long-trace",
+    }
+    assert [command[0] for command, _ in _FUZZ_BASES] == [
+        "solve", "validate-schedule", "validate-schedule", "fredholm", "solve", "solve",
+    ]
+    # unmutated, each config runs: only a solve stopped short of its tolerance exits 2
+    for command, lines in _FUZZ_BASES:
+        path = tmp_path / "base.cfg"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        assert main([command[0], "--config", str(path), *command[1:]]) in (0, 2)
+
+
+def _mutation(lines):
+    """A strategy of one mutation of ``lines``: a line dropped, doubled, or given a token value.
+
+    A ``max_outer`` line is never dropped, so no solve runs past 1000 steps.
+    """
+    index = st.integers(0, len(lines) - 1)
+    droppable = [i for i, line in enumerate(lines) if not line.startswith("max_outer")]
+    valued = [i for i, line in enumerate(lines) if "=" in line]
+    return st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(droppable)),
+        st.tuples(st.just("double"), index),
+        st.tuples(st.just("value"), st.sampled_from(valued), st.sampled_from(_TOKENS)),
+    )
+
+
+def _mutate(lines, mutation):
+    kind, i, *token = mutation
+    if kind == "drop":
+        return lines[:i] + lines[i + 1 :]
+    if kind == "double":
+        return lines[: i + 1] + lines[i:]
+    return lines[:i] + [f"{lines[i].split('=', 1)[0]}= {token[0]}"] + lines[i + 1 :]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_config_ends_in_an_exit_code(fuzz_dir, data):
+    # every warning is an error here, so a warning, a traceback or a usage
+    # error fails the example, as any exit code but 0, 1 or 2 does
+    command, lines = data.draw(st.sampled_from(_FUZZ_BASES))
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _mutate(lines, data.draw(_mutation(lines)))
+    path = fuzz_dir / "fuzz.cfg"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    argv = [command[0], "--config", str(path), *command[1:]]
+    if command == ["solve"]:
+        argv += ["--trace", str(fuzz_dir / "trace.csv")]
+    assert main(argv) in (0, 1, 2)

@@ -226,6 +226,20 @@ def test_check_inverse_strongly_monotone():
         MonotoneOperatorSpec(lambda x: x, 0.0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_ism_audit_of_the_identity_has_no_slack(seed):
+    # both sides of <u - v, u - v> >= ||u - v||^2 are the one pairing of the
+    # same gaps, so every slack is 0.0 exactly and the first pair is the witness
+    sp = euclidean(3)
+    report = check_inverse_strongly_monotone(
+        sp, MonotoneOperatorSpec(lambda x: x, 1.0), n_samples=10_000, seed=seed
+    )
+    assert (report.passed, report.worst) == (True, 0.0)
+    xs, ys = _audit_points(sp, 10_000, seed)
+    assert report.witness[0].tobytes() == xs[0].tobytes()
+    assert report.witness[1].tobytes() == ys[0].tobytes()
+
+
 def _per_pair_audit(space, n_samples, seed, score, worse, start, bound, domain=None):
     """The audits' reference: one pair at a time, scored with the point-wise API."""
     xs, ys = np.random.default_rng(seed).standard_normal((2, n_samples, space.dim)) * 3.0
@@ -260,7 +274,7 @@ def _reference_contraction(space, f, n_samples, seed):
 def _reference_inverse_strongly_monotone(space, A, n_samples, seed):
     def slack(u, v, _dist):
         du = A(u) - A(v)
-        return float(space.inner(du, u - v)) - A.ism_alpha * norm(space, du) ** 2
+        return float(space.inner(du, u - v)) - A.ism_alpha * float(space.inner(du, du))
 
     return _per_pair_audit(space, n_samples, seed, slack, operator.lt, np.inf, -1e-10)
 

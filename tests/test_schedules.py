@@ -423,8 +423,8 @@ def test_malformed_formula_on_the_scalar_path():
 
 
 def test_malformed_formula_reaches_run_as_an_input_error():
-    half = NonexpansiveMap(lambda x: 0.5 * x, label="x/2")
-    quarter = GeneralizedContraction(lambda x: 0.25 * x, linear_modulus(0.25), label="x/4")
+    half = NonexpansiveMap(lambda x: 0.5 * x)
+    quarter = GeneralizedContraction(lambda x: 0.25 * x, linear_modulus(0.25))
     with pytest.raises(InputError, match="schedule three-values: .* got 3 values"):
         run(euclidean(1), SchemeKind.NEW_IMPLICIT, quarter, half, _THREE_VALUES,
             np.array([1.0]), SolverConfig())

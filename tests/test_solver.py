@@ -43,8 +43,8 @@ from viscofix.config import load_run_config
 from viscofix.problems import build_problem
 
 SP1 = euclidean(1)
-HALF = NonexpansiveMap(lambda x: 0.5 * x, label="x/2")
-QUARTER = GeneralizedContraction(lambda x: 0.25 * x, linear_modulus(0.25), label="x/4")
+HALF = NonexpansiveMap(lambda x: 0.5 * x)
+QUARTER = GeneralizedContraction(lambda x: 0.25 * x, linear_modulus(0.25))
 
 # fixed single-index schedule matching eq75 at n = 2: (1/4, 1/4, 1/2), delta 1/3
 FLAT_EQ75_2 = custom_rational(
@@ -107,7 +107,7 @@ def test_inner_solve_rejects_bad_weights():
 
 
 def test_inner_solve_detects_false_nonexpansiveness():
-    liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x declared nonexpansive")
+    liar = NonexpansiveMap(lambda x: 3.0 * x)
     with pytest.raises(InnerSolveError):
         inner_implicit_solve(
             SP1, QUARTER, liar, np.array([1.0]), (0.05, 0.05, 0.9), 0.9, SolverConfig()
@@ -117,7 +117,7 @@ def test_inner_solve_detects_false_nonexpansiveness():
 def test_inner_solve_detects_a_liar_that_contracts_one_direction():
     # the second application's gap grows along the expanding axis, which
     # ends the mixing; plain Picard then runs past the certified budget
-    liar = NonexpansiveMap(lambda x: np.array([3.0, 0.5]) * x, label="diag(3, 1/2)")
+    liar = NonexpansiveMap(lambda x: np.array([3.0, 0.5]) * x)
     with pytest.raises(InnerSolveError, match="does not contract as declared"):
         inner_implicit_solve(
             euclidean(2), QUARTER, liar, np.array([1.0, 1.0]), (0.05, 0.05, 0.9), 0.9,
@@ -133,7 +133,7 @@ def test_inner_solve_fails_fast_on_non_finite_map(bad):
         calls.append(x)
         return np.full_like(x, bad)
 
-    T = NonexpansiveMap(broken, label="non-finite")
+    T = NonexpansiveMap(broken)
     with pytest.raises(InnerSolveError, match="at application 1"):
         inner_implicit_solve(
             SP1, QUARTER, T, np.array([1.0]), (0.25, 0.25, 0.5), 0.5, SolverConfig()
@@ -244,7 +244,7 @@ def test_identity_presets_refuse_viscosity_term():
 
 
 def test_mann_is_new_implicit_with_identity():
-    ident = GeneralizedContraction(lambda x: x, linear_modulus(0.0), label="")
+    ident = GeneralizedContraction(lambda x: x, linear_modulus(0.0))
     # the modulus is irrelevant to stepping; only the evaluator is used
     object.__setattr__(ident, "evaluator", lambda x: x)
     a = _one_step(SchemeKind.MANN_IMPLICIT, None)
@@ -613,7 +613,7 @@ def test_diagnostics_trial_counters_are_pinned(tmp_path):
 )
 def test_run_rejects_a_T_value_that_is_not_a_point(scheme, value, shape):
     # a (1,)-shaped T value would broadcast against the 2-D iterate
-    T = NonexpansiveMap(value, label="first coordinate halved")
+    T = NonexpansiveMap(value)
     with pytest.raises(InputError) as caught:
         run(euclidean(2), scheme, QUARTER, T, halpern_mix(), np.array([1.0, 2.0]), SolverConfig())
     assert str(caught.value) == (
@@ -630,8 +630,8 @@ def test_run_rejects_a_T_value_that_is_not_a_point(scheme, value, shape):
 )
 def test_run_rejects_an_f_value_that_is_not_a_point(scheme, value, shape):
     # before the check both schemes converged with the broadcast map x -> (x0/4, x0/4)
-    T = NonexpansiveMap(lambda x: 0.5 * x, label="x/2")
-    f = GeneralizedContraction(value, linear_modulus(0.25), label="first coordinate quartered")
+    T = NonexpansiveMap(lambda x: 0.5 * x)
+    f = GeneralizedContraction(value, linear_modulus(0.25))
     with pytest.raises(InputError) as caught:
         run(euclidean(2), scheme, f, T, halpern_mix(), np.array([1.0, 2.0]), SolverConfig())
     assert str(caught.value) == (
@@ -641,14 +641,14 @@ def test_run_rejects_an_f_value_that_is_not_a_point(scheme, value, shape):
 
 
 def test_run_rejects_a_T_value_that_is_not_a_number():
-    T = NonexpansiveMap(lambda x: "x", label="text")
+    T = NonexpansiveMap(lambda x: "x")
     with pytest.raises(InputError) as caught:
         run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, T, halpern_mix(), [1.0], SolverConfig())
     assert str(caught.value).startswith("T(x1) is not a point of the space: could not convert")
 
 
 def test_inner_solve_rejects_an_f_value_that_is_not_a_point():
-    f = GeneralizedContraction(lambda x: x[0] / 4.0, linear_modulus(0.25), label="scalar")
+    f = GeneralizedContraction(lambda x: x[0] / 4.0, linear_modulus(0.25))
     with pytest.raises(InputError) as caught:
         inner_implicit_solve(
             euclidean(2), f, HALF, [1.0, 2.0], (0.25, 0.25, 0.5), 0.5, SolverConfig()
@@ -660,7 +660,7 @@ def test_inner_solve_rejects_an_f_value_that_is_not_a_point():
 
 def test_inner_solve_rejects_a_T_value_that_is_not_a_point():
     # unchecked, the broadcast map x -> (x0/2, x0/2) gave [0.3929, 0.7054]
-    T = NonexpansiveMap(lambda x: np.array([x[0] / 2.0]), label="first coordinate halved")
+    T = NonexpansiveMap(lambda x: np.array([x[0] / 2.0]))
     with pytest.raises(InputError) as caught:
         inner_implicit_solve(
             euclidean(2), QUARTER, T, [1.0, 2.0], (0.25, 0.25, 0.5), 0.5, SolverConfig()
@@ -714,7 +714,7 @@ SLOW_INNER = custom_rational((0.005, 0, 0), (0.005, 0, 0), (0.99, 0, 0), (0.99, 
 def test_inner_solve_budget_is_the_certified_count():
     # -x is affine, so the mixed (secant) point of the third application is
     # its fixed point; plain Picard needed [1409, 1097, 786] applications here
-    flip = NonexpansiveMap(lambda x: -x, label="-x")
+    flip = NonexpansiveMap(lambda x: -x)
     cfg = SolverConfig(outer_tol=1e-6)
     report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, flip, SLOW_INNER, np.array([1.0]), cfg)
     assert report.termination is Termination.CONVERGED
@@ -723,7 +723,7 @@ def test_inner_solve_budget_is_the_certified_count():
     # a map that expands still fails: its iterate overflows within the
     # budget (the norm of a finite gap is finite up to the largest float),
     # and the run ends at the start point with a message naming the outer step
-    liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x")
+    liar = NonexpansiveMap(lambda x: 3.0 * x)
     with np.errstate(over="ignore"):
         failed = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, liar, SLOW_INNER, np.array([1.0]), cfg)
     assert failed.termination is Termination.INNER_SOLVE_FAILED
@@ -739,7 +739,7 @@ def test_a_failed_inner_solve_ends_the_run_with_its_partial_report():
     # 3x is not nonexpansive: the inner solve of the step at n = 3 runs past
     # its certified budget, and the report holds x_3 as the run capped
     # after two steps does, bit for bit, with the trace of those two steps
-    liar = NonexpansiveMap(lambda x: 3.0 * x, label="3x")
+    liar = NonexpansiveMap(lambda x: 3.0 * x)
     states = []
     report = run(SP1, "new_implicit", QUARTER, liar, halpern_mix(), [1.0], SolverConfig(),
                  observer=states.append)
@@ -767,7 +767,7 @@ def test_inner_solve_long_honest_solve_stays_within_its_budget():
     # ends as plain Picard: more than 1000 applications under factor 0.9801,
     # one more than plain Picard's 1409 and inside the certified budget.
     # Later steps start on the -1 piece, where the secant point is exact.
-    kinked = NonexpansiveMap(lambda x: np.abs(x - 1.0) - 1.0, label="|x - 1| - 1")
+    kinked = NonexpansiveMap(lambda x: np.abs(x - 1.0) - 1.0)
     cfg = SolverConfig(outer_tol=1e-6)
     report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, kinked, SLOW_INNER, np.array([5.0]), cfg)
     assert report.termination is Termination.CONVERGED
