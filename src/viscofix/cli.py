@@ -123,12 +123,9 @@ def cmd_validate_schedule(args) -> int:
     if args.preset is not None:
         schedule = schedule_preset(args.preset)()
     else:
-        sections = read_sections(args.config)
-        if "schedule" not in sections:
-            raise ConfigurationError(f"{args.config}: missing [schedule] section")
-        schedule = schedule_from_section(
-            SectionView("schedule", sections["schedule"], str(args.config))
-        )
+        sections = read_sections(args.config, required=("schedule",))
+        view = SectionView("schedule", sections["schedule"], str(args.config))
+        schedule = schedule_from_section(view)
     report = validate_assumption12(schedule, args.horizon)
     print(f"schedule: {schedule.kind} (start index {schedule.start_index})")
     print(report.render())

@@ -122,9 +122,8 @@ class SectionView:
 
         return self._take(key, required, str, check=outside)
 
-    def float_value(self, key: str, default=None, required: bool = False):
-        value = self._take(key, required, float, "a number", _finite)
-        return default if value is None else value
+    def float_value(self, key: str, required: bool = False):
+        return self._take(key, required, float, "a number", _finite)
 
     def int_value(self, key: str, required: bool = False):
         return self._take(key, required, int, "an integer")
@@ -202,8 +201,9 @@ class RunConfig:
     origin: str
 
 
-def read_sections(path) -> Dict[str, Dict[str, RawValue]]:
-    """Read an ASCII config file and parse it with :func:`parse_sections`."""
+def read_sections(path, required=()) -> Dict[str, Dict[str, RawValue]]:
+    """Parse an ASCII config file; refuse an unknown section and a missing one of ``required``."""
+    origin = str(path)
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
@@ -211,7 +211,17 @@ def read_sections(path) -> Dict[str, Dict[str, RawValue]]:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config {path} is not ASCII: {exc}") from None
-    return parse_sections(text, origin=str(path))
+    sections = parse_sections(text, origin)
+    known = {"space", "problem", "contraction", "scheme", "schedule", "solver"}
+    for name, data in sections.items():
+        if name not in known:
+            first = min(data.values(), key=lambda raw: raw.line) if data else None
+            where = f" (line {first.line})" if first else ""
+            raise ConfigurationError(f"{origin}: unknown section [{name}]{where}")
+    for name in required:
+        if name not in sections:
+            raise ConfigurationError(f"{origin}: missing required section [{name}]")
+    return sections
 
 
 def load_run_config(path) -> RunConfig:
@@ -224,17 +234,7 @@ def load_run_config(path) -> RunConfig:
     and values are validated by :func:`viscofix.problems.build_problem`.
     """
     origin = str(path)
-    sections = read_sections(path)
-
-    known = {"space", "problem", "contraction", "scheme", "schedule", "solver"}
-    for name, data in sections.items():
-        if name not in known:
-            first = min(data.values(), key=lambda raw: raw.line) if data else None
-            where = f" (line {first.line})" if first else ""
-            raise ConfigurationError(f"{origin}: unknown section [{name}]{where}")
-    for name in ("problem", "scheme", "schedule"):
-        if name not in sections:
-            raise ConfigurationError(f"{origin}: missing required section [{name}]")
+    sections = read_sections(path, required=("problem", "scheme", "schedule"))
 
     def section(name: str) -> SectionView:
         return SectionView(name, sections.get(name, {}), origin)

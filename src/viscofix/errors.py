@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule each for a count and a real.
+"""Exception types shared across the package, and its one rule each for counts, reals and arrays.
 
 Every error the package raises on purpose is a :class:`ViscofixError`:
 an :class:`InputError` for a value handed to an operation, a
@@ -10,12 +10,16 @@ float, a string and ``None`` with the error its caller names.  Every
 declared real constant (a tolerance, a radius, a modulus coefficient, a
 monotonicity constant, a step size, an averaging weight, a Lipschitz
 bound) is checked by :func:`_real`, which refuses a ``bool``, a string,
-``None`` and a value outside its range the same way.
+``None`` and a value outside its range the same way, and every declared
+real array by :func:`_reals`, entry by entry as :func:`_real` checks one.
 """
 
+import math
 import numbers
 import operator
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "ViscofixError",
@@ -97,3 +101,29 @@ def _real(value, name: str, need: str, within: Callable[[float], bool], error: t
         shown = value if isinstance(value, numbers.Real) else repr(value)
         raise error(f"{name} must {need}, got {shown}")
     return real
+
+
+def _reals(value, name: str, shape: tuple, error: type) -> np.ndarray:
+    """``value`` as a new float64 array of finite reals; ``error`` names ``name`` otherwise.
+
+    The array has shape ``shape``, where ``-1`` matches any length.  Each
+    entry is held to :func:`_real`'s rule for one number, and NaN and ±inf
+    are refused too.  A numpy array of reals is converted whole, anything
+    else entry by entry: as one array, ``[0.0, True]`` reads as ``[0.0, 1.0]``.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        reals = value.astype(np.float64)
+        finite = np.isfinite(reals)
+        if not finite.all():
+            raise error(f"{name} must be finite real numbers, got {reals[~finite][0]}")
+    else:
+        entries = np.asarray(value, dtype=object)
+        for entry in entries.flat:
+            # a finite float passes _real as it is; the rest are judged and named there
+            if type(entry) is not float or not math.isfinite(entry):
+                _real(entry, name, "be finite real numbers", math.isfinite, error)
+        reals = entries.astype(np.float64)
+    if reals.ndim != len(shape) or any(n not in (-1, got) for n, got in zip(shape, reals.shape)):
+        want = str(tuple(map(int, shape))).replace("-1", "k")
+        raise error(f"{name} must have shape {want}, got {reals.shape}")
+    return reals

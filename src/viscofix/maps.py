@@ -223,10 +223,8 @@ def _with_rows(point_fn, rows_fn=None):
 
     ``rows_fn`` takes a float64 ``(k, dim)`` stack and returns, bit for
     bit, the stack of ``point_fn``'s values at its rows, with no warning
-    that those calls would not raise.  Where a value takes a norm, as a
-    ball's projection does, the bits are the points' under the BLAS
-    kernels that :meth:`~viscofix.space.SpaceDescriptor.inner` names.
-    None marks an elementwise ``point_fn`` that already does so.
+    that those calls would not raise.  None marks an elementwise
+    ``point_fn`` that already does so.
     :func:`_images` reads the mark as ``point_fn._viscofix_rows``, a name
     no user evaluator is expected to have; only evaluators the library
     builds carry it.
@@ -293,8 +291,7 @@ def _audit(space, n_samples, seed, fn, name, score, worse, start, bound,
     at all.  Every chunk is evaluated, so a value that is not a point raises
     wherever it lies.  The audit passes unless the worst value is worse than
     ``bound``.  The report is that of one pass over all the pairs, bit for
-    bit under the BLAS kernels that :meth:`~viscofix.space.SpaceDescriptor.inner`
-    names; under others a chunk's pairings may differ in the last bit.
+    bit.
     """
     _count(n_samples, "n_samples", 1, InputError)
     _count(seed, "seed", 0, InputError)
@@ -420,16 +417,14 @@ def average_pseudocontraction(
     S: Callable[[np.ndarray], np.ndarray],
     lam: float,
     theta: float,
-    smooth_L: float = 1.0,
 ) -> NonexpansiveMap:
     """Averaged map ``T x = theta x + (1 - theta) S x`` of a pseudocontraction.
 
     For ``S`` strictly pseudocontractive with constant ``lam`` (in the sense
-    ``||Sx - Sy||^2 <= ||x - y||^2 - lam ||(I-S)x - (I-S)y||^2``) on a space
-    with smoothness constant ``smooth_L`` (1 in the Hilbert setting), the
-    averaged map is nonexpansive whenever ``theta`` lies in
-    ``(0, min(1, lam / smooth_L^2)]``, and it has the same fixed points as
-    ``S``.  Past 1 the average would extrapolate beyond ``x``.
+    ``||Sx - Sy||^2 <= ||x - y||^2 - lam ||(I-S)x - (I-S)y||^2``), the
+    averaged map is nonexpansive whenever ``theta`` lies in ``(0, lam]``
+    (``lam / L^2`` for smoothness constant ``L``, 1 in every space here
+    as each has an inner product), with the same fixed points as ``S``.
 
     Parameters
     ----------
@@ -438,9 +433,7 @@ def average_pseudocontraction(
     lam : float
         Strict pseudocontractivity constant, in ``[0, 1)``.
     theta : float
-        Averaging weight; must satisfy ``0 < theta <= min(1, lam / smooth_L**2)``.
-    smooth_L : float
-        Smoothness constant of the space, default 1.
+        Averaging weight; must satisfy ``0 < theta <= lam``.
 
     Raises
     ------
@@ -449,11 +442,8 @@ def average_pseudocontraction(
     """
     lam = _real(lam, "pseudocontractivity constant", "lie in [0, 1)",
                 lambda v: 0.0 <= v < 1.0, ConfigurationError)
-    smooth_L = _real(smooth_L, "smoothness constant", "be positive", lambda v: v > 0.0,
-                     ConfigurationError)
-    upper = min(1.0, lam / (smooth_L * smooth_L))
-    theta = _real(theta, "averaging weight", f"lie in (0, {upper:g}]",
-                  lambda v: 0.0 < v <= upper, ConfigurationError)
+    theta = _real(theta, "averaging weight", f"lie in (0, {lam:g}]",
+                  lambda v: 0.0 < v <= lam, ConfigurationError)
     evaluator = getattr(S, "evaluator", S)
 
     def averaged(x, _ev=evaluator, _theta=theta):

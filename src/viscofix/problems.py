@@ -234,7 +234,6 @@ def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     k = view.float_value("k", required=True)
     lam = view.float_value("lambda", required=True)
     theta = view.float_value("theta", required=True)
-    smooth_l = view.float_value("L", default=1.0)
     if not (0.0 < k < 1.0):
         raise ConfigurationError(
             f"pseudocontraction coefficient k must lie in (0, 1), got {k:g}"
@@ -244,7 +243,7 @@ def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def flipped(x, _k=float(k)):
         return -_k * x
 
-    T = maps.average_pseudocontraction(flipped, lam=lam, theta=theta, smooth_L=smooth_l)
+    T = maps.average_pseudocontraction(flipped, lam=lam, theta=theta)
     return _fixed_at_origin(cfg, space, T)
 
 

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, _count
+from .errors import ConfigurationError, InputError, _count, _reals
 
 __all__ = [
     "ScheduleParams",
@@ -201,17 +201,9 @@ def custom_rational(
     start_index = _count(start_index, "start index", 1, ConfigurationError)
     coeffs = []
     for name, triple in zip(ScheduleParams._fields, (alpha1, alpha2, alpha3, delta)):
-        if len(triple) != 3:
-            raise ConfigurationError(
-                f"{name} needs three coefficients (a, b, c), got {triple!r}"
-            )
-        a, b, c = (float(v) for v in triple)
-        if not all(np.isfinite([a, b, c])):
-            raise ConfigurationError(f"{name} coefficients must be finite")
+        a, b, c = _reals(triple, f"{name} coefficients", (3,), ConfigurationError).tolist()
         if start_index + c <= 0:
-            raise ConfigurationError(
-                f"{name} has a pole at or after the start index (c = {c})"
-            )
+            raise ConfigurationError(f"{name} has a pole at or after the start index (c = {c})")
         coeffs.append((a, b, c))
 
     def rational(n, _coeffs=tuple(coeffs)):
@@ -230,7 +222,7 @@ def schedule_eval(s: Schedule, n: int) -> ScheduleParams:
     try:
         a1, a2, a3, d = values
         return ScheduleParams(float(a1), float(a2), float(a3), float(d))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _malformed(s, values, "real numbers") from None
 
 
@@ -468,7 +460,7 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
                 a1, a2, a3, d = (
                     np.broadcast_to(np.asarray(v, dtype=np.float64), ns.shape) for v in values
                 )
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise _malformed(s, values, f"scalars or arrays of shape {ns.shape}") from None
             # Nine reductions decide (i) for the whole block, and the elementwise
             # test runs only where one fails.  NaN fails every comparison either

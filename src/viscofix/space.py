@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, _count, _real
+from .errors import ConfigurationError, InputError, _count, _real, _reals
 
 __all__ = [
     "SpaceDescriptor",
@@ -54,15 +54,10 @@ class SpaceDescriptor:
     unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        _count(self.dim, "dimension", 1, ConfigurationError)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (self.dim,):
-            raise ConfigurationError(
-                f"weights must have shape ({self.dim},), got {w.shape}"
-            )
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ConfigurationError("weights must be finite and strictly positive")
-        w = w.copy()
+        dim = _count(self.dim, "dimension", 1, ConfigurationError)
+        w = _reals(self.weights, "weights", (dim,), ConfigurationError)
+        if np.any(w <= 0.0):
+            raise ConfigurationError("weights must be strictly positive")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         # With unit weights ``w * v`` is ``v`` exactly, so the pairing and
@@ -94,12 +89,19 @@ class SpaceDescriptor:
         ``np.vdot(weights * a, b)`` of its pair, and ``np.dot``'s but in
         dimension 1, where ``np.dot`` returns a lone ``-0.0`` product as
         it is.  With unit weights the product by 1.0 is skipped.  Stacks
-        and points both reduce through BLAS ``ddot``: a row has its point's
-        bits under OpenBLAS's SkylakeX and Haswell kernels, not always under
-        its Katmai ones (``OPENBLAS_CORETYPE=Prescott``); other BLAS builds
-        were not tried.
+        and points both reduce through BLAS ``ddot``, which some kernels
+        (``OPENBLAS_CORETYPE=Prescott``) sum in another order from 8 bytes
+        off a 16-byte boundary, where every other row of an odd-width stack
+        starts; so such a stack is reduced from a copy one column wider.
         """
-        return np.vecdot(a if self.unit_weights else self.weights * a, b)
+        if not self.unit_weights:
+            a = self.weights * a
+        if a.ndim == 2 and a.shape[1] % 2:
+            k, width = a.shape
+            wider = np.empty((2, k, width + 1))
+            wider[0, :, :width], wider[1, :, :width] = a, b
+            a, b = wider[:, :, :width]
+        return np.vecdot(a, b)
 
     def norm(self, v: np.ndarray) -> float:
         """Weighted norm ``sqrt(sum_i w_i v_i^2)`` of a point.
@@ -132,9 +134,9 @@ class SpaceDescriptor:
     def row_norms(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`norm` of every row of a ``(k, dim)`` stack, bit for bit.
 
-        Bit for bit under the BLAS kernels :meth:`inner` names.  Rows whose
-        sum of squares overflows take the rescaled form as :meth:`norm`
-        does; the overflow itself warns under numpy's error state.
+        Rows whose sum of squares overflows take the rescaled form as
+        :meth:`norm` does; the overflow itself warns under numpy's error
+        state.
         """
         sums = self.inner(rows, rows)
         norms = np.sqrt(sums)
@@ -235,12 +237,8 @@ class Box(ConvexSetBase):
     """
 
     def __init__(self, lower, upper):
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ConfigurationError("box bounds must be 1-d arrays of equal shape")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ConfigurationError("box bounds must be finite")
+        lower = _reals(lower, "box lower bounds", (-1,), ConfigurationError)
+        upper = _reals(upper, "box upper bounds", lower.shape, ConfigurationError)
         if np.any(lower > upper):
             raise ConfigurationError("box requires lower <= upper in every coordinate")
         self.lower = lower
@@ -260,10 +258,7 @@ class Ball(ConvexSetBase):
     """Closed ball ``{z : ||z - center|| <= radius}`` in the weighted norm."""
 
     def __init__(self, center, radius: float):
-        center = np.asarray(center, dtype=np.float64)
-        if center.ndim != 1 or not np.all(np.isfinite(center)):
-            raise ConfigurationError("ball center must be a finite 1-d array")
-        self.center = center
+        self.center = _reals(center, "ball center", (-1,), ConfigurationError)
         self.radius = _real(radius, "ball radius", "be finite and positive",
                             lambda r: 0.0 < r < math.inf, ConfigurationError)
 
@@ -320,12 +315,8 @@ class AffineSpan(ConvexSetBase):
     GRAM_TOL = 1e-10
 
     def __init__(self, space: SpaceDescriptor, base, directions):
-        base = space.point(base)
-        directions = np.asarray(directions, dtype=np.float64)
-        if directions.ndim != 2 or directions.shape[1] != space.dim:
-            raise ConfigurationError(
-                f"directions must have shape (k, {space.dim}), got {directions.shape}"
-            )
+        base = _reals(base, "base", (space.dim,), ConfigurationError)
+        directions = _reals(directions, "directions", (-1, space.dim), ConfigurationError)
         if directions.shape[0] < 1:
             raise ConfigurationError("affine span needs at least one direction")
         gram = directions @ (space.weights[None, :] * directions).T

@@ -361,9 +361,7 @@ def test_criterion_08_fredholm_closed_form():
 
 
 def test_criterion_09_nonexpansiveness_property_suite():
-    averaged = average_pseudocontraction(
-        lambda x: -x / 3.0, lam=0.5, theta=0.5, smooth_L=1.0
-    )
+    averaged = average_pseudocontraction(lambda x: -x / 3.0, lam=0.5, theta=0.5)
     # theta x + (1 - theta) S x with theta = 1/2 gives T(x) = x/3
     assert np.allclose(averaged(np.array([3.0])), np.array([1.0]))
     identity = MonotoneOperatorSpec(lambda x: x, 1.0)
@@ -429,7 +427,7 @@ def test_criterion_10_boundedness_bound(projection_run, linear_scheme_runs):
 
 def test_criterion_11_precondition_enforcement():
     with pytest.raises(ConfigurationError, match=r"\(0, 0\.5\]"):
-        average_pseudocontraction(lambda x: -x / 3.0, lam=0.5, theta=0.6, smooth_L=1.0)
+        average_pseudocontraction(lambda x: -x / 3.0, lam=0.5, theta=0.6)
     with pytest.raises(ConfigurationError, match=r"\(0, 2\]"):
         forward_projected(
             euclidean(2), WholeSpace(), MonotoneOperatorSpec(lambda x: x, 1.0), 3.0

@@ -332,11 +332,13 @@ MALFORMED_CONFIGS = [
      "builtin-linear slope must lie in [-1, 1] to be nonexpansive, got 1.5"),
     ("k-range", _swap("k = 0.5", "k = 1.0", _PSEUDO),
      "pseudocontraction coefficient k must lie in (0, 1), got 1"),
-    # lambda / L^2 = 2, but a weight past 1 extrapolates: T(x) = (7/3) x
+    # a weight past 1 would extrapolate: T(x) = (7/3) x
     ("theta-above-one",
-     _swap("k = 0.5\nlambda = 0.5\ntheta = 0.3", "k = 0.333333\nlambda = 0.5\ntheta = 2\nL = 0.5",
-           _PSEUDO),
-     "averaging weight must lie in (0, 1], got 2.0"),
+     _swap("k = 0.5\nlambda = 0.5\ntheta = 0.3", "k = 0.333333\nlambda = 0.5\ntheta = 2", _PSEUDO),
+     "averaging weight must lie in (0, 0.5], got 2.0"),
+    # every space has an inner product, so the smoothness constant is 1 and not a key
+    ("pseudocontraction-L", _swap("theta = 0.3", "theta = 0.3\nL = 1", _PSEUDO),
+     "unknown key 'L' in [problem] (line 6)"),
     ("grid-size-range", _swap("grid_size = 8", "grid_size = 1", _FREDHOLM),
      "grid_size must be >= 2, got 1"),
     ("monotone-dim-range", _MONOTONE + "[space]\nkind = euclidean\ndim = 0\n",
@@ -603,7 +605,15 @@ def test_validate_schedule_config_not_ascii(tmp_path, capsys):
 def test_validate_schedule_config_without_schedule(tmp_path, capsys):
     cfg = _config(tmp_path, "[problem]\nkind = builtin-linear\nslope = 0.5\n")
     assert main(["validate-schedule", "--config", cfg, "--horizon", "1000"]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: missing [schedule] section\n"
+    assert capsys.readouterr().err == f"error: {cfg}: missing required section [schedule]\n"
+
+
+def test_validate_schedule_config_refuses_an_unknown_section(tmp_path, capsys):
+    cfg = _config(tmp_path, "[schedule]\npreset = eq75\n[bogus]\nx = 1\n")
+    assert main(["validate-schedule", "--config", cfg, "--horizon", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: unknown section [bogus] (line 4)\n"
+    assert captured.out == ""
 
 
 def test_validate_schedule_horizon_gate(capsys):

@@ -1,16 +1,20 @@
-"""One rule for every count and one for every declared real constant.
+"""One rule for every count, one for every declared real constant, one for real arrays.
 
 A count is an integer at or above its floor, a real constant a real inside
-its range; anything else is a typed error naming the input.
+its range, a real array one of finite reals in its shape; anything else is a
+typed error naming the input.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 from viscofix import (
+    AffineSpan,
     Ball,
+    Box,
     ConfigurationError,
     FredholmProblem,
     GeneralizedContraction,
@@ -158,9 +162,6 @@ REALS = {
     "average_pseudocontraction-lam": (
         lambda v: average_pseudocontraction(lambda x: x, lam=v, theta=0.25),
         "pseudocontractivity constant must lie in [0, 1)", 0.5),
-    "average_pseudocontraction-smooth_L": (
-        lambda v: average_pseudocontraction(lambda x: x, lam=0.5, theta=0.25, smooth_L=v),
-        "smoothness constant must be positive", 1.0),
     "average_pseudocontraction-theta": (
         lambda v: average_pseudocontraction(lambda x: x, lam=0.5, theta=v),
         "averaging weight must lie in (0, 0.5]", 0.25),
@@ -205,3 +206,97 @@ def _real_bits(result):
 def test_a_numpy_real_is_taken_as_the_python_float(which):
     call, _, valid = REALS[which]
     assert _real_bits(call(np.float64(valid))) == _real_bits(call(valid))
+
+
+@pytest.mark.parametrize("which", list(REALS))
+def test_an_integer_too_large_for_a_float_is_a_typed_error_naming_it(which):
+    # float(10**400) raises OverflowError
+    call, message, _ = REALS[which]
+    _refused(lambda: call(10**400), ConfigurationError, f"{message}, got {10**400}")
+
+
+# real array -> (call with the array v, a valid array, name in the message,
+#                an array of the wrong shape, the shape message for it)
+ARRAYS = {
+    "SpaceDescriptor-weights": (
+        lambda v: SpaceDescriptor(dim=2, weights=v), [1.0, 0.5], "weights",
+        [1.0], "must have shape (2,), got (1,)"),
+    "Box-lower": (
+        lambda v: Box(v, [1.0, 1.0]), [0.0, -1.0], "box lower bounds",
+        [[0.0, 0.0]], "must have shape (k,), got (1, 2)"),
+    "Box-upper": (
+        lambda v: Box([0.0, 0.0], v), [1.0, 2.0], "box upper bounds",
+        [1.0, 1.0, 1.0], "must have shape (2,), got (3,)"),
+    "Ball-center": (
+        lambda v: Ball(v, 1.0), [0.0, 1.0], "ball center",
+        [[0.0, 1.0]], "must have shape (k,), got (1, 2)"),
+    "AffineSpan-base": (
+        lambda v: AffineSpan(SPACE, v, [[1.0, 0.0]]), [0.0, 1.0], "base",
+        [0.0], "must have shape (2,), got (1,)"),
+    "AffineSpan-directions": (
+        lambda v: AffineSpan(SPACE, np.zeros(2), v), [[1.0, 0.0]], "directions",
+        [1.0, 0.0], "must have shape (k, 2), got (2,)"),
+    "custom_rational-alpha1": (
+        lambda v: custom_rational(v, *RATIONAL[1:]), [0.0, 1.0, 1.0],
+        "alpha1 coefficients", [0.0, 1.0], "must have shape (3,), got (2,)"),
+}
+
+
+@pytest.mark.parametrize(
+    "value", ["a", None, True, 1j, 10**400, math.nan, math.inf],
+    ids=["str", "None", "bool", "complex", "huge", "nan", "inf"],
+)
+@pytest.mark.parametrize("which", list(ARRAYS))
+def test_an_entry_that_is_not_a_finite_real_is_a_typed_error_naming_the_array(which, value):
+    # the last entry replaced: as one array, [0.0, True] would read as [0.0, 1.0]
+    call, valid, name, _, _ = ARRAYS[which]
+    entries = np.array(valid, dtype=object)
+    entries.flat[-1] = value
+    _refused(lambda: call(entries.tolist()), ConfigurationError,
+             f"{name} must be finite real numbers, got {value!r}")
+
+
+@pytest.mark.parametrize(
+    "value", ["a", None, True, np.True_],
+    ids=["str", "None", "bool", "numpy-bool"],
+)
+@pytest.mark.parametrize("which", list(ARRAYS))
+def test_a_whole_array_that_is_not_real_is_a_typed_error_naming_it(which, value):
+    call, valid, name, _, _ = ARRAYS[which]
+    _refused(lambda: call(value), ConfigurationError,
+             f"{name} must be finite real numbers, got {value!r}")
+    # an array of bools is refused entry by entry: True is not taken for 1.0
+    _refused(lambda: call(np.ones(np.shape(valid), dtype=bool)), ConfigurationError,
+             f"{name} must be finite real numbers, got True")
+
+
+@pytest.mark.parametrize("which", list(ARRAYS))
+def test_a_non_finite_entry_of_a_numpy_array_is_a_typed_error_naming_it(which):
+    call, valid, name, _, _ = ARRAYS[which]
+    given = np.array(valid)
+    given.flat[-1] = -math.inf
+    _refused(lambda: call(given), ConfigurationError,
+             f"{name} must be finite real numbers, got -inf")
+
+
+@pytest.mark.parametrize("which", list(ARRAYS))
+def test_a_real_array_of_the_wrong_shape_is_a_typed_error_naming_it(which):
+    call, _, name, wrong, message = ARRAYS[which]
+    _refused(lambda: call(wrong), ConfigurationError, f"{name} {message}")
+
+
+def _array_bits(result):
+    """The array a real-array input became, comparable with ``==``."""
+    if isinstance(result, Schedule):
+        return schedule_eval(result, 7)
+    fields = ("weights", "lower", "upper", "center", "base", "directions")
+    return [getattr(result, field).tobytes() for field in fields if hasattr(result, field)]
+
+
+@pytest.mark.parametrize("which", list(ARRAYS))
+def test_a_numpy_real_array_is_copied_as_the_list_of_its_floats(which):
+    call, valid, _, _, _ = ARRAYS[which]
+    given = np.array(valid)
+    built = call(given)
+    given[...] = 0.5  # a later change to the input does not reach what was built
+    assert _array_bits(built) == _array_bits(call(valid))

@@ -863,20 +863,23 @@ def test_average_pseudocontraction_theta_range():
         average_pseudocontraction(S, lam=0.5, theta=0.0)
     with pytest.raises(ConfigurationError):
         average_pseudocontraction(S, lam=1.0, theta=0.5)  # lam must be < 1
-    # smoothness constant rescales the admissible interval
+    # the interval is (0, lam]
     with pytest.raises(ConfigurationError) as err2:
-        average_pseudocontraction(S, lam=0.5, theta=0.2, smooth_L=2.0)
+        average_pseudocontraction(S, lam=0.125, theta=0.2)
     assert "(0, 0.125]" in str(err2.value)
 
 
 def test_average_pseudocontraction_weight_stops_at_one():
-    # S(x) = -x/3 meets lam = 0.5 with equality; with smooth_L = 0.5, lam / L^2 = 2,
-    # and theta = 2 would build T(x) = 7x/3, which expands
+    # S(x) = -x/3 meets lam = 0.5 with equality; theta = 2 would build
+    # T(x) = 7x/3, which expands, and the bound lam lies below 1
     S = lambda x: -x / 3.0
     with pytest.raises(ConfigurationError) as err:
-        average_pseudocontraction(S, lam=0.5, theta=2.0, smooth_L=0.5)
-    assert "averaging weight must lie in (0, 1], got 2.0" in str(err.value)
-    T = average_pseudocontraction(S, lam=0.5, theta=1.0, smooth_L=0.5)  # the identity
+        average_pseudocontraction(S, lam=0.5, theta=2.0)
+    assert "averaging weight must lie in (0, 0.5], got 2.0" in str(err.value)
+    with pytest.raises(ConfigurationError) as err:
+        average_pseudocontraction(S, lam=0.99, theta=1.0)
+    assert "averaging weight must lie in (0, 0.99], got 1.0" in str(err.value)
+    T = average_pseudocontraction(S, lam=0.5, theta=0.5)  # T(x) = x/3
     assert check_nonexpansive(euclidean(1), T).passed
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -420,6 +422,19 @@ def test_malformed_formula_on_the_scalar_path():
     not_a_tuple = Schedule(kind="scalar", start_index=1, formula=lambda n: 0.5)
     with pytest.raises(InputError, match=r"^schedule scalar: .* got a float$"):
         schedule_eval(not_a_tuple, 5)
+
+
+def test_a_formula_value_too_large_for_a_float_is_an_input_error():
+    # converting 10**400 to a float raises OverflowError, which used to escape bare
+    huge = dataclasses.replace(halpern_mix(), formula=lambda n: (10**400, 0, 0, 0.5))
+    with pytest.raises(InputError, match=r"^schedule halpern-mix: formula must return "
+                       r"\(alpha1, alpha2, alpha3, delta\) as four real numbers, "
+                       r"got 4 values of shapes \(\), \(\), \(\), \(\)$"):
+        schedule_eval(huge, 5)
+    with pytest.raises(InputError, match=r"^schedule halpern-mix: formula must return "
+                       r"\(alpha1, alpha2, alpha3, delta\) as four scalars or arrays of shape "
+                       r"\(1000,\), got 4 values of shapes \(\), \(\), \(\), \(\)$"):
+        validate_assumption12(huge, 1000)
 
 
 def test_malformed_formula_reaches_run_as_an_input_error():
