@@ -22,6 +22,7 @@ from .solver import SchemeKind, SolverConfig
 
 __all__ = [
     "RawValue",
+    "Section",
     "SectionView",
     "parse_sections",
     "read_sections",
@@ -39,9 +40,15 @@ class RawValue:
     line: int
 
 
-def parse_sections(text: str, origin: str) -> Dict[str, Dict[str, RawValue]]:
+class Section(dict):
+    """One parsed section, ``{key: RawValue}``; ``line`` is the line of its ``[name]`` header."""
+
+    line = 0
+
+
+def parse_sections(text: str, origin: str) -> Dict[str, Section]:
     """Parse config text into ``{section: {key: RawValue}}`` with line info."""
-    sections: Dict[str, Dict[str, RawValue]] = {}
+    sections: Dict[str, Section] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -55,8 +62,8 @@ def parse_sections(text: str, origin: str) -> Dict[str, Dict[str, RawValue]]:
                 raise ConfigurationError(
                     f"{origin}: duplicate section [{name}] (line {lineno})"
                 )
-            sections[name] = {}
-            current = name
+            sections[name] = section = Section()
+            section.line, current = lineno, name
             continue
         if "=" not in line:
             raise ConfigurationError(
@@ -201,7 +208,7 @@ class RunConfig:
     origin: str
 
 
-def read_sections(path, required=()) -> Dict[str, Dict[str, RawValue]]:
+def read_sections(path, required=()) -> Dict[str, Section]:
     """Parse an ASCII config file; refuse an unknown section and a missing one of ``required``."""
     origin = str(path)
     try:
@@ -215,9 +222,7 @@ def read_sections(path, required=()) -> Dict[str, Dict[str, RawValue]]:
     known = {"space", "problem", "contraction", "scheme", "schedule", "solver"}
     for name, data in sections.items():
         if name not in known:
-            first = min(data.values(), key=lambda raw: raw.line) if data else None
-            where = f" (line {first.line})" if first else ""
-            raise ConfigurationError(f"{origin}: unknown section [{name}]{where}")
+            raise ConfigurationError(f"{origin}: unknown section [{name}] (line {data.line})")
     for name in required:
         if name not in sections:
             raise ConfigurationError(f"{origin}: missing required section [{name}]")

@@ -103,25 +103,29 @@ def _real(value, name: str, need: str, within: Callable[[float], bool], error: t
     return real
 
 
-def _reals(value, name: str, shape: tuple, error: type) -> np.ndarray:
-    """``value`` as a new float64 array of finite reals; ``error`` names ``name`` otherwise.
+def _reals(value, name: str, shape: tuple, error: type, finite: bool = True) -> np.ndarray:
+    """``value`` as a new float64 array of reals; ``error`` names ``name`` otherwise.
 
     The array has shape ``shape``, where ``-1`` matches any length.  Each
     entry is held to :func:`_real`'s rule for one number, and NaN and ±inf
-    are refused too.  A numpy array of reals is converted whole, anything
-    else entry by entry: as one array, ``[0.0, True]`` reads as ``[0.0, 1.0]``.
+    are refused too unless ``finite`` is false.  A numpy array of reals is
+    converted whole, anything else entry by entry: as one array,
+    ``[0.0, True]`` reads as ``[0.0, 1.0]``.
     """
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         reals = value.astype(np.float64)
-        finite = np.isfinite(reals)
-        if not finite.all():
-            raise error(f"{name} must be finite real numbers, got {reals[~finite][0]}")
+        if finite:
+            ok = np.isfinite(reals)
+            if not ok.all():
+                raise error(f"{name} must be finite real numbers, got {reals[~ok][0]}")
     else:
+        need, within = ("be finite real numbers", math.isfinite) if finite else (
+            "be real numbers", lambda _: True)
         entries = np.asarray(value, dtype=object)
         for entry in entries.flat:
-            # a finite float passes _real as it is; the rest are judged and named there
-            if type(entry) is not float or not math.isfinite(entry):
-                _real(entry, name, "be finite real numbers", math.isfinite, error)
+            # a float that ``within`` takes passes _real as it is; the rest are judged and named there
+            if type(entry) is not float or not within(entry):
+                _real(entry, name, need, within, error)
         reals = entries.astype(np.float64)
     if reals.ndim != len(shape) or any(n not in (-1, got) for n, got in zip(shape, reals.shape)):
         want = str(tuple(map(int, shape))).replace("-1", "k")

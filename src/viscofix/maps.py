@@ -233,6 +233,9 @@ def _with_rows(point_fn, rows_fn=None):
     return point_fn
 
 
+_WRAPPERS = (NonexpansiveMap, GeneralizedContraction, MonotoneOperatorSpec)
+
+
 def _images(space, fn, points, name):
     """``fn`` at every row of ``points``, stacked into one ``(k, dim)`` array.
 
@@ -252,7 +255,8 @@ def _images(space, fn, points, name):
             and stacked.shape == points.shape
         ):
             return stacked
-    values = [fn(p) for p in points]
+    # a wrapper's __call__ is its evaluator's, so the evaluator is called without it
+    values = list(map(fn.evaluator if type(fn) in _WRAPPERS else fn, points))
     try:
         stacked = np.array(values, dtype=np.float64)
     except ValueError:

@@ -95,18 +95,42 @@ class Schedule:
         _count(self.start_index, "start index", 1, ConfigurationError)
 
 
+# Below 2^52 every index n, 2n and 2n + 2 is an exact float64.
+_MONOTONE_BELOW = 2**52
+
+
+def _monotone(formula):
+    """``formula``, marked as monotone in ``n`` with no pole over ``[1, 2^52)``.
+
+    Each of its components is a chain of IEEE operations, each monotone
+    in the index term, and round to nearest is monotone (``x <= y`` gives
+    ``fl(x) <= fl(y)``; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 2); so over any block of indices a
+    component's extremes are its values at the block's two ends.
+    :func:`validate_assumption12` reads the mark as
+    ``formula._viscofix_monotone``, a name no user formula is expected to
+    have; only formulas the library builds carry it.
+    """
+    formula._viscofix_monotone = True
+    return formula
+
+
+@_monotone
 def _eq_weights(n):
-    return 1 / (2 * n), 1 - 3 / (2 * n), 1 / n, n / (2 * (n + 1))
+    two_n = 2 * n
+    return 1 / two_n, 1 - 3 / two_n, 1 / n, n / (two_n + 2)  # 2n + 2 = 2(n + 1), exact
 
 
+@_monotone
 def _halpern_mix(n):
     a1 = 1 / (n + 1)
-    return a1, 0.5 + 0 * a1, 0.5 - a1, 0.5 + 0 * a1
+    return a1, 0.5, 0.5 - a1, 0.5
 
 
+@_monotone
 def _compare_t16(n):
-    nsq = n * n
-    return 1 / n, 1 - 1 / n - 1 / nsq, 1 / nsq, 0.5 + 0 * (1 / n)
+    inv, inv_sq = 1 / n, 1 / (n * n)
+    return inv, 1 - inv - inv_sq, inv_sq, 0.5
 
 
 def eq75(start_index: int = 2) -> Schedule:
@@ -194,9 +218,16 @@ def custom_rational(
 ) -> Schedule:
     """Schedule with each sequence of the form ``a + b/(n + c)``.
 
-    Each argument is a coefficient triple ``(a, b, c)``.  No analytic
-    facts are attached, so the validator can report at most
-    "inconclusive" for the limit and series conditions.
+    Each argument is a coefficient triple ``(a, b, c)``; a pole ``n + c = 0``
+    at or after the start index is refused.  No analytic facts are
+    attached, so the validator can report at most "inconclusive" for the
+    limit and series conditions.  When every ``1 + c > 0``, no pole lies
+    in ``[1, horizon]`` and each sequence is monotone in floating point
+    for ``n < 2^52`` (``n + c`` rises, ``b`` over it moves one way and
+    ``a`` plus it follows, each step rounded monotonically), so the
+    formula carries the library's monotone mark (see
+    :func:`validate_assumption12`).  A pole in ``[1, start_index)``
+    leaves it unmarked.
     """
     start_index = _count(start_index, "start index", 1, ConfigurationError)
     coeffs = []
@@ -205,10 +236,23 @@ def custom_rational(
         if start_index + c <= 0:
             raise ConfigurationError(f"{name} has a pole at or after the start index (c = {c})")
         coeffs.append((a, b, c))
+    monotone = all(1 + c > 0 for _, _, c in coeffs)
+    shifts, terms = [], []  # n + c is formed once per distinct c
+    for a, b, c in coeffs:
+        if monotone and b == 0.0:
+            # no pole from n = 1 on: b / (n + c) is the zero b itself, so the term is a constant
+            terms.append((a + b, b, None))
+            continue
+        if c not in shifts:
+            shifts.append(c)
+        terms.append((a, b, shifts.index(c)))
 
-    def rational(n, _coeffs=tuple(coeffs)):
-        return tuple(a + b / (n + c) for a, b, c in _coeffs)
+    def rational(n, _shifts=tuple(shifts), _terms=tuple(terms)):
+        shifted = [n + c for c in _shifts]
+        return tuple(a if k is None else a + b / shifted[k] for a, b, k in _terms)
 
+    if monotone:
+        _monotone(rational)
     return Schedule(kind="custom-rational", start_index=start_index, formula=rational)
 
 
@@ -330,17 +374,21 @@ class _TailFit:
     def __init__(self):
         self.moments = (0, 0.0, 0.0, 0.0, 0.0)  # count, mean_x, mean_y, Sxx, Sxy
 
-    def add(self, log_ns: np.ndarray, values: np.ndarray) -> None:
-        sel = values > 0.0
-        kept = int(np.count_nonzero(sel))
-        if kept == 0:
-            return
-        if kept < len(values):
+    def add(self, log_ns: np.ndarray, values: np.ndarray, centred: tuple) -> None:
+        """Take in the block's ``values`` at ``log n``; ``centred`` is ``(mean, log_ns - mean)``."""
+        kept = len(values)
+        if values.min() > 0.0:
+            mean_x, x = centred
+        else:
+            sel = values > 0.0
+            kept = int(np.count_nonzero(sel))
+            if kept == 0:
+                return
             log_ns, values = log_ns[sel], values[sel]
-        mean_x = np.mean(log_ns)
-        x = log_ns - mean_x
+            mean_x = log_ns.sum() / kept  # np.mean's bits
+            x = log_ns - mean_x
         y = np.log(values)
-        mean_y = np.mean(y)
+        mean_y = y.sum() / kept
         y -= mean_y
         count, mx, my, sxx, sxy = self.moments
         total, dx, dy = count + kept, mean_x - mx, mean_y - my
@@ -419,6 +467,28 @@ def _band_inside_unit_interval(a2, first_n: int, last_n: int):
     )
 
 
+def _block_values(v, shape):
+    """A formula value as a float64 array of the block's ``shape``; such an array passes as it is."""
+    if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape:
+        return v
+    return np.broadcast_to(np.asarray(v, dtype=np.float64), shape)  # a read-only view
+
+
+def _extremes(v, monotone):
+    """``(min, max)`` of the block ``v``: its two ends when ``v`` is monotone, else two reductions."""
+    if monotone:
+        first, last = v[0], v[-1]
+        return (first, last) if first <= last else (last, first)
+    return v.min(), v.max()
+
+
+def _tail_row(v, monotone):
+    """``(min, max, first, last, sum)`` of the tail block ``v``."""
+    return (*_extremes(v, monotone), v[0], v[-1], v.sum())
+
+
+# NaN, inf and overflow in a formula's values and in the arithmetic on them are report content
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     """Check the five admissibility conditions over ``[start_index, horizon]``.
 
@@ -433,7 +503,16 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     there are range violations that do not affect the condition verdicts.
 
     The indices are walked in blocks of ``_BLOCK`` and only the first range
-    violations are kept, so memory does not grow with the horizon.
+    violations are kept, so memory does not grow with the horizon.  The
+    formulas the library builds (the presets, and ``custom_rational``'s
+    when every ``1 + c > 0``) carry a private monotone mark: each
+    component is monotone in floating point for ``n < 2^52`` with no pole
+    in the probed range ``[1, horizon]``.  For them a block's range
+    bounds, delta's order within it and alpha2's and alpha3's tail
+    extremes are read from the block's two ends; the simplex sum, the
+    partial sums and the drift's tail are still formed at every index,
+    because no bracket of the ends is as narrow as ``_SIMPLEX_TOL``.  The
+    report is the same bit for bit either way.
     Findings are report content; this function does not raise on them.
     """
     horizon = _count(horizon, "horizon", 100, InputError)
@@ -443,6 +522,7 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
         )
 
     facts, start = s.facts, s.start_index
+    monotone = getattr(s.formula, "_viscofix_monotone", False) and horizon < _MONOTONE_BELOW
     tail_start = max(horizon // 10, start)  # the last decade, which every heuristic reads
     range_violations, n_violations, first_bad = [], 0, None
     drift_sum = tail_sum = -0.0  # -0.0 + x is x for every float x
@@ -453,40 +533,38 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     drift_peak, tail_rows, ratio_last = 0.0, [], None
     for lo in range(1, horizon + 1, _BLOCK):
         ns = np.arange(lo, min(lo + _BLOCK, horizon + 1), dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = s.formula(ns)
-            try:
-                # read-only views: the formula's arrays are read, never copied
-                a1, a2, a3, d = (
-                    np.broadcast_to(np.asarray(v, dtype=np.float64), ns.shape) for v in values
-                )
-            except (TypeError, ValueError, OverflowError):
-                raise _malformed(s, values, f"scalars or arrays of shape {ns.shape}") from None
-            # Nine reductions decide (i) for the whole block, and the elementwise
-            # test runs only where one fails.  NaN fails every comparison either
-            # way; a pole below the start index gives inf - inf = NaN.
-            d_lo, d_hi = d.min(), d.max()
-            sums = a1 + a2
-            sums += a3
-            sums -= 1.0
-            if not (
-                d_lo > 0.0 and d_hi < 1.0
-                and a1.min() >= 0.0 and a1.max() <= 1.0
-                and a2.min() >= 0.0 and a2.max() <= 1.0
-                and a3.min() >= 0.0 and a3.max() <= 1.0
-                and np.abs(sums, out=sums).max() <= _SIMPLEX_TOL
-            ):
-                bad = np.flatnonzero(~_meets_condition_i(a1, a2, a3, d)) + lo
-                n_violations += bad.size
-                range_violations.extend(bad[: _SHOWN_VIOLATIONS - len(range_violations)].tolist())
-                if first_bad is None and bad.size and bad[-1] >= start:
-                    first_bad = int(bad[np.searchsorted(bad, start)])
+        values = s.formula(ns)
+        try:
+            a1, a2, a3, d = (_block_values(v, ns.shape) for v in values)
+        except (TypeError, ValueError, OverflowError):
+            raise _malformed(s, values, f"scalars or arrays of shape {ns.shape}") from None
+        # Eight bounds and the simplex sum decide (i) for the whole block, and the
+        # elementwise test runs only where one fails.  NaN fails every comparison
+        # either way; a pole below the start index gives inf - inf = NaN.
+        (a1_lo, a1_hi), (a2_lo, a2_hi), (a3_lo, a3_hi), (d_lo, d_hi) = (
+            _extremes(v, monotone) for v in (a1, a2, a3, d)
+        )
+        sums = a1 + a2
+        sums += a3
+        sums -= 1.0
+        if not (
+            d_lo > 0.0 and d_hi < 1.0
+            and a1_lo >= 0.0 and a1_hi <= 1.0
+            and a2_lo >= 0.0 and a2_hi <= 1.0
+            and a3_lo >= 0.0 and a3_hi <= 1.0
+            and np.abs(sums, out=sums).max() <= _SIMPLEX_TOL
+        ):
+            bad = np.flatnonzero(~_meets_condition_i(a1, a2, a3, d)) + lo
+            n_violations += bad.size
+            range_violations.extend(bad[: _SHOWN_VIOLATIONS - len(range_violations)].tolist())
+            if first_bad is None and bad.size and bad[-1] >= start:
+                first_bad = int(bad[np.searchsorted(bad, start)])
         if lo + len(ns) <= start:
             continue
         n0 = max(lo, start)  # the first index n >= start_index in the block
         if lo < start:
-            a2, a3, d = a2[start - lo :], a3[start - lo :], d[start - lo :]
-            d_lo, d_hi = d.min(), d.max()
+            ns, a2, a3, d = ns[start - lo :], a2[start - lo :], a3[start - lo :], d[start - lo :]
+            d_lo, d_hi = _extremes(d, monotone)
         drift = a3 * d
         np.subtract(1.0, drift, out=drift)
         drift -= a2  # 1 - a3 d - a2
@@ -494,12 +572,17 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
         tail_summand *= a3
         drift_sum += float(drift.sum())
         tail_sum += float(tail_summand.sum())
-        d_min, d_max = np.minimum(d_min, d_lo), np.maximum(d_max, d_hi)
+        # np.minimum's and np.maximum's choices: the second value unless the first is
+        # strictly beyond it or NaN
+        if not d_min < d_lo and d_min == d_min:
+            d_min = d_lo
+        if not d_max > d_hi and d_max == d_max:
+            d_max = d_hi
         if first_drop is None:
             # d_prev: the last delta before the block
             if d_prev is not None and not d[0] - d_prev >= -1e-15:
                 first_drop = n0 - 1
-            else:
+            elif not (monotone and d[0] <= d[-1]):  # a monotone delta that rises never drops
                 rises = d[1:] - d[:-1]
                 if not rises.min(initial=0.0) >= -1e-15:
                     first_drop = n0 + int(np.argmin(rises >= -1e-15))
@@ -509,21 +592,26 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
         drift_peak = np.maximum(drift_peak, max(drift.max(), -drift.min()))
         if n0 + len(d) > tail_start:
             tail = slice(max(tail_start - n0, 0), None)
-            log_ns = np.log(np.arange(n0 + tail.start, n0 + len(d), dtype=np.float64))
+            log_ns = np.log(ns[tail])
+            mean_x = log_ns.sum() / len(log_ns)  # np.mean's bits
+            centred = (mean_x, log_ns - mean_x)
             drift_mags = np.abs(drift[tail])
-            drift_fit.add(log_ns, drift_mags)
-            tail_fit.add(log_ns, np.abs(tail_summand[tail]))
+            drift_fit.add(log_ns, drift_mags, centred)
+            tail_fit.add(log_ns, np.abs(tail_summand[tail]), centred)
+            a3_tail = a3[tail]
+            # |alpha3| is monotone where a monotone alpha3 keeps one sign
+            a3_monotone = monotone and (a3_tail[0] >= 0.0) == (a3_tail[-1] >= 0.0)
             tail_rows.append([
-                (v.min(), v.max(), v[0], v[-1], v.sum())
-                for v in (drift_mags, np.abs(a3[tail]), a2[tail])
+                _tail_row(drift_mags, False),
+                _tail_row(np.abs(a3_tail), a3_monotone),
+                _tail_row(a2[tail], monotone),
             ])
         # the ratio at the block's last index, and over the block only when that is not finite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            last = a3[-1] / (1.0 - a2[-1] - a3[-1] * d[-1])
-            if not np.isfinite(last):
-                ratio = a3 / (1.0 - a2 - a3 * d)
-                finite = np.flatnonzero(np.isfinite(ratio))
-                last = ratio[finite[-1]] if finite.size else ratio_last
+        last = a3[-1] / (1.0 - a2[-1] - a3[-1] * d[-1])
+        if not np.isfinite(last):
+            ratio = a3 / (1.0 - a2 - a3 * d)
+            finite = np.flatnonzero(np.isfinite(ratio))
+            last = ratio[finite[-1]] if finite.size else ratio_last
         ratio_last = last
 
     if first_bad is None:

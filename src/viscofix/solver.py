@@ -55,6 +55,7 @@ from .errors import (
     NotConvergedError,
     _count,
     _real,
+    _reals,
 )
 from .maps import _EPS, GeneralizedContraction, NonexpansiveMap
 from .schedules import (Schedule, ScheduleParams, _condition_i_failure, _meets_condition_i,
@@ -456,7 +457,9 @@ def run(
     including the initial one; the trace records one row per executed
     step when ``cfg.record_trace`` is set.  Every stop returns a report;
     ``run`` raises only for bad inputs: an :class:`InputError` when
-    ``x1``, ``T(x1)`` or ``f(x1)`` is not a point of the space, the
+    ``x1`` is not an array of reals of the space's dimension (a ``bool``,
+    a string or an integer too large for a float is refused entry by
+    entry), when ``T(x1)`` or ``f(x1)`` is not a point of the space, the
     schedule's formula is malformed or a recorded step's ``n`` is past
     the trace's int64 range, and whatever ``T`` or ``f`` raise.
 
@@ -476,7 +479,9 @@ def run(
     nrm = space.norm
     t_eval = T.evaluator
     n = n1 = schedule.start_index
-    x = space.point(x1)
+    # the start point is outside input, held to the rule for real arrays; a non-finite
+    # entry is let through, and the run ends non_finite at once
+    x = _reals(x1, "x1", (space.dim,), InputError, finite=False)
     tx = space.value_point(t_eval(x), "T(x1)")
     residual = nrm(x - tx)
     if observer is not None:

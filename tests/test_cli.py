@@ -66,7 +66,7 @@ def test_output_section_is_an_unknown_section(tmp_path, capsys):
     trace_path = tmp_path / "from_config.csv"
     cfg = _config(tmp_path, LINEAR_BASE + f"\n[output]\ntrace = {trace_path}\n")
     assert main(["solve", "--config", cfg]) == 1
-    assert f"{cfg}: unknown section [output] (line 21)" in capsys.readouterr().err
+    assert f"{cfg}: unknown section [output] (line 20)" in capsys.readouterr().err
     assert not trace_path.exists()
 
 
@@ -254,7 +254,7 @@ MALFORMED_CONFIGS = [
     ("no-equals", _swap("slope = 0.5", "slope 0.5"), "expected 'key = value' (line 4)"),
     ("not-ascii", _swap("slope = 0.5", "slope = 0.5  # ½"), "is not ASCII"),
     ("unknown-section", LINEAR_BASE + "[plotting]\nstyle = dots\n",
-     "unknown section [plotting] (line 20)"),
+     "unknown section [plotting] (line 19)"),
     ("unknown-key-contraction", _swap("c = 0.25", "c = 0.25\nbeta = 1"),
      "unknown key 'beta' in [contraction] (line 9)"),
     ("unknown-key-space", LINEAR_BASE + "[space]\nkind = euclidean\ndim = 1\nsize = 1\n",
@@ -612,8 +612,18 @@ def test_validate_schedule_config_refuses_an_unknown_section(tmp_path, capsys):
     cfg = _config(tmp_path, "[schedule]\npreset = eq75\n[bogus]\nx = 1\n")
     assert main(["validate-schedule", "--config", cfg, "--horizon", "1000"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {cfg}: unknown section [bogus] (line 4)\n"
+    assert captured.err == f"error: {cfg}: unknown section [bogus] (line 3)\n"
     assert captured.out == ""
+
+
+def test_an_unknown_section_without_keys_is_named_with_its_line(tmp_path, capsys):
+    # the line named is the section's header, so a section with no keys has one too
+    cfg = _config(tmp_path, "[schedule]\npreset = eq75\n[bogus]\n")
+    assert main(["validate-schedule", "--config", cfg, "--horizon", "1000"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown section [bogus] (line 3)\n"
+    cfg = _config(tmp_path, LINEAR_BASE + "[plotting]\n")
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown section [plotting] (line 19)\n"
 
 
 def test_validate_schedule_horizon_gate(capsys):

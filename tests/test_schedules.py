@@ -714,3 +714,108 @@ def test_validator_memory_does_not_grow_with_the_horizon():
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20, f"{schedule.kind}: traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_validator_arithmetic_runs_under_its_error_state():
+    # alpha2 = alpha3 = -inf at n = 50: the tail fit's log(inf) - mean is inf - inf there,
+    # which used to escape as "RuntimeWarning: invalid value encountered in subtract"
+    def formula(n):
+        a23 = np.where(n == 50, -np.inf, 0.25) + 0 * n
+        return 0.5 + 0 * n, a23, a23, 0.5 + 0 * n
+
+    report = validate_assumption12(Schedule(kind="minus-inf", start_index=1, formula=formula), 200)
+    assert report.status("i") is Status.VIOLATED
+    assert report.conditions["i"].detail == "simplex/range constraint fails first at n = 50"
+    assert report.range_violations == [50]
+
+
+# Every coefficient triple family the mark covers: b below, at and above zero, and
+# c in (-1, 2], so that 1 + c > 0 and no pole lies anywhere from n = 1 on.
+_MARKED_RATIONALS = {
+    f"rational-b{b:g}-c{c:g}": custom_rational((0.25, b, c), (0.5, -b, c), (0.25, b / 3, c),
+                                               (0.5, b / 7, c))
+    for b in (-3.0, 0.0, 2.5)
+    for c in (-0.999, -0.5, 0.0, 1.0, 2.0)
+}
+_MARKED_RATIONALS["rational-four-shifts"] = custom_rational(
+    (0, 1, -0.5), (0.6, 0, 1), (0.4, -1, 2), (0.7, -0.2, 0)
+)
+MARKED = {"eq75": eq75(), "halpern-mix": halpern_mix(), "compare-t16": compare_t16(),
+          "bench-custom": BENCH_CUSTOM, **_MARKED_RATIONALS}
+
+
+@pytest.mark.parametrize("name", list(MARKED))
+def test_marked_formulas_are_monotone_up_to_1e7(name):
+    # the mark's claim, checked by the signs of np.diff over [1, 10^7] in chunks of 10^6
+    # values that overlap by one index
+    formula = MARKED[name].formula
+    assert formula._viscofix_monotone is True
+    top, chunk = 10**7, 10**6
+    ends = [np.broadcast_to(v, (2,)) for v in formula(np.array([1.0, top]))]
+    rising = [first <= last for first, last in ends]
+    for lo in range(1, top, chunk):
+        ns = np.arange(lo, min(lo + chunk, top) + 1, dtype=np.float64)
+        for k, v in enumerate(formula(ns)):
+            steps = np.diff(np.broadcast_to(v, ns.shape))
+            assert np.all(steps >= 0.0) if rising[k] else np.all(steps <= 0.0), (name, k, lo)
+
+
+def _unmarked(s: Schedule) -> Schedule:
+    """``s`` with its formula re-wrapped, so the validator walks it without the mark."""
+    return dataclasses.replace(s, formula=lambda n, _f=s.formula: _f(n))
+
+
+def _assert_bracket_is_the_walk(s: Schedule, horizon: int):
+    marked = validate_assumption12(s, horizon)
+    assert repr(marked) == repr(validate_assumption12(_unmarked(s), horizon))
+    return marked
+
+
+@pytest.mark.parametrize("schedule", [eq75(), halpern_mix(), compare_t16(), BENCH_CUSTOM],
+                         ids=lambda s: s.kind)
+def test_bracket_path_is_the_walk_bit_for_bit_at_one_million(schedule):
+    _assert_bracket_is_the_walk(schedule, 10**6)
+
+
+# the PLANTED schedules the library builds, and four more
+BRACKET_CASES = {
+    **{name: case for name, case in PLANTED.items() if case[0].kind in ("custom-rational", "eq75")},
+    # delta falls by 1e-3/(n+1)^2: the walk finds the drop at n = 1
+    "delta-drops": (
+        custom_rational((0.25, 0, 0), (0.25, 0, 0), (0.5, 0, 0), (0.5, 1e-3, 1)), 3 * B,
+    ),
+    # delta falls by less than 1e-15 a step: the walk runs and finds no drop
+    "delta-falls-within-rounding": (
+        custom_rational((0.25, 0, 0), (0.25, 0, 0), (0.5, 0, 0), (0.01, 1e-15, 1)), 3 * B,
+    ),
+    # alpha3 changes sign inside the tail, so |alpha3|'s row is walked
+    "alpha3-changes-sign-in-the-tail": (
+        custom_rational((0.5, 0, 0), (0.5, 0.3, 0.5), (-1e-4, 0.5, 3), (0.5, -0.1, 2)), 20_000,
+    ),
+    # every index fails (i)
+    "violated-everywhere": (
+        custom_rational((2, 0, 0), (0, 0, 0), (0, 0, 0), (0.5, 0, 0)), 2 * B + 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BRACKET_CASES))
+def test_bracket_path_is_the_walk_bit_for_bit(name):
+    schedule, horizon = BRACKET_CASES[name]
+    assert schedule.formula._viscofix_monotone is True
+    _assert_bracket_is_the_walk(schedule, horizon)
+
+
+def test_a_decreasing_delta_is_found_under_the_mark():
+    report = _assert_bracket_is_the_walk(*BRACKET_CASES["delta-drops"])
+    assert report.conditions["v"].detail == "delta decreases near n = 1"
+    report = _assert_bracket_is_the_walk(*BRACKET_CASES["delta-falls-within-rounding"])
+    assert report.status("v") is Status.SATISFIED
+
+
+@pytest.mark.parametrize("c", [-1.0, -1.5, -3.0])
+def test_a_pole_below_the_start_index_leaves_the_formula_unmarked(c):
+    # n + c <= 0 for some n in [1, start): b / (n + c) changes sign or is not finite there
+    pole = custom_rational((0, 0.1, c), (0.5, -0.1, c), (0.5, 0, 0), (0.5, 0, 0), start_index=4)
+    assert not hasattr(pole.formula, "_viscofix_monotone")
+    _assert_bracket_is_the_walk(pole, 1000)

@@ -337,6 +337,36 @@ def test_run_checks_initial_point_is_finite():
     assert f"n = {report.n_final}" in report.message
 
 
+@pytest.mark.parametrize(
+    "x1, message",
+    [
+        (["a"], "x1 must be real numbers, got 'a'"),
+        ([10**400], f"x1 must be real numbers, got {10**400}"),
+        ([True], "x1 must be real numbers, got True"),
+        (np.array([True]), "x1 must be real numbers, got True"),
+        (None, "x1 must be real numbers, got None"),
+        ([1j], "x1 must be real numbers, got 1j"),
+        ([1.0, 2.0], "x1 must have shape (1,), got (2,)"),
+        (1.0, "x1 must have shape (1,), got ()"),
+    ],
+    ids=["string", "huge-int", "bool", "numpy-bool", "none", "complex", "too-long", "scalar"],
+)
+def test_run_refuses_a_start_point_that_is_not_reals(x1, message):
+    # these used to escape as a bare ValueError or OverflowError, or (a bool) run from 1.0
+    with pytest.raises(InputError) as caught:
+        run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, halpern_mix(), x1, SolverConfig(max_outer=5))
+    assert str(caught.value) == message
+
+
+def test_run_takes_a_start_point_of_python_and_numpy_reals():
+    cfg = SolverConfig(outer_tol=1e-8)
+    want = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, halpern_mix(), np.array([1.0]), cfg)
+    for x1 in ([1], [1.0], (np.float32(1.0),), np.array([1]), np.array([1.0], dtype=np.float32)):
+        got = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, HALF, halpern_mix(), x1, cfg)
+        assert got.final_point.tobytes() == want.final_point.tobytes()
+        assert got.n_final == want.n_final
+
+
 def test_run_is_deterministic_bitwise():
     cfg = SolverConfig(outer_tol=1e-8, max_outer=10_000)
     args = (SP1, SchemeKind.THREE_TERM, QUARTER, HALF, eq75(), np.array([1.0]), cfg)
