@@ -243,8 +243,9 @@ def _images(space, fn, points, name):
     the stack is one call of it; a value that is not a float64 array of
     the points' shape is dropped for the per-point loop.  Any other ``fn``
     (a user's map, or one whose evaluator was replaced) is called once per
-    row.  Both give the same bits.  An :class:`InputError` names ``name``
-    when the values are not points of the space, ragged ones included.
+    row, and each value converted by
+    :meth:`~viscofix.space.SpaceDescriptor.point`, whose
+    :class:`InputError` names ``name``.  Both give the same bits.
     """
     rows = getattr(getattr(fn, "evaluator", None), "_viscofix_rows", None)
     if rows is not None:
@@ -256,16 +257,8 @@ def _images(space, fn, points, name):
         ):
             return stacked
     # a wrapper's __call__ is its evaluator's, so the evaluator is called without it
-    values = list(map(fn.evaluator if type(fn) in _WRAPPERS else fn, points))
-    try:
-        stacked = np.array(values, dtype=np.float64)
-    except ValueError:
-        stacked = None
-    if stacked is None or stacked.shape != points.shape:
-        # some value is not a point: the first one raises, with its reason
-        for value in values:
-            space.value_point(value, name)
-    return stacked
+    evaluator = fn.evaluator if type(fn) in _WRAPPERS else fn
+    return np.array([space.point(evaluator(x), name) for x in points])
 
 
 _AUDIT_VALUES = 1 << 12  # float64 values per audit chunk, 32 KiB (see _audit)

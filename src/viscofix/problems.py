@@ -19,8 +19,10 @@ Problem kinds
     under the admissibility bound on ``theta``.  Fixed point 0, start 1.
 ``monotone``
     Projected forward step ``x -> P_K(x - gamma x)`` of the identity
-    operator over ``K`` (whole space or a ball at the origin).  Fixed
-    point 0, start at the all-ones vector.
+    operator over ``K`` (whole space or a ball at the origin), in the
+    Euclidean space of [space]'s ``dim`` (the plane without [space], the
+    only problem that takes the section).  Fixed point 0, start at the
+    all-ones vector.
 ``fredholm``
     Quadrature discretization of a second-kind integral operator with one
     of the builtin kernels.  Start at the source term on the grid.
@@ -97,39 +99,15 @@ class ProblemSetup:
     closed_form: Optional[Callable] = None
 
 
-# [space] kind -> (key giving its size, constructor, end of the size-mismatch message)
-_SPACES = {
-    "euclidean": ("dim", spc.euclidean, "the {problem} problem (needs {size})"),
-    "trapezoid": ("grid_size", spc.trapezoid, "the problem's grid_size = {size}"),
-}
-
-
-def _space(cfg: RunConfig, needs: str, size: Optional[int] = None) -> spc.SpaceDescriptor:
-    """The problem's space of the ``_SPACES`` kind ``needs``, checked against [space].
-
-    With ``size = None`` the size comes from [space], or is 2 when there is
-    no such section.
-    """
+def _monotone_space(cfg: RunConfig) -> spc.SpaceDescriptor:
+    """The Euclidean space of [space]'s ``dim``; the plane when there is no such section."""
     if cfg.space is None:
-        return _SPACES[needs][1](2 if size is None else size)
+        return spc.euclidean(2)
     view = SectionView("space", cfg.space, cfg.origin)
-    kind = view.str_value("kind", required=True, choices=_SPACES)
-    key, make, mismatch = _SPACES[kind]
-    declared = view.int_value(key)
-    if declared is None:
-        raise view.error(f"kind = {kind} needs '{key}'")
+    view.str_value("kind", required=True, choices={"euclidean"})
+    dim = view.int_value("dim", required=True)
     view.finish()
-    problem = cfg.problem["kind"].value
-    if kind != needs:
-        raise ConfigurationError(
-            f"[space] kind = {kind} does not match the {problem} problem (needs {needs})"
-        )
-    if size is not None and declared != size:
-        raise ConfigurationError(
-            f"[space] {key} = {declared} does not match "
-            + mismatch.format(problem=problem, size=size)
-        )
-    return make(declared)
+    return spc.euclidean(dim)
 
 
 def _linear_contraction(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
@@ -155,7 +133,7 @@ def _rational_contraction(view: SectionView, space: spc.SpaceDescriptor) -> Gene
 
 
 def _constant_point(view: SectionView, space: spc.SpaceDescriptor) -> GeneralizedContraction:
-    point = space.point(np.asarray(view.float_list("point"), dtype=np.float64))
+    point = space.point(view.float_list("point"), "[contraction] point")
 
     def constant(_x, _p=point):
         return _p
@@ -203,7 +181,7 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         raise ConfigurationError(
             f"builtin-linear slope must lie in [-1, 1] to be nonexpansive, got {slope}"
         )
-    space = _space(cfg, "euclidean", 1)
+    space = spc.euclidean(1)
 
     def linear(x, _s=float(slope)):
         return _s * x
@@ -213,7 +191,7 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
 
 
 def _line_projection(view: SectionView, cfg: RunConfig) -> ProblemSetup:
-    space = _space(cfg, "euclidean", 2)
+    space = spc.euclidean(2)
     axis = spc.AffineSpan(space, base=np.zeros(2), directions=[[1.0, 0.0]])
 
     def onto_axis(x, _axis=axis, _space=space):
@@ -238,7 +216,7 @@ def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         raise ConfigurationError(
             f"pseudocontraction coefficient k must lie in (0, 1), got {k:g}"
         )
-    space = _space(cfg, "euclidean", 1)
+    space = spc.euclidean(1)
 
     def flipped(x, _k=float(k)):
         return -_k * x
@@ -255,7 +233,7 @@ def _monotone(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         raise view.error("set = ball needs a 'radius' key")
     if not ball and radius is not None:
         raise view.error("'radius' only applies when set = ball")
-    space = _space(cfg, "euclidean")
+    space = _monotone_space(cfg)
     constraint = spc.Ball(np.zeros(space.dim), radius) if ball else spc.WholeSpace()
     A = maps.MonotoneOperatorSpec(maps._with_rows(lambda x: x), ism_alpha=1.0)
     T = maps.forward_projected(space, constraint, A, gamma=gamma)
@@ -268,8 +246,7 @@ def _fredholm(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     ]
     grid_size = view.int_value("grid_size", required=True)
     problem = maps.FredholmProblem(g=lambda t: t, grid_size=grid_size, **fields)
-    space = _space(cfg, "trapezoid", grid_size)
-    nodes = spc.trapezoid_nodes(grid_size)
+    space, nodes = maps.fredholm_grid(problem)
     return ProblemSetup(
         space=space,
         T=maps.fredholm_operator(problem),
@@ -294,10 +271,16 @@ def build_problem(cfg: RunConfig) -> ProblemSetup:
 
     Validates the [problem], [contraction] and [space] sections of ``cfg``
     (:func:`viscofix.config.load_run_config` validates the others): their
-    keys and values, the ranges that make ``T`` nonexpansive and ``f`` a
-    contraction, and that [space] describes the problem's space.
+    keys and values and the ranges that make ``T`` nonexpansive and ``f`` a
+    contraction.  Only ``monotone`` takes [space], for its dimension; every
+    other problem fixes its own space and refuses the section.
     """
     view = SectionView("problem", cfg.problem, cfg.origin)
-    setup = _PROBLEMS[view.str_value("kind", required=True, choices=_PROBLEMS)](view, cfg)
+    kind = view.str_value("kind", required=True, choices=_PROBLEMS)
+    if cfg.space is not None and kind != "monotone":
+        raise SectionView("space", cfg.space, cfg.origin).error(
+            f"applies only to the monotone problem; the {kind} problem fixes its own space"
+        )
+    setup = _PROBLEMS[kind](view, cfg)
     view.finish()
     return setup

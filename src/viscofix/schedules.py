@@ -24,6 +24,7 @@ capped at "inconclusive" or "violated".
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -230,6 +231,8 @@ def custom_rational(
     leaves it unmarked.
     """
     start_index = _count(start_index, "start index", 1, ConfigurationError)
+    if start_index > sys.float_info.max:  # n + c is float arithmetic
+        raise ConfigurationError("custom-rational start index must be at most the largest float")
     coeffs = []
     for name, triple in zip(ScheduleParams._fields, (alpha1, alpha2, alpha3, delta)):
         a, b, c = _reals(triple, f"{name} coefficients", (3,), ConfigurationError).tolist()
@@ -260,24 +263,51 @@ def schedule_eval(s: Schedule, n: int) -> ScheduleParams:
     """Evaluate the schedule at the integer index ``n >= start_index``.
 
     Pure and deterministic; repeated evaluation yields bitwise-identical
-    tuples.  Any other index is an input error.
+    tuples.  Any other index, a formula that overflows at ``n`` and
+    values that :func:`_weights` refuses are input errors.
     """
-    values = s.formula(_count(n, "schedule index", s.start_index, InputError))
+    n = _count(n, "schedule index", s.start_index, InputError)
+    try:
+        values = s.formula(n)
+    except OverflowError as exc:
+        raise InputError(f"schedule {s.kind}: formula overflows at the index: {exc}") from None
     try:
         a1, a2, a3, d = values
-        return ScheduleParams(float(a1), float(a2), float(a3), float(d))
-    except (TypeError, ValueError, OverflowError):
-        raise _malformed(s, values, "real numbers") from None
-
-
-def _malformed(s: Schedule, values, want: str) -> InputError:
-    """The error for a formula result that is not four ``want``."""
-    try:
-        got = f"{len(values)} values of shapes " + ", ".join(str(np.shape(v)) for v in values)
+        if type(a1) is float and type(a2) is float and type(a3) is float and type(d) is float:
+            return ScheduleParams(a1, a2, a3, d)
     except (TypeError, ValueError):
-        got = f"a {type(values).__name__}"
-    kind = f"schedule {s.kind}: formula must return (alpha1, alpha2, alpha3, delta)"
-    return InputError(f"{kind} as four {want}, got {got}")
+        pass  # _weights says what is wrong
+    return ScheduleParams(*map(float, _weights(s, values, ())))
+
+
+def _weights(s: Schedule, values, shape: tuple) -> tuple:
+    """A formula's ``values`` as four float64 arrays of ``shape``, ``()`` at one index.
+
+    Each is held to :func:`~viscofix.errors._reals`'s rule, NaN and inf let
+    through, and broadcast; a Python float and a float64 array of ``shape``
+    pass as they are.  Every failure is an :class:`InputError`.
+    """
+
+    def weight(name, v):
+        if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape:
+            return v
+        if type(v) is not float:
+            v = _reals(v, f"schedule {s.kind}: {name}", (-1,) * np.ndim(v), InputError, False)
+        return np.broadcast_to(v, shape)  # a read-only view
+
+    try:
+        a1, a2, a3, d = values
+        return tuple(map(weight, ScheduleParams._fields, (a1, a2, a3, d)))
+    except InputError:
+        raise
+    except (TypeError, ValueError):  # another count, or a shape that does not broadcast
+        want = "real numbers" if shape == () else f"scalars or arrays of shape {shape}"
+        try:
+            got = f"{len(values)} values of shapes " + ", ".join(str(np.shape(v)) for v in values)
+        except (TypeError, ValueError):
+            got = f"a {type(values).__name__}"
+        kind = f"schedule {s.kind}: formula must return (alpha1, alpha2, alpha3, delta)"
+        raise InputError(f"{kind} as four {want}, got {got}") from None
 
 
 class Status(enum.Enum):
@@ -467,13 +497,6 @@ def _band_inside_unit_interval(a2, first_n: int, last_n: int):
     )
 
 
-def _block_values(v, shape):
-    """A formula value as a float64 array of the block's ``shape``; such an array passes as it is."""
-    if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape:
-        return v
-    return np.broadcast_to(np.asarray(v, dtype=np.float64), shape)  # a read-only view
-
-
 def _extremes(v, monotone):
     """``(min, max)`` of the block ``v``: its two ends when ``v`` is monotone, else two reductions."""
     if monotone:
@@ -533,11 +556,7 @@ def validate_assumption12(s: Schedule, horizon: int) -> ConditionReport:
     drift_peak, tail_rows, ratio_last = 0.0, [], None
     for lo in range(1, horizon + 1, _BLOCK):
         ns = np.arange(lo, min(lo + _BLOCK, horizon + 1), dtype=np.float64)
-        values = s.formula(ns)
-        try:
-            a1, a2, a3, d = (_block_values(v, ns.shape) for v in values)
-        except (TypeError, ValueError, OverflowError):
-            raise _malformed(s, values, f"scalars or arrays of shape {ns.shape}") from None
+        a1, a2, a3, d = _weights(s, s.formula(ns), ns.shape)
         # Eight bounds and the simplex sum decide (i) for the whole block, and the
         # elementwise test runs only where one fails.  NaN fails every comparison
         # either way; a pole below the start index gives inf - inf = NaN.

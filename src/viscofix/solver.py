@@ -55,7 +55,6 @@ from .errors import (
     NotConvergedError,
     _count,
     _real,
-    _reals,
 )
 from .maps import _EPS, GeneralizedContraction, NonexpansiveMap
 from .schedules import (Schedule, ScheduleParams, _condition_i_failure, _meets_condition_i,
@@ -398,7 +397,8 @@ def inner_implicit_solve(
     by Picard iteration with depth-1 Anderson mixing started at
     ``u0 = x_n`` (see :func:`_picard_affine_solve`).  The contraction
     factor of ``W`` is at most ``a3 * delta``.  ``x_n``, ``f(x_n)`` and
-    every value of ``T`` must be points of the space; an
+    every value of ``T`` must be points of the space (see
+    :meth:`~viscofix.space.SpaceDescriptor.point`); an
     :class:`InputError` says which is not.
 
     Parameters
@@ -422,12 +422,12 @@ def inner_implicit_solve(
     p = ScheduleParams(a1, a2, a3, float(delta))
     if not _meets_condition_i(*p):
         raise InputError(_condition_i_failure(p, "in the supplied weights"))
-    x = space.point(x_n)
-    fx = x if f is None else space.value_point(f.evaluator(x), "f(x_n)")
+    x = space.point(x_n, "x_n")
+    fx = x if f is None else space.point(f.evaluator(x), "f(x_n)")
     base, coef, anchor, u_weight = _inner_pieces(SchemeKind.NEW_IMPLICIT, x, fx, p)
 
     def t_eval(v, _T=T.evaluator):
-        return space.value_point(_T(v), "a value of T")
+        return space.point(_T(v), "a value of T")
 
     return _picard_affine_solve(
         base, coef, t_eval, anchor, u_weight, x, cfg.inner_tol, space.norm, record
@@ -457,9 +457,9 @@ def run(
     including the initial one; the trace records one row per executed
     step when ``cfg.record_trace`` is set.  Every stop returns a report;
     ``run`` raises only for bad inputs: an :class:`InputError` when
-    ``x1`` is not an array of reals of the space's dimension (a ``bool``,
-    a string or an integer too large for a float is refused entry by
-    entry), when ``T(x1)`` or ``f(x1)`` is not a point of the space, the
+    ``x1``, ``T(x1)`` or ``f(x1)`` is not a point of the space (see
+    :meth:`~viscofix.space.SpaceDescriptor.point`; a non-finite entry of
+    ``x1`` is let through, and the run ends ``NON_FINITE`` at once), the
     schedule's formula is malformed or a recorded step's ``n`` is past
     the trace's int64 range, and whatever ``T`` or ``f`` raise.
 
@@ -479,10 +479,8 @@ def run(
     nrm = space.norm
     t_eval = T.evaluator
     n = n1 = schedule.start_index
-    # the start point is outside input, held to the rule for real arrays; a non-finite
-    # entry is let through, and the run ends non_finite at once
-    x = _reals(x1, "x1", (space.dim,), InputError, finite=False)
-    tx = space.value_point(t_eval(x), "T(x1)")
+    x = space.point(x1, "x1")
+    tx = space.point(t_eval(x), "T(x1)")
     residual = nrm(x - tx)
     if observer is not None:
         observer(IterationState(n, x, 0, residual))
@@ -498,7 +496,7 @@ def run(
             break
         fx = x if f_eval is None else f_eval(x)
         if n == n1 and f_eval is not None:
-            fx = space.value_point(fx, "f(x1)")
+            fx = space.point(fx, "f(x1)")
         if scheme in _SINGLE_WEIGHT_SCHEMES and p.alpha1 + p.alpha3 <= 0.0:
             termination, message = Termination.SCHEDULE_RANGE_VIOLATION, (
                 "alpha1 + alpha3 = 0: the single-parameter schemes cannot consume "
@@ -563,13 +561,17 @@ def vi_residual(
     For the limit ``p`` produced with viscosity term ``f``, returns
     ``min over samples x of <p - f(p), x - p>`` where the samples lie in
     the target fixed-point set.  A genuine viscosity limit makes this
-    nonnegative up to tolerance.
+    nonnegative up to tolerance.  ``p``, ``f(p)`` and each sample are
+    converted by :meth:`~viscofix.space.SpaceDescriptor.point`; a NaN
+    pairing, wherever it lies among the samples, makes the result NaN.
     """
     if len(samples) == 0:
         raise InputError("vi_residual needs at least one sample point")
-    p = space.point(p)
-    direction = p - space.value_point(f.evaluator(p), "f(p)")
-    return min(float(space.inner(direction, space.point(x) - p)) for x in samples)
+    p = space.point(p, "p")
+    direction = p - space.point(f.evaluator(p), "f(p)")
+    pairings = [float(space.inner(direction, space.point(x, f"samples[{i}]") - p))
+                for i, x in enumerate(samples)]
+    return math.nan if any(map(math.isnan, pairings)) else min(pairings)
 
 
 def compare_limits(report_a: SolveReport, report_b: SolveReport) -> float:

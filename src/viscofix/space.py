@@ -1,8 +1,10 @@
 """Finite-dimensional weighted inner-product spaces and metric projections.
 
 Points are plain 1-d ``numpy.float64`` arrays.  A :class:`SpaceDescriptor`
-fixes the dimension and a positive weight vector; every inner product, norm
-and projection in the package is taken with respect to those weights.  The
+is a positive weight vector, whose length is the dimension; every inner
+product, norm and projection in the package is taken with respect to those
+weights, and every point or map value the package takes is converted by
+:meth:`SpaceDescriptor.point`.  The
 two constructors cover the cases used elsewhere: :func:`euclidean` (unit
 weights) and :func:`trapezoid` (quadrature weights on a uniform grid of
 ``[0, 1]``, so the norm discretizes the L2 norm).
@@ -33,6 +35,9 @@ __all__ = [
     "AffineSpan",
 ]
 
+# numpy's shared float64 descriptor, tested by identity; another one (unpickled) costs a copy
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True, eq=False)
 class SpaceDescriptor:
@@ -40,46 +45,40 @@ class SpaceDescriptor:
 
     Attributes
     ----------
-    dim : int
-        Number of coordinates, at least 1.
     weights : numpy.ndarray
-        Strictly positive weight per coordinate;
+        Strictly positive weight per coordinate, at least one;
         ``<x, y> = sum_i weights[i] * x[i] * y[i]``.
+    dim : int
+        Number of coordinates, the length of ``weights``.
     unit_weights : bool
         Whether every weight is 1, decided at construction.
     """
 
-    dim: int
     weights: np.ndarray = field(repr=False)
+    dim: int = field(init=False)
     unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        dim = _count(self.dim, "dimension", 1, ConfigurationError)
-        w = _reals(self.weights, "weights", (dim,), ConfigurationError)
-        if np.any(w <= 0.0):
-            raise ConfigurationError("weights must be strictly positive")
+        w = _reals(self.weights, "weights", (-1,), ConfigurationError)
+        if not w.size or np.any(w <= 0.0):
+            raise ConfigurationError("weights must be one or more strictly positive numbers")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "dim", w.size)
         # With unit weights ``w * v`` is ``v`` exactly, so the pairing and
         # the norm can skip the product and keep every bit.
         object.__setattr__(self, "unit_weights", bool(np.all(w == 1.0)))
 
-    def point(self, coords) -> np.ndarray:
-        """Coerce ``coords`` to a point of this space (dimension checked).
+    def point(self, value, name: str) -> np.ndarray:
+        """``value`` as a point of this space; an :class:`InputError` names ``name`` otherwise.
 
-        A float64 array of the right shape is returned as is, not copied.
+        The one conversion of a point or a map's value: a float64 array of
+        shape ``(dim,)`` is returned as is, and anything else is a copy held
+        to :func:`~viscofix.errors._reals`'s rule, NaN and inf let through.
         """
-        x = np.asarray(coords, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise InputError(f"expected a point of dimension {self.dim}, got shape {x.shape}")
-        return x
-
-    def value_point(self, value, name: str) -> np.ndarray:
-        """:meth:`point` of a map's ``value``; an :class:`InputError` names ``name`` if it fails."""
-        try:
-            return self.point(value)
-        except (InputError, ValueError) as exc:
-            raise InputError(f"{name} is not a point of the space: {exc}") from None
+        if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.shape == (self.dim,):
+            return value
+        return _reals(value, name, (self.dim,), InputError, finite=False)
 
     def inner(self, a: np.ndarray, b: np.ndarray):
         """Weighted pairing ``sum_i w_i a_i b_i`` over the last axis.
@@ -147,8 +146,7 @@ class SpaceDescriptor:
 
 def euclidean(dim: int) -> SpaceDescriptor:
     """Space with unit weights (the usual Euclidean inner product)."""
-    dim = _count(dim, "dimension", 1, ConfigurationError)
-    return SpaceDescriptor(dim=dim, weights=np.ones(dim))
+    return SpaceDescriptor(np.ones(_count(dim, "dimension", 1, ConfigurationError)))
 
 
 def trapezoid(intervals: int) -> SpaceDescriptor:
@@ -167,7 +165,7 @@ def trapezoid(intervals: int) -> SpaceDescriptor:
     w = np.full(intervals + 1, h)
     w[0] = h / 2.0
     w[-1] = h / 2.0
-    return SpaceDescriptor(dim=intervals + 1, weights=w)
+    return SpaceDescriptor(w)
 
 
 def trapezoid_nodes(intervals: int) -> np.ndarray:
@@ -181,8 +179,9 @@ def same_space(a: SpaceDescriptor, b: SpaceDescriptor) -> bool:
 
 
 def norm(space: SpaceDescriptor, x) -> float:
-    """Norm induced by :meth:`SpaceDescriptor.inner`; the shape of ``x`` is checked."""
-    return space.norm(space.point(x))
+    """Norm induced by :meth:`SpaceDescriptor.inner` of ``x``, a point by
+    :meth:`SpaceDescriptor.point`."""
+    return space.norm(space.point(x, "x"))
 
 
 class ConvexSetBase:
@@ -190,7 +189,8 @@ class ConvexSetBase:
 
     The subclasses :class:`WholeSpace`, :class:`Box`, :class:`Ball` and
     :class:`AffineSpan` implement ``project(space, x)``, the unique nearest
-    point of the set to the point ``x`` of ``space`` in its weighted norm;
+    point of the set to the point ``x`` of ``space`` in its weighted norm
+    (``x`` converted by :meth:`SpaceDescriptor.point`);
     :func:`convex_set` refuses any other object.  Projections are
     nonexpansive and idempotent; for any member ``z`` of the set the angle
     property ``<x - Px, z - Px> <= 0`` holds.
@@ -220,7 +220,7 @@ class WholeSpace(ConvexSetBase):
     """The entire space; projection is the identity."""
 
     def project(self, space, x):
-        return space.point(x)
+        return space.point(x, "x")
 
     def _project_rows(self, space, rows):
         return rows
@@ -245,7 +245,7 @@ class Box(ConvexSetBase):
         self.upper = upper
 
     def project(self, space, x):
-        x = space.point(x)
+        x = space.point(x, "x")
         if self.lower.shape != (space.dim,):
             raise InputError("box bounds do not match the space dimension")
         return np.clip(x, self.lower, self.upper)
@@ -263,7 +263,7 @@ class Ball(ConvexSetBase):
                             lambda r: 0.0 < r < math.inf, ConfigurationError)
 
     def project(self, space, x):
-        x = space.point(x)
+        x = space.point(x, "x")
         if self.center.shape != (space.dim,):
             raise InputError("ball center does not match the space dimension")
         d = x - self.center
@@ -336,7 +336,7 @@ class AffineSpan(ConvexSetBase):
     def project(self, space, x):
         if space is not self._space and not same_space(space, self._space):
             raise InputError("affine span was validated against a different space")
-        x = space.point(x)
+        x = space.point(x, "x")
         return self._shift + self._matrix @ x
 
     def __repr__(self):

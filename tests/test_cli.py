@@ -213,12 +213,6 @@ def test_solve_warns_on_violated_conditions(tmp_path, capsys):
     assert "warning: schedule condition (iv) violated" in err
 
 
-def test_space_section_mismatch(tmp_path, capsys):
-    cfg = _config(tmp_path, LINEAR_BASE + "\n[space]\nkind = euclidean\ndim = 3\n")
-    assert main(["solve", "--config", cfg]) == 1
-    assert "dim" in capsys.readouterr().err
-
-
 # LINEAR_BASE lines: 3 [problem] kind, 4 slope, 7 [contraction] kind, 8 c,
 # 11 [scheme] name, 14 [schedule] preset, 17 outer_tol, 18 max_outer
 _IDENTITY_TAIL = "[scheme]\nname = mann_implicit\n[schedule]\npreset = halpern-mix\n"
@@ -257,8 +251,8 @@ MALFORMED_CONFIGS = [
      "unknown section [plotting] (line 19)"),
     ("unknown-key-contraction", _swap("c = 0.25", "c = 0.25\nbeta = 1"),
      "unknown key 'beta' in [contraction] (line 9)"),
-    ("unknown-key-space", LINEAR_BASE + "[space]\nkind = euclidean\ndim = 1\nsize = 1\n",
-     "unknown key 'size' in [space] (line 22)"),
+    ("unknown-key-space", _MONOTONE + "[space]\nkind = euclidean\ndim = 1\nsize = 1\n",
+     "unknown key 'size' in [space] (line 12)"),
     # missing pieces
     ("missing-problem-section", _swap("[problem]\nkind = builtin-linear\nslope = 0.5\n", ""),
      "missing required section [problem]"),
@@ -299,8 +293,8 @@ MALFORMED_CONFIGS = [
     ("contraction-kind", _swap("kind = linear", "kind = affine"),
      "[contraction] key 'kind' must be one of {constant-point, linear, rational}, "
      "got 'affine' (line 7)"),
-    ("space-kind", LINEAR_BASE + "[space]\nkind = sphere\n",
-     "[space] key 'kind' must be one of {euclidean, trapezoid}, got 'sphere' (line 20)"),
+    ("space-kind", _MONOTONE + "[space]\nkind = sphere\n",
+     "[space] key 'kind' must be one of {euclidean}, got 'sphere' (line 10)"),
     ("scheme-name", _swap("name = new_implicit", "name = newton"),
      "[scheme] key 'name' must be one of {explicit, kema, "),
     ("preset-and-kind",
@@ -315,18 +309,8 @@ MALFORMED_CONFIGS = [
      "[problem] set = ball needs a 'radius' key"),
     ("radius-without-ball", _swap("set = whole-space", "set = whole-space\nradius = 2", _MONOTONE),
      "[problem] 'radius' only applies when set = ball"),
-    ("euclidean-without-dim", LINEAR_BASE + "[space]\nkind = euclidean\n",
-     "[space] kind = euclidean needs 'dim'"),
-    ("trapezoid-without-grid-size", _FREDHOLM + "[space]\nkind = trapezoid\n",
-     "[space] kind = trapezoid needs 'grid_size'"),
-    ("space-kind-mismatch", LINEAR_BASE + "[space]\nkind = trapezoid\ngrid_size = 4\n",
-     "[space] kind = trapezoid does not match the builtin-linear problem (needs euclidean)"),
-    ("space-kind-mismatch-fredholm", _FREDHOLM + "[space]\nkind = euclidean\ndim = 9\n",
-     "[space] kind = euclidean does not match the fredholm problem (needs trapezoid)"),
-    ("space-dim-mismatch", _LINE + "[space]\nkind = euclidean\ndim = 3\n",
-     "[space] dim = 3 does not match the line-projection problem (needs 2)"),
-    ("space-grid-mismatch", _FREDHOLM + "[space]\nkind = trapezoid\ngrid_size = 16\n",
-     "[space] grid_size = 16 does not match the problem's grid_size = 8"),
+    ("euclidean-without-dim", _MONOTONE + "[space]\nkind = euclidean\n",
+     "[space] missing required key 'dim'"),
     # ranges
     ("slope-range", _swap("slope = 0.5", "slope = 1.5"),
      "builtin-linear slope must lie in [-1, 1] to be nonexpansive, got 1.5"),
@@ -348,7 +332,7 @@ MALFORMED_CONFIGS = [
     ("contraction-beta-range", _swap("kind = linear\nc = 0.25", "kind = rational\nbeta = 0"),
      "rational modulus coefficient must be positive, got 0.0"),
     ("constant-point-dimension", _swap("point = 3, 4", "point = 3, 4, 5", _LINE),
-     "expected a point of dimension 2, got shape (3,)"),
+     "[contraction] point must have shape (2,), got (3,)"),
     ("triple-non-finite",
      _swap("preset = halpern-mix", _RATIONAL.replace("0, 0.5, 0", "0, nan, 0")),
      "must be finite"),
@@ -379,17 +363,42 @@ def test_number_list_must_be_finite(tmp_path, capsys, point):
 @pytest.mark.parametrize(
     "text, fragment",
     [
-        (LINEAR_BASE + "[space]\nkind = euclidean\ndim = 1\ngrid_size = 99\n",
-         "unknown key 'grid_size' in [space] (line 22)"),
-        (_FREDHOLM + "[space]\nkind = trapezoid\ngrid_size = 8\ndim = 9\n",
-         "unknown key 'dim' in [space] (line 12)"),
+        (_MONOTONE + "[space]\nkind = euclidean\ndim = 1\ngrid_size = 99\n",
+         "unknown key 'grid_size' in [space] (line 12)"),
+        (_MONOTONE + "[space]\nkind = trapezoid\ngrid_size = 8\n",
+         "[space] key 'kind' must be one of {euclidean}, got 'trapezoid' (line 10)"),
     ],
-    ids=["grid_size-under-euclidean", "dim-under-trapezoid"],
+    ids=["grid_size-under-euclidean", "trapezoid-kind"],
 )
-def test_space_rejects_keys_of_the_other_kind(tmp_path, capsys, text, fragment):
+def test_space_takes_only_a_euclidean_dim(tmp_path, capsys, text, fragment):
+    # the trapezoid kind and its grid_size key are gone: fredholm fixes its own grid
     cfg = _config(tmp_path, text)
     assert main(["solve", "--config", cfg]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", [LINEAR_BASE, _LINE, _PSEUDO, _FREDHOLM],
+    ids=["builtin-linear", "line-projection", "pseudocontraction", "fredholm"],
+)
+def test_space_section_belongs_to_the_monotone_problem_alone(tmp_path, capsys, text):
+    # each of these problems fixes its space, so [space] could only repeat it
+    kind = re.search(r"(?m)^kind = (\S+)", text)[1]
+    cfg = _config(tmp_path, text + "[space]\nkind = euclidean\ndim = 1\n")
+    assert main(["solve", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        f"[space] applies only to the monotone problem; the {kind} problem fixes its own space\n"
+    )
+    assert captured.out == ""
+
+
+def test_space_section_sets_the_monotone_dimension(tmp_path, capsys):
+    cfg = _config(tmp_path, _MONOTONE + "[space]\nkind = euclidean\ndim = 3\n")
+    assert main(["solve", "--config", cfg]) == 0
+    assert "final point: (" in capsys.readouterr().out
+    setup = problems.build_problem(viscofix.config.load_run_config(cfg))
+    assert setup.space.dim == 3 and setup.x1.shape == (3,)
 
 
 def test_pseudocontraction_solve(tmp_path, capsys):

@@ -82,9 +82,6 @@ COUNTS = {
             g=np.cos, kernel=lambda t, s, x: 0.0 * x, lipschitz_bound=0.5, grid_size=v
         ),
         ConfigurationError, "grid_size", 2, 8),
-    "SpaceDescriptor-dim": (
-        lambda v: SpaceDescriptor(dim=v, weights=np.ones(2)), ConfigurationError, "dimension",
-        1, 2),
     "euclidean-dim": (euclidean, ConfigurationError, "dimension", 1, 2),
     "trapezoid-intervals": (trapezoid, ConfigurationError, "intervals", 1, 4),
     "trapezoid_nodes-intervals": (trapezoid_nodes, ConfigurationError, "intervals", 1, 4),
@@ -219,8 +216,8 @@ def test_an_integer_too_large_for_a_float_is_a_typed_error_naming_it(which):
 #                an array of the wrong shape, the shape message for it)
 ARRAYS = {
     "SpaceDescriptor-weights": (
-        lambda v: SpaceDescriptor(dim=2, weights=v), [1.0, 0.5], "weights",
-        [1.0], "must have shape (2,), got (1,)"),
+        lambda v: SpaceDescriptor(v), [1.0, 0.5], "weights",
+        [[1.0, 0.5]], "must have shape (k,), got (1, 2)"),
     "Box-lower": (
         lambda v: Box(v, [1.0, 1.0]), [0.0, -1.0], "box lower bounds",
         [[0.0, 0.0]], "must have shape (k,), got (1, 2)"),

@@ -394,11 +394,13 @@ def test_audit_witness_is_the_first_non_finite_pair():
     assert (report.passed, report.worst) == (False, -np.inf)
 
 
+# name -> (a map value that is not a point of euclidean(2), the end of its message)
 _BAD_VALUES = {
-    "shape-1": lambda x: x[:1],
-    "scalar": lambda x: float(x[0]),
-    "ragged": lambda x: x if x[0] < 0.0 else x[:1],
-    "text": lambda x: "x",
+    "shape-1": (lambda x: x[:1], "must have shape (2,), got (1,)"),
+    "scalar": (lambda x: float(x[0]), "must have shape (2,), got ()"),
+    "ragged": (lambda x: x if x[0] < 0.0 else x[:1], "must have shape (2,), got (1,)"),
+    "text": (lambda x: "x", "must be real numbers, got 'x'"),
+    "bool": (lambda x: x > 0.0, "must be real numbers, got "),
 }
 
 
@@ -413,9 +415,10 @@ _BAD_VALUES = {
     ids=["nonexpansive", "contraction", "inverse_strongly_monotone"],
 )
 def test_audit_rejects_a_value_that_is_not_a_point(check, wrap, name, value):
+    evaluator, message = _BAD_VALUES[value]
     with pytest.raises(InputError) as caught:
-        check(euclidean(2), wrap(_BAD_VALUES[value]), n_samples=50)
-    assert str(caught.value).startswith(f"{name} is not a point of the space: ")
+        check(euclidean(2), wrap(evaluator), n_samples=50)
+    assert str(caught.value).startswith(f"{name} {message}")
 
 
 def test_audit_never_calls_the_map_on_a_zero_distance_pair():
@@ -539,7 +542,7 @@ def test_audit_raises_on_a_value_that_is_not_a_point_in_the_last_chunk():
     _, ys = _audit_points(sp, n, 0)
     last = ys[-1].tobytes()
     T = NonexpansiveMap(lambda x: x[:1] if x.tobytes() == last else 0.5 * x)
-    with pytest.raises(InputError, match=re.escape("T(x) is not a point of the space: ")):
+    with pytest.raises(InputError, match=re.escape("T(x) must have shape (2,), got (1,)")):
         check_nonexpansive(sp, T, n_samples=n)
 
 
@@ -805,7 +808,7 @@ def test_a_user_evaluator_with_a_rows_attribute_is_called_once_per_point(evaluat
 )
 def test_a_stack_form_value_that_is_not_a_stack_falls_back_to_the_per_point_loop(rows_fn):
     # the per-point loop then raises the first bad value's own error
-    with pytest.raises(InputError, match=re.escape("T(x) is not a point of the space: ")):
+    with pytest.raises(InputError, match=re.escape("T(x) must have shape (2,), got (1,)")):
         check_nonexpansive(
             euclidean(2), NonexpansiveMap(maps._with_rows(lambda x: x[:1], rows_fn)), n_samples=5
         )

@@ -427,14 +427,32 @@ def test_malformed_formula_on_the_scalar_path():
 def test_a_formula_value_too_large_for_a_float_is_an_input_error():
     # converting 10**400 to a float raises OverflowError, which used to escape bare
     huge = dataclasses.replace(halpern_mix(), formula=lambda n: (10**400, 0, 0, 0.5))
-    with pytest.raises(InputError, match=r"^schedule halpern-mix: formula must return "
-                       r"\(alpha1, alpha2, alpha3, delta\) as four real numbers, "
-                       r"got 4 values of shapes \(\), \(\), \(\), \(\)$"):
+    message = f"^schedule halpern-mix: alpha1 must be real numbers, got {10**400}$"
+    with pytest.raises(InputError, match=message):
         schedule_eval(huge, 5)
-    with pytest.raises(InputError, match=r"^schedule halpern-mix: formula must return "
-                       r"\(alpha1, alpha2, alpha3, delta\) as four scalars or arrays of shape "
-                       r"\(1000,\), got 4 values of shapes \(\), \(\), \(\), \(\)$"):
+    with pytest.raises(InputError, match=message):
         validate_assumption12(huge, 1000)
+
+
+def test_an_index_too_large_for_a_rational_schedule_is_a_typed_error():
+    # n + c with a float c raised a bare OverflowError, at construction and at evaluation
+    with pytest.raises(ConfigurationError,
+                       match=r"^custom-rational start index must be at most the largest float$"):
+        custom_rational((0, 1, 1), (0.6, 0, 1), (0.4, -1, 1), (0.7, -0.2, 1), start_index=10**400)
+    with pytest.raises(InputError, match=r"^schedule custom-rational: formula overflows at the "
+                       r"index: int too large to convert to float$"):
+        schedule_eval(BENCH_CUSTOM, 10**400)
+
+
+@pytest.mark.parametrize("weight", [True, "0.5"], ids=["bool", "str"])
+def test_a_weight_that_is_not_a_real_is_refused_on_both_paths(weight):
+    # float() took both, and np.asarray let a '0.5' alpha2 report (i) satisfied
+    taken = dataclasses.replace(halpern_mix(), formula=lambda n: (0.5 + 0 * n, weight, 0 * n, 0.5))
+    message = f"^schedule halpern-mix: alpha2 must be real numbers, got {weight!r}$"
+    with pytest.raises(InputError, match=message):
+        schedule_eval(taken, 5)
+    with pytest.raises(InputError, match=message):
+        validate_assumption12(taken, 1000)
 
 
 def test_malformed_formula_reaches_run_as_an_input_error():

@@ -56,7 +56,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
         norm(sp, [1.0])
     with pytest.raises(InputError):
-        sp.point([[1.0, 2.0]])
+        sp.point([[1.0, 2.0]], "x")
 
 
 def test_space_validation():
@@ -67,9 +67,9 @@ def test_space_validation():
     from viscofix.space import SpaceDescriptor
 
     with pytest.raises(ConfigurationError):
-        SpaceDescriptor(dim=2, weights=np.array([1.0, 0.0]))
+        SpaceDescriptor(np.array([1.0, 0.0]))
     with pytest.raises(ConfigurationError):
-        SpaceDescriptor(dim=2, weights=np.array([1.0, np.inf]))
+        SpaceDescriptor(np.array([1.0, np.inf]))
 
 
 def test_weights_are_read_only():
@@ -148,7 +148,7 @@ def _weighted_projection_cases(draw, kind):
     """A weighted space of dimension 1-6, a set of ``kind`` in it and three points."""
     dim = draw(st.integers(1, 6))
     vec = hnp.arrays(np.float64, dim, elements=_coordinate)
-    space = SpaceDescriptor(dim, draw(hnp.arrays(np.float64, dim, elements=st.floats(0.1, 10.0))))
+    space = SpaceDescriptor(draw(hnp.arrays(np.float64, dim, elements=st.floats(0.1, 10.0))))
     if kind == "whole":
         cset = WholeSpace()
     elif kind == "box":
@@ -222,7 +222,7 @@ def _spaces(draw):
     dim = draw(st.integers(1, 40))
     if draw(st.booleans()):
         return euclidean(dim)
-    return SpaceDescriptor(dim, draw(hnp.arrays(np.float64, dim, elements=st.floats(1e-3, 1e3))))
+    return SpaceDescriptor(draw(hnp.arrays(np.float64, dim, elements=st.floats(1e-3, 1e3))))
 
 
 def _rows(space, k, bound):
@@ -280,7 +280,7 @@ def _row_projection_cases(draw, kind):
         space = euclidean(dim)
     else:
         weights = draw(hnp.arrays(np.float64, dim, elements=st.floats(0.1, 10.0)))
-        space = SpaceDescriptor(dim, weights)
+        space = SpaceDescriptor(weights)
     vec = hnp.arrays(np.float64, dim, elements=_coordinate)
     special = [np.full(dim, np.nan), np.where(np.arange(dim) == 0, np.nan, 1.0)]
     if kind == "whole":
@@ -380,8 +380,10 @@ def test_ball_and_halfspace_validation():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: SpaceDescriptor(dim=2, weights=np.ones(3)), ConfigurationError,
-         "weights must have shape (2,), got (3,)"),
+        (lambda: SpaceDescriptor(np.ones((2, 2))), ConfigurationError,
+         "weights must have shape (k,), got (2, 2)"),
+        (lambda: SpaceDescriptor([]), ConfigurationError,
+         "weights must be one or more strictly positive numbers"),
         (lambda: trapezoid_nodes(0), ConfigurationError, "intervals must be >= 1, got 0"),
         (lambda: Box([0.0, 0.0], [1.0, 1.0, 1.0]), ConfigurationError,
          "box upper bounds must have shape (2,), got (3,)"),
@@ -399,7 +401,7 @@ def test_ball_and_halfspace_validation():
          "affine span needs at least one direction"),
     ],
     ids=[
-        "weights-shape", "trapezoid-nodes-0", "box-unequal", "box-2d", "box-non-finite",
+        "weights-shape", "weights-empty", "trapezoid-nodes-0", "box-unequal", "box-2d", "box-non-finite",
         "box-other-dim", "ball-other-dim", "span-directions-1d", "span-no-directions",
     ],
 )
