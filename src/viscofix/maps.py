@@ -243,9 +243,11 @@ def _images(space, fn, points, name):
     the stack is one call of it; a value that is not a float64 array of
     the points' shape is dropped for the per-point loop.  Any other ``fn``
     (a user's map, or one whose evaluator was replaced) is called once per
-    row, and each value converted by
-    :meth:`~viscofix.space.SpaceDescriptor.point`, whose
-    :class:`InputError` names ``name``.  Both give the same bits.
+    row.  When every value is a float64 array of shape ``(dim,)``, which
+    :meth:`~viscofix.space.SpaceDescriptor.point` returns as it is, they
+    are stacked at once; otherwise each is converted by ``point``, whose
+    :class:`InputError` names ``name`` and the first value it refuses.
+    Every path gives the same bits.
     """
     rows = getattr(getattr(fn, "evaluator", None), "_viscofix_rows", None)
     if rows is not None:
@@ -258,7 +260,14 @@ def _images(space, fn, points, name):
             return stacked
     # a wrapper's __call__ is its evaluator's, so the evaluator is called without it
     evaluator = fn.evaluator if type(fn) in _WRAPPERS else fn
-    return np.array([space.point(evaluator(x), name) for x in points])
+    values = [evaluator(x) for x in points]
+    if (
+        set(map(type, values)) == {np.ndarray}
+        and {v.dtype for v in values} == {spc._FLOAT64}
+        and {v.shape for v in values} == {(space.dim,)}
+    ):
+        return np.array(values)
+    return np.array([space.point(v, name) for v in values])
 
 
 _AUDIT_VALUES = 1 << 12  # float64 values per audit chunk, 32 KiB (see _audit)

@@ -421,6 +421,23 @@ def test_audit_rejects_a_value_that_is_not_a_point(check, wrap, name, value):
     assert str(caught.value).startswith(f"{name} {message}")
 
 
+def test_images_of_values_not_all_float64_points_take_each_value_by_the_point_rule():
+    # float64 rows are stacked at once; float32 rows, lists and a mix go value by value
+    sp = euclidean(3)
+    points = np.random.default_rng(0).standard_normal((7, 3))
+    for evaluator in (
+        lambda x: x,
+        lambda x: 2.0 * x,
+        lambda x: x.astype(np.float32),
+        lambda x: x.tolist(),
+        lambda x: x if x[0] > 0.0 else x.astype(np.float32),
+    ):
+        got = maps._images(sp, evaluator, points, "T(x)")
+        want = np.array([sp.point(evaluator(x), "T(x)") for x in points])
+        assert (got.dtype, got.shape) == (np.float64, (7, 3))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_audit_never_calls_the_map_on_a_zero_distance_pair():
     # on the box {0}^2 every pair coincides after projection
     calls = []

@@ -566,6 +566,7 @@ def _oracle(s, horizon):
                      else "undefined over the horizon")
     else:
         ratio_txt = f"declared limit {s.facts.ratio_limit:g}"
+        drift_sum = tail_sum = None  # formed for the facts-free estimates only
     diagnostics = {
         "drift_partial_sum": drift_sum, "drift_tail_exponent": drift_exp,
         "tail_partial_sum": tail_sum, "tail_exponent": tail_exp,
@@ -789,10 +790,17 @@ def _assert_bracket_is_the_walk(s: Schedule, horizon: int):
     return marked
 
 
-@pytest.mark.parametrize("schedule", [eq75(), halpern_mix(), compare_t16(), BENCH_CUSTOM],
-                         ids=lambda s: s.kind)
-def test_bracket_path_is_the_walk_bit_for_bit_at_one_million(schedule):
-    _assert_bracket_is_the_walk(schedule, 10**6)
+@pytest.mark.parametrize("horizon", [10**4, 10**6, 10**7])
+@pytest.mark.parametrize(
+    "schedule",
+    [preset(start) for preset in (eq75, halpern_mix, compare_t16) for start in (1, 2, 5)]
+    + [BENCH_CUSTOM],
+    ids=lambda s: f"{s.kind}-from-{s.start_index}",
+)
+def test_bracket_path_is_the_walk_bit_for_bit_up_to_1e7(schedule, horizon):
+    # the presets' reports come from bisected block ends, the bench schedule's from the
+    # marked walk; the re-wrapped formulas are walked element by element
+    _assert_bracket_is_the_walk(schedule, horizon)
 
 
 # the PLANTED schedules the library builds, and four more
@@ -837,3 +845,101 @@ def test_a_pole_below_the_start_index_leaves_the_formula_unmarked(c):
     pole = custom_rational((0, 0.1, c), (0.5, -0.1, c), (0.5, 0, 0), (0.5, 0, 0), start_index=4)
     assert not hasattr(pole.formula, "_viscofix_monotone")
     _assert_bracket_is_the_walk(pole, 1000)
+
+
+PROVEN = {
+    "eq75": schedules._eq_weights,
+    "halpern-mix": schedules._halpern_mix,
+    "compare-t16": schedules._compare_t16,
+}
+_EPS = np.finfo(np.float64).eps
+
+
+def _proof_sample():
+    """Every n up to 2e6, 2e6 log-uniform n below 2^52, and each 2^k and 2^k +- 1 below it."""
+    log_n = np.random.default_rng(0).uniform(0.0, 52 * np.log(2.0), 2 * 10**6)
+    powers = 2.0 ** np.arange(1, 52)
+    for ns in (
+        np.arange(1, 2 * 10**6 + 1, dtype=np.float64),
+        np.minimum(np.floor(np.exp(log_n)), 2.0**52 - 1),
+        np.concatenate([powers - 1, powers, powers + 1, [2.0**52 - 1]]),
+    ):
+        for chunk in range(0, len(ns), 1 << 18):
+            yield ns[chunk : chunk + (1 << 18)]
+
+
+@pytest.mark.parametrize("name", list(PROVEN))
+def test_proven_weights_sum_to_one_within_eight_eps_below_2_52(name):
+    # the docstrings' proofs, checked in the validator's order of additions on the float
+    # path it evaluates, and on the scalar path at each 2^k +- 1
+    formula = PROVEN[name]
+    assert formula._viscofix_monotone is True and formula._viscofix_simplex is True
+    assert 8 * _EPS < schedules._SIMPLEX_TOL
+    worst = 0.0
+    for ns in _proof_sample():
+        a1, a2, a3, _ = (np.broadcast_to(v, ns.shape) for v in formula(ns))
+        worst = max(worst, np.abs(a1 + a2 + a3 - 1.0).max())
+    for n in [2**k + j for k in range(1, 52) for j in (-1, 0, 1)] + [2**52 - 1]:
+        a1, a2, a3, _ = formula(n)
+        worst = max(worst, abs(a1 + a2 + a3 - 1.0))
+    assert worst <= 8 * _EPS, (name, worst / _EPS)
+
+
+def test_only_the_presets_formulas_carry_the_simplex_proof():
+    for schedule in MARKED.values():
+        proven = getattr(schedule.formula, "_viscofix_simplex", False)
+        assert proven is (schedule.formula in PROVEN.values()), schedule.kind
+
+
+def _counted(formula, calls):
+    """``formula``, recording how many indices each call evaluates; unmarked."""
+
+    def counted(n):
+        calls.append(np.size(n))
+        return formula(n)
+
+    return counted
+
+
+@pytest.mark.parametrize("preset", [eq75, halpern_mix, compare_t16])
+def test_presets_are_decided_from_block_ends_at_horizon_1e12(preset):
+    # O(log horizon) formula calls and one walked block per bound crossing: eq75 and
+    # compare-t16 cross at n = 1, halpern-mix nowhere
+    s, calls = preset(), []
+    marked = schedules._monotone(_counted(s.formula, calls), simplex=True)
+    horizon = 10**12
+    report = validate_assumption12(dataclasses.replace(s, formula=marked), horizon)
+    levels = (-(-horizon // B) - 1).bit_length()
+    crossings = len(EXPECTED_AT_1E6[s.kind][1])
+    assert len(calls) <= 1 + 2 * levels + crossings
+    assert sum(calls) <= 2 * len(calls) + crossings * B
+    assert report.conditions["i"].detail == (
+        f"weights on the simplex and delta in (0,1) for all n in [{s.start_index}, {horizon}]"
+    )
+    assert report.range_violations == EXPECTED_AT_1E6[s.kind][1]
+    assert {key: finding.status for key, finding in report.conditions.items()} == (
+        EXPECTED_AT_1E6[s.kind][0]
+    )
+
+
+@pytest.mark.parametrize("preset", [eq75, halpern_mix, compare_t16])
+def test_an_unmarked_formula_with_a_presets_facts_is_walked_to_the_presets_report(preset):
+    s, calls = preset(), []
+    walked = Schedule(kind=s.kind, start_index=s.start_index,
+                      formula=_counted(s.formula, calls), facts=s.facts)
+    horizon = 3 * B + 5
+    assert repr(validate_assumption12(walked, horizon)) == repr(validate_assumption12(s, horizon))
+    assert sum(calls) == horizon  # every index once
+
+
+def test_a_falling_delta_under_facts_is_located_by_the_walk():
+    # the simplex is proven and delta = 0.4 + 0.1/n falls: delta(start) > delta(horizon)
+    # sends the schedule from the block ends to the walk, which finds the drop
+    falling = schedules._monotone(
+        lambda n: (0.25 + 0 * n, 0.25 + 0 * n, 0.5 + 0 * n, 0.4 + 0.1 / n), simplex=True
+    )
+    s = Schedule(kind="falling", start_index=2, formula=falling, facts=eq75().facts)
+    report = _assert_bracket_is_the_walk(s, 3 * B)
+    assert report.status("v") is Status.VIOLATED
+    assert report.conditions["v"].detail == "delta decreases near n = 2"
+    assert report.range_violations == []
