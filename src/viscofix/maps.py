@@ -114,10 +114,20 @@ class NonexpansiveMap:
 
     The property itself is a declaration; :func:`check_nonexpansive` audits
     it on seeded random pairs.
+
+    ``_diagonal``, when set, is a pair ``(c, d)`` with ``T(x) = c + d * x``
+    elementwise and ``|d| <= 1``.  Only the builtin problems' builders set
+    it (``builtin-linear``, ``line-projection``, ``pseudocontraction``).
+    :func:`~viscofix.solver.run` starts each implicit step at the form's
+    exact root, and its Picard solve still certifies that start with one
+    evaluator call, so a form that disagrees with the evaluator costs
+    applications, never accuracy.  It is a field, so
+    ``dataclasses.replace(T, evaluator=...)`` keeps it.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     domain: spc.ConvexSetBase = field(default_factory=spc.WholeSpace)
+    _diagonal: Optional[tuple] = field(default=None, repr=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)

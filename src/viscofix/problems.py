@@ -3,7 +3,10 @@
 Each problem kind assembles the target operator ``T``, a canonical
 starting point, and whatever is known about the fixed-point set for
 diagnostics.  The catalog is fixed; arbitrary user functions are out of
-scope by design.
+scope by design.  The affine operators of ``builtin-linear``,
+``line-projection`` and ``pseudocontraction`` also declare their form
+``c + d x`` (see :class:`~viscofix.maps.NonexpansiveMap`), from which
+the solver starts each implicit step at its exact root.
 
 Problem kinds
 -------------
@@ -30,7 +33,7 @@ Problem kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -186,7 +189,7 @@ def _builtin_linear(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def linear(x, _s=float(slope)):
         return _s * x
 
-    T = NonexpansiveMap(evaluator=linear)
+    T = NonexpansiveMap(evaluator=linear, _diagonal=(0.0, float(slope)))
     return _fixed_at_origin(cfg, space, T, known=slope != 1.0)
 
 
@@ -197,7 +200,7 @@ def _line_projection(view: SectionView, cfg: RunConfig) -> ProblemSetup:
     def onto_axis(x, _axis=axis, _space=space):
         return _axis.project(_space, x)
 
-    T = NonexpansiveMap(evaluator=onto_axis)
+    T = NonexpansiveMap(evaluator=onto_axis, _diagonal=(0.0, np.array([1.0, 0.0])))
     samples = [np.array([s, 0.0]) for s in np.linspace(-10.0, 10.0, 41)]
     return ProblemSetup(
         space=space,
@@ -222,6 +225,9 @@ def _pseudocontraction(view: SectionView, cfg: RunConfig) -> ProblemSetup:
         return -_k * x
 
     T = maps.average_pseudocontraction(flipped, lam=lam, theta=theta)
+    # theta x + (1 - theta) (-k x), folded into one coefficient; 0 < theta < 1
+    # and 0 < k < 1 put it in (-1, 1)
+    T = replace(T, _diagonal=(0.0, theta - (1.0 - theta) * k))
     return _fixed_at_origin(cfg, space, T)
 
 

@@ -10,9 +10,12 @@ each step then needs an inner fixed-point solve of the affine-in-``u`` map
 which is a contraction with factor ``coef * weight`` whenever ``T`` is
 nonexpansive, so Picard iteration with a certified stopping rule solves
 it; depth-1 Anderson mixing cuts its applications of ``T`` and keeps the
-stopping rule.  The outer loop stops on the fixed-point residual
-``||x_n - T x_n||``, the quantity the convergence analysis drives to zero;
-the ``T(x_{n+1})`` it evaluates serves as the next step's ``T(x_n)``.
+stopping rule.  When ``T`` declares an affine form (see
+:class:`~viscofix.maps.NonexpansiveMap`), the solve starts at the map's
+exact root, and one application certifies it.  The outer loop stops on
+the fixed-point residual ``||x_n - T x_n||``, the quantity the
+convergence analysis drives to zero; the ``T(x_{n+1})`` it evaluates
+serves as the next step's ``T(x_n)``.
 
 Scheme names accepted throughout (also the CLI vocabulary):
 
@@ -380,6 +383,25 @@ def _inner_pieces(scheme: SchemeKind, x: np.ndarray, fx: np.ndarray, p: Schedule
     return p.alpha1 * fx + p.alpha2 * x, p.alpha3, (1.0 - p.delta) * fx, p.delta
 
 
+def _inner_start(diagonal, base, coef, anchor, u_weight, x, tx):
+    """Picard's start ``(u0, t_u0)`` for the inner map of a step from ``x``.
+
+    For a ``T`` with a declared form ``c + d * v`` (see
+    :class:`~viscofix.maps.NonexpansiveMap`), ``u0`` is the exact root of
+    ``u = base + coef T(anchor + u_weight u)``,
+    ``(base + coef c + coef d anchor) / (1 - coef u_weight d)``, whose
+    denominator is at least ``1 - coef u_weight > 0``, and ``t_u0`` is
+    None.  Without a form, or when ``base`` or ``anchor`` is not finite,
+    it is ``(x, tx)``, ``tx`` being ``T(x)`` or None.
+    """
+    # A Python sum of floats neither warns nor raises; it is finite only if
+    # every entry is (or the sum overflows, which just takes the fallback).
+    if diagonal is None or not math.isfinite(sum(base.tolist(), sum(anchor.tolist()))):
+        return x, tx
+    c, d = diagonal
+    return (base + coef * c + (coef * d) * anchor) / (1.0 - coef * u_weight * d), None
+
+
 def inner_implicit_solve(
     space: spc.SpaceDescriptor,
     f: Optional[GeneralizedContraction],
@@ -394,8 +416,10 @@ def inner_implicit_solve(
 
     Finds ``u`` with ``||u - W(u)|| <= inner_tol`` for
     ``W(u) = a1 f(x_n) + a2 x_n + a3 T((1 - delta) f(x_n) + delta u)``,
-    by Picard iteration with depth-1 Anderson mixing started at
-    ``u0 = x_n`` (see :func:`_picard_affine_solve`).  The contraction
+    by Picard iteration with depth-1 Anderson mixing (see
+    :func:`_picard_affine_solve`), started where :func:`run` starts the
+    same step: at the exact root of ``W`` when ``T`` declares an affine
+    form, at ``u0 = x_n`` otherwise.  The contraction
     factor of ``W`` is at most ``a3 * delta``.  ``x_n``, ``f(x_n)`` and
     every value of ``T`` must be points of the space (see
     :meth:`~viscofix.space.SpaceDescriptor.point`); an
@@ -429,8 +453,9 @@ def inner_implicit_solve(
     def t_eval(v, _T=T.evaluator):
         return space.point(_T(v), "a value of T")
 
+    u0, _ = _inner_start(T._diagonal, base, coef, anchor, u_weight, x, None)
     return _picard_affine_solve(
-        base, coef, t_eval, anchor, u_weight, x, cfg.inner_tol, space.norm, record
+        base, coef, t_eval, anchor, u_weight, u0, cfg.inner_tol, space.norm, record
     )
 
 
@@ -465,7 +490,12 @@ def run(
 
     Each step at ``n`` evaluates the weights and forms ``x_{n+1}``: by
     the collapsed single-weight update for ``explicit``, by a certified
-    inner solve (see :func:`_picard_affine_solve`) otherwise.  ``run``
+    inner solve (see :func:`_picard_affine_solve`) otherwise.  That solve
+    starts at ``x_n``, or, when ``T`` declares an affine form ``c + d x``
+    (the ``builtin-linear``, ``line-projection`` and ``pseudocontraction``
+    problems do), at the exact root of the step's implicit equation: one
+    application then certifies it, and the step costs about two calls of
+    ``T``, its own and the residual's.  ``run``
     checks each range rule where its numbers first exist and records the
     stop: condition (i), then ``alpha1 + alpha3 > 0`` for the single-weight
     schemes, then an inner factor below 1.  The ``T(x_{n+1})`` of its
@@ -477,7 +507,7 @@ def run(
     scheme = SchemeKind(scheme)
     f_eval = _viscosity_eval(scheme, f)
     nrm = space.norm
-    t_eval = T.evaluator
+    t_eval, diagonal = T.evaluator, T._diagonal
     n = n1 = schedule.start_index
     x = space.point(x1, "x1")
     tx = space.point(t_eval(x), "T(x1)")
@@ -513,9 +543,10 @@ def run(
                     f"inner map contraction factor {coef * u_weight:g} is not below 1 at n = {n}"
                 )
                 break
+            u0, t_u0 = _inner_start(diagonal, base, coef, anchor, u_weight, x, tx)
             try:
                 x_next, inner_iters = _picard_affine_solve(
-                    base, coef, t_eval, anchor, u_weight, x, cfg.inner_tol, nrm, t_u0=tx
+                    base, coef, t_eval, anchor, u_weight, u0, cfg.inner_tol, nrm, t_u0=t_u0
                 )
             except InnerSolveError as exc:
                 termination, message = Termination.INNER_SOLVE_FAILED, f"{exc} (outer step n = {n})"

@@ -428,9 +428,12 @@ _INNER_FLOOR = _swap(
     "max_outer = 50000\ninner_tol = 1e-300",
     _swap("slope = 0.5", "slope = -0.9"),
 )
-# T is honest: the inner gap stalls at the iterate's rounding, far above inner_tol
+# T is honest: the inner gap stalls at the iterate's rounding, far above inner_tol.
+# The budget is certified from the first gap, which builtin-linear's declared
+# form makes the gap at the step's exact root (a start at x_n gave 420 here,
+# and 451 for three_term below)
 _INNER_FLOOR_NOTE = (
-    "note: inner solve exceeded 420 applications (certified budget for factor 0.1875); "
+    "note: inner solve exceeded 398 applications (certified budget for factor 0.1875); "
     "inner_tol 1e-300 is below the iterate's rounding (gap 8.67e-19) (outer step n = 7)"
 )
 
@@ -469,7 +472,7 @@ def test_compare_runs_both_schemes_past_a_failed_inner_solve(tmp_path, capsys):
         _INNER_FLOOR_NOTE,
         "three_term: termination inner_solve_failed, final (2.90399285059e-06), "
         "residual 5.51759e-06",
-        "note: inner solve exceeded 451 applications (certified budget for factor 0.214286); "
+        "note: inner solve exceeded 426 applications (certified budget for factor 0.214286); "
         "inner_tol 1e-300 is below the iterate's rounding (gap 1.06e-22) (outer step n = 13)",
     ]
     assert captured.err.splitlines()[-1] == (

@@ -429,35 +429,40 @@ def test_step_chain_reproduces_run_bitwise(scheme):
 
 @pytest.mark.parametrize("preset", [eq75, halpern_mix, compare_t16])
 @pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_a_run_resumed_from_its_report_is_the_uninterrupted_run_bitwise(scheme, preset):
+def test_a_run_resumed_from_its_report_is_the_uninterrupted_run_bitwise(tmp_path, scheme, preset):
     # split after k steps, then continue from n_final and final_point with
-    # the rest of the budget: converged and max_iters runs alike
-    sp, T, const = _plane()
+    # the rest of the budget: converged and max_iters runs alike, on Picard's
+    # steps (the hand-built T) and on exact starts (the built, declared one)
+    sp, hand_built, const = _plane()
     f = None if scheme in vx.solver.IDENTITY_SCHEMES else const
     x1, cfg = np.array([0.0, 5.0]), SolverConfig(outer_tol=1e-2, max_outer=1000)
-    whole = run(sp, scheme, f, T, preset(), x1, cfg)
-    k = len(whole.trace) // 2
-    head = run(sp, scheme, f, T, preset(), x1, dataclasses.replace(cfg, max_outer=k))
-    rest = dataclasses.replace(cfg, max_outer=cfg.max_outer - k)
-    resumed = dataclasses.replace(preset(), start_index=head.n_final)
-    tail = run(sp, scheme, f, T, resumed, head.final_point, rest)
-    assert np.array([*head.trace, *tail.trace]).tobytes() == np.array(whole.trace).tobytes()
-    assert tail.n_final == whole.n_final
-    assert tail.final_point.tobytes() == whole.final_point.tobytes()
-    assert tail.termination is whole.termination
+    for T in (hand_built, _built_plane(tmp_path).T):
+        whole = run(sp, scheme, f, T, preset(), x1, cfg)
+        k = len(whole.trace) // 2
+        head = run(sp, scheme, f, T, preset(), x1, dataclasses.replace(cfg, max_outer=k))
+        rest = dataclasses.replace(cfg, max_outer=cfg.max_outer - k)
+        resumed = dataclasses.replace(preset(), start_index=head.n_final)
+        tail = run(sp, scheme, f, T, resumed, head.final_point, rest)
+        assert np.array([*head.trace, *tail.trace]).tobytes() == np.array(whole.trace).tobytes()
+        assert tail.n_final == whole.n_final
+        assert tail.final_point.tobytes() == whole.final_point.tobytes()
+        assert tail.termination is whole.termination
 
 
-def test_inner_solve_is_the_new_implicit_step_bitwise():
-    sp, T, const = _plane()
+def test_inner_solve_is_the_new_implicit_step_bitwise(tmp_path):
+    sp, hand_built, const = _plane()
     cfg = SolverConfig(max_outer=1)
     x = np.array([0.7, -2.5])
-    for n in (1, 2, 10, 1000):
-        a1, a2, a3, d = schedule_eval(halpern_mix(), n)
-        u, iters = inner_implicit_solve(sp, const, T, x, (a1, a2, a3), d, cfg)
-        report = run(sp, SchemeKind.NEW_IMPLICIT, const, T, halpern_mix(start_index=n), x, cfg)
-        assert report.n_final == n + 1
-        assert u.tobytes() == report.final_point.tobytes()
-        assert [row.inner_iters for row in report.trace] == [iters]
+    # the built T declares its form, so both start at the exact root
+    for T in (hand_built, _built_plane(tmp_path).T):
+        for n in (1, 2, 10, 1000):
+            a1, a2, a3, d = schedule_eval(halpern_mix(), n)
+            u, iters = inner_implicit_solve(sp, const, T, x, (a1, a2, a3), d, cfg)
+            report = run(sp, SchemeKind.NEW_IMPLICIT, const, T, halpern_mix(start_index=n), x, cfg)
+            assert report.n_final == n + 1
+            assert u.tobytes() == report.final_point.tobytes()
+            assert [row.inner_iters for row in report.trace] == [iters]
+            assert iters == 1 or T is hand_built
 
 
 class _Counted:
@@ -509,11 +514,14 @@ def test_run_reuses_the_residuals_T_value(scheme, expected_calls):
     assert again.final_point.tobytes() == first.final_point.tobytes()
 
 
-# Exact counters of the seed-0 small-dim solves of perfbench: outer steps,
-# total and largest inner applications, T calls, T calls repeating the
-# previous argument bitwise, f calls.  Their sums, 52000 steps, 101101 inner
-# applications, 128819 T calls and 1 repeat, are the benchmark's
-# `--trace 1` counters.  A change to any of them is a change of behaviour.
+# Exact counters of the seed-0 small-dim solves of perfbench, on hand-built
+# maps that declare no affine form, so that every implicit step is Picard's
+# from x_n: outer steps, total and largest inner applications, T calls, T
+# calls repeating the previous argument bitwise, f calls.  Their sums are
+# 52000 steps, 101101 inner applications, 128819 T calls and 1 repeat.  The
+# benchmark builds its maps by build_problem, which declares their forms; its
+# `--trace 1` counters are the sums of SMALL_DIM_BUILT_COUNTERS below.  A
+# change to any of them is a change of behaviour.
 SMALL_DIM_COUNTERS = {
     ("plane", "explicit"): (7999, 0, 0, 8000, 0, 7999),
     ("plane", "kema"): (7999, 15997, 2, 15998, 0, 7999),
@@ -555,6 +563,127 @@ def _built(tmp_path, text):
     path.write_text(text)
     cfg = load_run_config(path)
     return cfg, build_problem(cfg)
+
+
+# perfbench's seed-0 small-dim configs, by problem
+SMALL_DIM_CONFIGS = {
+    "plane": "[problem]\nkind = line-projection\n[scheme]\nname = {scheme}\n"
+    "[schedule]\npreset = halpern-mix\n[solver]\nouter_tol = 1e-3\nmax_outer = 100000\n"
+    "[contraction]\nkind = constant-point\npoint = 3.0, 4.0\n",
+    "eq75": "[problem]\nkind = builtin-linear\nslope = 0.5\n[scheme]\nname = {scheme}\n"
+    "[schedule]\npreset = eq75\n[solver]\nouter_tol = 5e-9\nmax_outer = 10000\n"
+    "[contraction]\nkind = linear\nc = 0.25\n",
+}
+
+
+def _built_plane(tmp_path):
+    """The plane problem of small-dim as build_problem makes it: its T declares its form."""
+    return _built(tmp_path, SMALL_DIM_CONFIGS["plane"].format(scheme="new_implicit"))[1]
+
+
+# The same counters for the same six solves on the maps build_problem makes,
+# as the benchmark runs them.  Both maps declare their affine form, so each
+# implicit step starts at its exact root and one application certifies it:
+# a step calls T twice, once in the inner solve and once for the residual.
+# Steps match SMALL_DIM_COUNTERS; the sums are the benchmark's `--trace 1`
+# counters: 52000 steps, 44001 inner applications, 96007 T calls, no repeats.
+SMALL_DIM_BUILT_COUNTERS = {
+    ("plane", "explicit"): (7999, 0, 0, 8000, 0, 7999),
+    ("plane", "kema"): (7999, 7999, 1, 15999, 0, 7999),
+    ("plane", "three_term"): (8001, 8001, 1, 16003, 0, 8001),
+    ("plane", "new_implicit"): (8001, 8001, 1, 16003, 0, 8001),
+    ("eq75", "new_implicit"): (10000, 10000, 1, 20001, 0, 10000),
+    ("eq75", "three_term"): (10000, 10000, 1, 20001, 0, 10000),
+}
+
+
+@pytest.mark.parametrize("problem, scheme", list(SMALL_DIM_BUILT_COUNTERS))
+def test_small_dim_counters_of_the_built_maps_are_pinned(tmp_path, problem, scheme):
+    # build_problem's starts, (0, 5) and 1, are the benchmark's at seed 0
+    cfg, setup = _built(tmp_path, SMALL_DIM_CONFIGS[problem].format(scheme=scheme))
+    counters = _run_counters(
+        setup.space, cfg.scheme, setup.f, setup.T, cfg.schedule, setup.x1, cfg.solver
+    )
+    assert counters == SMALL_DIM_BUILT_COUNTERS[problem, scheme]
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_RUN_TAIL = "[scheme]\nname = new_implicit\n[schedule]\npreset = eq75\n"
+
+
+# builtin-linear and line-projection form the same products and sums as their
+# evaluators: bit for bit.  pseudocontraction's evaluator takes
+# theta x + (1 - theta) (-k x), its form (theta - (1 - theta) k) x; each is
+# within eps (theta + 2 (1 - theta) k) |x| of the exact value, to first order,
+# so they differ by at most 4 eps (theta + (1 - theta) k) |x|.
+@pytest.mark.parametrize(
+    "problem, theta_k",
+    [
+        ("kind = builtin-linear\nslope = 0.5", None),
+        ("kind = builtin-linear\nslope = -0.9", None),
+        ("kind = builtin-linear\nslope = 1", None),
+        ("kind = line-projection", None),
+        ("kind = pseudocontraction\nk = 0.5\nlambda = 0.3\ntheta = 0.3", (0.3, 0.5)),
+        ("kind = pseudocontraction\nk = 0.2\nlambda = 0.9\ntheta = 0.1", (0.1, 0.2)),
+    ],
+)
+def test_declared_forms_agree_with_their_evaluators(tmp_path, problem, theta_k):
+    _, setup = _built(tmp_path, f"[problem]\n{problem}\n{_RUN_TAIL}")
+    c, d = setup.T._diagonal
+    rng = np.random.default_rng(0)
+    for x in rng.standard_normal((200, setup.space.dim)) * 10.0 ** rng.uniform(-8, 8, (200, 1)):
+        declared, value = c + d * x, setup.T.evaluator(x)
+        if theta_k is None:
+            assert declared.tobytes() == value.tobytes()
+        else:
+            theta, k = theta_k
+            bound = 4.0 * _EPS * (theta + (1.0 - theta) * k) * abs(x)
+            assert np.all(np.abs(declared - value) <= bound)
+
+
+def test_a_declared_form_survives_replacing_the_evaluator(tmp_path):
+    # perfbench's traced runs wrap T this way; a function attribute would be lost
+    T = _built_plane(tmp_path).T
+    wrapped = dataclasses.replace(T, evaluator=lambda x: T.evaluator(x))
+    assert wrapped._diagonal is T._diagonal
+
+
+@pytest.mark.parametrize("form", [(0.0, 0.25), (0.1, 0.5), (0.0, -1.0)], ids=str)
+def test_a_form_that_lies_costs_applications_not_accuracy(form):
+    # T = x / 2 declared as c + d x with the wrong c or d: Picard starts at the
+    # wrong root and certifies the true one, 17/44 (see test_inner_solve_closed_form)
+    liar = NonexpansiveMap(HALF.evaluator, _diagonal=form)
+    honest = NonexpansiveMap(HALF.evaluator, _diagonal=(0.0, 0.5))
+    cfg = SolverConfig(inner_tol=1e-13, max_outer=1)
+    steps = {}
+    for name, T in (("liar", liar), ("honest", honest), ("undeclared", HALF)):
+        u, iters = inner_implicit_solve(
+            SP1, QUARTER, T, np.array([1.0]), (0.25, 0.25, 0.5), 1.0 / 3.0, cfg
+        )
+        report = run(SP1, SchemeKind.NEW_IMPLICIT, QUARTER, T, FLAT_EQ75_2, np.array([1.0]), cfg)
+        assert report.final_point.tobytes() == u.tobytes()
+        assert abs(u[0] - 17.0 / 44.0) <= 1e-13 / (1.0 - 1.0 / 6.0) + 4.0 * _EPS
+        steps[name] = iters
+    assert steps["honest"] == 1 < steps["liar"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_step_keeps_the_undeclared_outcome(value):
+    # f is not finite at x_1: the exact start would not be either, so the step
+    # starts at x_n with T(x_n), as for a map without a form, and no numpy
+    # warning (an error here) is raised on the way to the typed failure
+    declared = NonexpansiveMap(HALF.evaluator, _diagonal=(0.0, 0.5))
+    f = GeneralizedContraction(lambda x: np.full(1, value), linear_modulus(0.0))
+    cfg = SolverConfig(max_outer=10)
+    reports = [run(SP1, SchemeKind.NEW_IMPLICIT, f, T, eq75(), np.array([1.0]), cfg)
+               for T in (declared, HALF)]
+    for report in reports:
+        assert report.termination is Termination.INNER_SOLVE_FAILED
+        assert report.message.startswith(f"inner solve gap is {abs(value)!r} at application 1")
+        assert report.message == reports[0].message and report.n_final == reports[0].n_final
+    for T in (declared, HALF):
+        with pytest.raises(InnerSolveError, match="at application 1"):
+            inner_implicit_solve(SP1, f, T, np.array([1.0]), (0.25, 0.25, 0.5), 1.0 / 3.0, cfg)
 
 
 # The same counters for the four seed-0 fredholm-grid solves of perfbench

@@ -35,6 +35,8 @@ from viscofix import (
     run,
     schedule_eval,
 )
+from viscofix.config import load_run_config
+from viscofix.problems import build_problem
 
 EPS_REF = 1e-13  # the reference's inner tolerance
 INNER_TOL = SolverConfig().inner_tol
@@ -110,16 +112,9 @@ def _problems(draw):
     return space, NonexpansiveMap(T), f, rng.uniform(-5.0, 5.0, dim)
 
 
-@pytest.mark.parametrize("make_schedule", [eq75, halpern_mix, compare_t16])
-@pytest.mark.parametrize("scheme", list(SchemeKind), ids=str)
-@settings(max_examples=25, deadline=None)
-@given(problem=_problems(), outer_tol=st.sampled_from([1e-1, 1e-3, 1e-6]))
-def test_run_follows_the_reference_within_the_accumulated_inner_bound(
-    scheme, make_schedule, problem, outer_tol
-):
-    space, T, f, x1 = problem
+def _assert_follows_reference(space, scheme, f, T, schedule, x1, outer_tol):
+    """``run``'s iterates against the reference's, within the accumulated bound; the report."""
     f = None if scheme in IDENTITY_SCHEMES else f
-    schedule = make_schedule()
     states = []
     report = run(
         space, scheme, f, T, schedule, x1,
@@ -146,3 +141,45 @@ def test_run_follows_the_reference_within_the_accumulated_inner_bound(
         assert report.termination is (Termination.CONVERGED if converged else Termination.MAX_ITERS)
         assert len(states) == steps + 1
     assert math.isfinite(bound)
+    return report
+
+
+@pytest.mark.parametrize("make_schedule", [eq75, halpern_mix, compare_t16])
+@pytest.mark.parametrize("scheme", list(SchemeKind), ids=str)
+@settings(max_examples=25, deadline=None)
+@given(problem=_problems(), outer_tol=st.sampled_from([1e-1, 1e-3, 1e-6]))
+def test_run_follows_the_reference_within_the_accumulated_inner_bound(
+    scheme, make_schedule, problem, outer_tol
+):
+    space, T, f, x1 = problem
+    _assert_follows_reference(space, scheme, f, T, make_schedule(), x1, outer_tol)
+
+
+# The builtin problems whose T declares an affine form: run starts each
+# implicit step at its exact root, which one application certifies.
+@pytest.mark.parametrize(
+    "problem",
+    [
+        "kind = line-projection",
+        "kind = builtin-linear\nslope = -0.9",
+        "kind = pseudocontraction\nk = 0.5\nlambda = 0.3\ntheta = 0.3",
+    ],
+)
+@pytest.mark.parametrize("make_schedule", [eq75, halpern_mix, compare_t16])
+@pytest.mark.parametrize("scheme", list(SchemeKind), ids=str)
+def test_built_declared_maps_follow_the_reference_from_exact_starts(
+    tmp_path, scheme, make_schedule, problem
+):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        f"[problem]\n{problem}\n[contraction]\nkind = linear\nc = 0.5\n"
+        "[scheme]\nname = new_implicit\n[schedule]\npreset = eq75\n"
+    )
+    setup = build_problem(load_run_config(path))
+    assert setup.T._diagonal is not None
+    report = _assert_follows_reference(
+        setup.space, scheme, setup.f, setup.T, make_schedule(), setup.x1, 1e-6
+    )
+    assert len(report.trace) > 0
+    expected = 0 if scheme is SchemeKind.EXPLICIT else 1
+    assert {row.inner_iters for row in report.trace} == {expected}
