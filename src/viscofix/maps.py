@@ -115,19 +115,26 @@ class NonexpansiveMap:
     The property itself is a declaration; :func:`check_nonexpansive` audits
     it on seeded random pairs.
 
+    Two private fields declare an affine form of ``T``; at most one is set.
     ``_diagonal``, when set, is a pair ``(c, d)`` with ``T(x) = c + d * x``
     elementwise and ``|d| <= 1``.  Only the builtin problems' builders set
     it (``builtin-linear``, ``line-projection``, ``pseudocontraction``).
-    :func:`~viscofix.solver.run` starts each implicit step at the form's
-    exact root, and its Picard solve still certifies that start with one
-    evaluator call, so a form that disagrees with the evaluator costs
-    applications, never accuracy.  It is a field, so
-    ``dataclasses.replace(T, evaluator=...)`` keeps it.
+    ``_factors``, when set, is a function of no arguments that returns
+    ``(g, L, R)`` with ``T(x) = g + L (R x)``, ``L`` of shape ``(n, r)``
+    and ``R`` of shape ``(r, n)``, or None when ``T`` is not applied
+    through such factors; only :func:`fredholm_operator` sets it, for a
+    declared-linear kernel, and calling it builds the factors if ``T``
+    has not been called yet.  :func:`~viscofix.solver.run` starts each
+    implicit step at the form's exact root, and its Picard solve still
+    certifies that start with one evaluator call, so a form that disagrees
+    with the evaluator costs applications, never accuracy.  They are
+    fields, so ``dataclasses.replace(T, evaluator=...)`` keeps them.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     domain: spc.ConvexSetBase = field(default_factory=spc.WholeSpace)
     _diagonal: Optional[tuple] = field(default=None, repr=False)
+    _factors: Optional[Callable[[], Optional[tuple]]] = field(default=None, repr=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -660,6 +667,12 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
     error of the factors (O(n^2 r)), or for the row sums and the table when
     the factoring fails (O(n^2)); below ``m = 131`` it reads the table
     once.  Two operators built from one problem give bitwise-equal values.
+
+    A factored operator declares its factors: its ``_factors`` form (see
+    :class:`NonexpansiveMap`) returns ``(g, L, R)``, reading and factoring
+    ``K`` first if no call has yet, so that the solver starts each implicit
+    step at its exact root.  With the dense table or the one row the form
+    returns None, and the general path declares none.
     """
     space, nodes = fredholm_grid(problem)
     _spot_check_kernel(problem, nodes)
@@ -705,27 +718,38 @@ def fredholm_operator(problem: FredholmProblem) -> NonexpansiveMap:
             value = kernel_rows(tcol, srow[:, j : j + 1], wrow[:, j : j + 1])
             return np.broadcast_to(value, (n, 1))[:, 0]
 
-        def integral_step(x):
+        def read_table():
             nonlocal left, right
-            if left is None:
-                block = _row_block(n)
-                first = kernel_rows(tcol[:block], srow, wrow)
-                if len(first) == 1:
-                    left = np.ascontiguousarray(first)
-                elif (factors := _low_rank_factors(n, read_rows, read_column)) is not None:
-                    left, right = factors
-                else:
-                    left = np.empty((n, n))  # filled in place: no second full-size array
-                    left[:block] = first
-                    for b in range(block, n, block):
-                        left[b : b + block] = read_rows(b, b + block)
-            if right is None:
-                return gvals + left @ x
-            return gvals + left @ (right @ x)
+            block = _row_block(n)
+            first = kernel_rows(tcol[:block], srow, wrow)
+            if len(first) == 1:
+                left = np.ascontiguousarray(first)
+            elif (factors := _low_rank_factors(n, read_rows, read_column)) is not None:
+                left, right = factors
+            else:
+                table = np.empty((n, n))  # filled in place: no second full-size array
+                table[:block] = first
+                for b in range(block, n, block):
+                    table[b : b + block] = read_rows(b, b + block)
+                left = table
 
-    else:
-
+        # np.dot, not @: numpy's matmul takes an (n, 1) by (1,) product
+        # through its own loop, about 5x slower at n = 1025, for the same bits
         def integral_step(x):
-            return gvals + kernel_rows(tcol, srow, x[None, :]) @ weights
+            if left is None:
+                read_table()
+            if right is None:
+                return gvals + np.dot(left, x)
+            return gvals + np.dot(left, np.dot(right, x))
+
+        def factors():
+            if left is None:
+                read_table()
+            return None if right is None else (gvals, left, right)
+
+        return NonexpansiveMap(evaluator=integral_step, _factors=factors)
+
+    def integral_step(x):
+        return gvals + kernel_rows(tcol, srow, x[None, :]) @ weights
 
     return NonexpansiveMap(evaluator=integral_step)

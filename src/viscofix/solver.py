@@ -383,23 +383,91 @@ def _inner_pieces(scheme: SchemeKind, x: np.ndarray, fx: np.ndarray, p: Schedule
     return p.alpha1 * fx + p.alpha2 * x, p.alpha3, (1.0 - p.delta) * fx, p.delta
 
 
-def _inner_start(diagonal, base, coef, anchor, u_weight, x, tx):
+def _exact_root(T: NonexpansiveMap):
+    """The exact root of an implicit step's inner map, from ``T``'s declared form.
+
+    Returns None when ``T`` declares no form (see
+    :class:`~viscofix.maps.NonexpansiveMap`), or a function of ``(base,
+    coef, anchor, u_weight)`` that gives the root ``u`` of
+    ``u = base + coef T(anchor + u_weight u)``, or None when ``base`` or
+    ``anchor`` is not finite.  ``s = coef u_weight < 1`` is the callers'
+    precondition, as for :func:`_picard_affine_solve`.
+
+    For ``T(v) = c + d * v`` the root is
+    ``(base + coef c + coef d anchor) / (1 - s d)``, whose denominator is at
+    least ``1 - s > 0``.  For ``T(v) = g + L (R v)`` it is ``base + coef (g
+    + L (R anchor + u_weight q))``, where ``q = R u`` solves the ``r x r``
+    system ``(I - s R L) q = R base + coef (R g + R L R anchor)``: the
+    Sherman-Morrison-Woodbury identity (Golub & Van Loan, Matrix
+    Computations, 4th ed., section 2.1.4).  ``R L`` and ``R g`` are formed
+    here, once; each root then costs O(n r) and an ``r x r`` solve, a
+    division when ``r = 1``.  The system is nonsingular when ``T`` is
+    nonexpansive: every nonzero eigenvalue of ``R L`` is one of ``L R``,
+    so at most 1 in modulus, and ``s < 1``.  A singular one only loses
+    the start.
+    """
+    if T._diagonal is not None:
+        c, d = T._diagonal
+
+        def diagonal_root(base, coef, anchor, u_weight):
+            # A Python sum of floats neither warns nor raises; it is finite only
+            # if every entry is (or it overflows, which just loses the start).
+            if not math.isfinite(sum(base.tolist(), sum(anchor.tolist()))):
+                return None
+            return (base + coef * c + (coef * d) * anchor) / (1.0 - coef * u_weight * d)
+
+        return diagonal_root
+    factors = None if T._factors is None else T._factors()
+    if factors is None:
+        return None
+    g, left, right = factors
+    rg = [float(np.vdot(row, g)) for row in right]
+    if not math.isfinite(sum(rg)):
+        return None
+    rl = np.dot(right, left)
+    if len(right) == 1:
+        # in Python floats: the numpy calls on r-vectors of the general
+        # branch made an m = 1024 step about 10 us (30%) slower
+        (rg,), ((rl,),), column, row = rg, rl.tolist(), left[:, 0], right[0]
+
+        def rank_one_root(base, coef, anchor, u_weight):
+            # np.vdot and float arithmetic never warn: an inf or NaN entry of
+            # base or anchor makes y inf or NaN, which the O(1) test sees
+            ra, rb = float(np.vdot(row, anchor)), float(np.vdot(row, base))
+            denominator = 1.0 - coef * u_weight * rl
+            if denominator == 0.0:
+                return None
+            y = ra + u_weight * (rb + coef * (rg + rl * ra)) / denominator  # R (anchor + w u)
+            return base + coef * (g + column * y) if math.isfinite(y) else None
+
+        return rank_one_root
+    rg, eye = np.array(rg), np.eye(len(right))
+
+    def low_rank_root(base, coef, anchor, u_weight):
+        # as above, and tested before the products of r-vectors, which warn
+        ra = np.array([np.vdot(row, anchor) for row in right])
+        rb = np.array([np.vdot(row, base) for row in right])
+        if not math.isfinite(sum(ra.tolist(), sum(rb.tolist()))):
+            return None
+        try:
+            q = np.linalg.solve(eye - (coef * u_weight) * rl, rb + coef * (rg + np.dot(rl, ra)))
+        except np.linalg.LinAlgError:
+            return None
+        y = ra + u_weight * q
+        return base + coef * (g + np.dot(left, y)) if math.isfinite(sum(y.tolist())) else None
+
+    return low_rank_root
+
+
+def _inner_start(root, base, coef, anchor, u_weight, x, tx):
     """Picard's start ``(u0, t_u0)`` for the inner map of a step from ``x``.
 
-    For a ``T`` with a declared form ``c + d * v`` (see
-    :class:`~viscofix.maps.NonexpansiveMap`), ``u0`` is the exact root of
-    ``u = base + coef T(anchor + u_weight u)``,
-    ``(base + coef c + coef d anchor) / (1 - coef u_weight d)``, whose
-    denominator is at least ``1 - coef u_weight > 0``, and ``t_u0`` is
-    None.  Without a form, or when ``base`` or ``anchor`` is not finite,
-    it is ``(x, tx)``, ``tx`` being ``T(x)`` or None.
+    ``u0`` is the exact root given by ``root`` (see :func:`_exact_root`),
+    and ``t_u0`` is None.  Without a root, or when ``root`` gives none, it
+    is ``(x, tx)``, ``tx`` being ``T(x)`` or None.
     """
-    # A Python sum of floats neither warns nor raises; it is finite only if
-    # every entry is (or the sum overflows, which just takes the fallback).
-    if diagonal is None or not math.isfinite(sum(base.tolist(), sum(anchor.tolist()))):
-        return x, tx
-    c, d = diagonal
-    return (base + coef * c + (coef * d) * anchor) / (1.0 - coef * u_weight * d), None
+    u0 = None if root is None else root(base, coef, anchor, u_weight)
+    return (x, tx) if u0 is None else (u0, None)
 
 
 def inner_implicit_solve(
@@ -419,11 +487,14 @@ def inner_implicit_solve(
     by Picard iteration with depth-1 Anderson mixing (see
     :func:`_picard_affine_solve`), started where :func:`run` starts the
     same step: at the exact root of ``W`` when ``T`` declares an affine
-    form, at ``u0 = x_n`` otherwise.  The contraction
-    factor of ``W`` is at most ``a3 * delta``.  ``x_n``, ``f(x_n)`` and
-    every value of ``T`` must be points of the space (see
+    form (see :func:`_exact_root`; a Fredholm ``T``'s form builds its
+    factors itself, so the start does not depend on whether ``T`` was
+    called before), at ``u0 = x_n`` otherwise.  The contraction factor of
+    ``W`` is at most ``a3 * delta``.  ``x_n``, ``f(x_n)`` and every value
+    of ``T`` must be points of the space (see
     :meth:`~viscofix.space.SpaceDescriptor.point`); an
-    :class:`InputError` says which is not.
+    :class:`InputError` says which is not.  An ``x_n`` with an infinite
+    or NaN entry is an :class:`InnerSolveError` that names the first.
 
     Parameters
     ----------
@@ -447,13 +518,17 @@ def inner_implicit_solve(
     if not _meets_condition_i(*p):
         raise InputError(_condition_i_failure(p, "in the supplied weights"))
     x = space.point(x_n, "x_n")
+    if not np.isfinite(x).all():
+        # Picard would start from it and meet inf - inf, which numpy warns of
+        i = int(np.argmin(np.isfinite(x)))
+        raise InnerSolveError(f"x_n[{i}] is {float(x[i])!r}: the inner solve needs a finite x_n")
     fx = x if f is None else space.point(f.evaluator(x), "f(x_n)")
     base, coef, anchor, u_weight = _inner_pieces(SchemeKind.NEW_IMPLICIT, x, fx, p)
 
     def t_eval(v, _T=T.evaluator):
         return space.point(_T(v), "a value of T")
 
-    u0, _ = _inner_start(T._diagonal, base, coef, anchor, u_weight, x, None)
+    u0, _ = _inner_start(_exact_root(T), base, coef, anchor, u_weight, x, None)
     return _picard_affine_solve(
         base, coef, t_eval, anchor, u_weight, u0, cfg.inner_tol, space.norm, record
     )
@@ -491,11 +566,13 @@ def run(
     Each step at ``n`` evaluates the weights and forms ``x_{n+1}``: by
     the collapsed single-weight update for ``explicit``, by a certified
     inner solve (see :func:`_picard_affine_solve`) otherwise.  That solve
-    starts at ``x_n``, or, when ``T`` declares an affine form ``c + d x``
-    (the ``builtin-linear``, ``line-projection`` and ``pseudocontraction``
-    problems do), at the exact root of the step's implicit equation: one
+    starts at ``x_n``, or, when ``T`` declares an affine form, at the exact
+    root of the step's implicit equation (see :func:`_exact_root`): one
     application then certifies it, and the step costs about two calls of
-    ``T``, its own and the residual's.  ``run``
+    ``T``, its own and the residual's.  The ``builtin-linear``,
+    ``line-projection`` and ``pseudocontraction`` problems declare
+    ``c + d x``, and a declared-linear Fredholm kernel that is factored
+    declares ``g + L (R x)``; the form is read once per run.  ``run``
     checks each range rule where its numbers first exist and records the
     stop: condition (i), then ``alpha1 + alpha3 > 0`` for the single-weight
     schemes, then an inner factor below 1.  The ``T(x_{n+1})`` of its
@@ -507,10 +584,11 @@ def run(
     scheme = SchemeKind(scheme)
     f_eval = _viscosity_eval(scheme, f)
     nrm = space.norm
-    t_eval, diagonal = T.evaluator, T._diagonal
+    t_eval = T.evaluator
     n = n1 = schedule.start_index
     x = space.point(x1, "x1")
     tx = space.point(t_eval(x), "T(x1)")
+    root = _exact_root(T)
     residual = nrm(x - tx)
     if observer is not None:
         observer(IterationState(n, x, 0, residual))
@@ -543,7 +621,7 @@ def run(
                     f"inner map contraction factor {coef * u_weight:g} is not below 1 at n = {n}"
                 )
                 break
-            u0, t_u0 = _inner_start(diagonal, base, coef, anchor, u_weight, x, tx)
+            u0, t_u0 = _inner_start(root, base, coef, anchor, u_weight, x, tx)
             try:
                 x_next, inner_iters = _picard_affine_solve(
                     base, coef, t_eval, anchor, u_weight, u0, cfg.inner_tol, nrm, t_u0=t_u0

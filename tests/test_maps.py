@@ -1206,6 +1206,42 @@ def test_fredholm_factors_from_row_blocks_are_those_of_the_whole_table(kernel, m
         assert np.array_equal(T(x), gvals + left @ (right @ x))
 
 
+@pytest.mark.parametrize(
+    "kernel, m, factored",
+    [(_separable, 256, True), (_gaussian, 1024, True), (_separable, 64, False),
+     (_min_kernel, 256, False), (_cosine_in_s, 256, False)],
+)
+def test_fredholm_declared_factors_are_the_ones_it_applies(kernel, m, factored):
+    # the form reads the kernel itself on a fresh T, once, and then T applies
+    # exactly g + L (R x); a dense table or a lone row declares no factors
+    shapes = []
+
+    def counted(t, s, x):
+        shapes.append(np.broadcast(t, s, x).shape)
+        return kernel(t, s, x)
+
+    problem, gvals, table = _linear_problem(counted, m)
+    T = fredholm_operator(problem)
+    shapes.clear()
+    form = T._factors()
+    assert shapes
+    calls = len(shapes)
+    x = np.random.default_rng(11).standard_normal(gvals.size)
+    value = T(x)
+    assert len(shapes) == calls and (T._factors() is None) is (form is None)
+    if not factored:
+        assert form is None
+        return
+    g, left, right = form
+    assert g.tobytes() == gvals.tobytes() and np.array_equal(value, g + left @ (right @ x))
+    assert left.shape == right.T.shape and len(right) < math.isqrt(gvals.size)
+
+
+def test_fredholm_general_path_declares_no_factors():
+    problem = FredholmProblem(g=np.cos, kernel=sine_kernel, lipschitz_bound=0.5, grid_size=256)
+    assert fredholm_operator(problem)._factors is None
+
+
 def _first_call_peak(kernel, m):
     """Peak bytes traced during the first call of ``T``, and the bytes of its ``(m+1)^2`` table."""
     problem = FredholmProblem(
@@ -1324,6 +1360,23 @@ def test_fredholm_kernel_value_of_the_wrong_shape_is_a_configuration_error(linea
     message = f"shape {shape}, which does not broadcast to the (9, 9) table of the 9-node grid"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         T(np.zeros(9))
+
+
+def test_fredholm_table_that_fails_part_way_is_never_applied():
+    # at m = 129 the dense table is filled in row blocks of 126 and 4; a
+    # kernel whose value for the last 4 rows has the wrong shape raises on
+    # every call, where a half-filled table used to be kept and applied
+    def kernel(t, s, x):
+        value = _separable(t, s, x)
+        return value[:3] if np.shape(value)[0] == 4 else value
+
+    problem = FredholmProblem(
+        g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=129, linear=True
+    )
+    T = fredholm_operator(problem)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match=re.escape("shape (3, 130)")):
+            T(np.zeros(130))
 
 
 def _constant_kernel(t, s, x):

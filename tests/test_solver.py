@@ -40,7 +40,7 @@ from viscofix import (
     write_trace_csv,
 )
 from viscofix.config import load_run_config
-from viscofix.problems import build_problem
+from viscofix.problems import build_problem, separable_linear_kernel
 
 SP1 = euclidean(1)
 HALF = NonexpansiveMap(lambda x: 0.5 * x)
@@ -427,16 +427,35 @@ def test_step_chain_reproduces_run_bitwise(scheme):
     assert seen[-1].residual == report.final_residual
 
 
+def _gaussian(t, s, x):
+    return (np.exp(-((t - s) ** 2)) / 2.0) * x
+
+
+def _factored(kernel=separable_linear_kernel, m=256):
+    """The space, the declared-linear Fredholm T (factored at m >= 131) and g."""
+    problem = vx.FredholmProblem(
+        g=np.cos, kernel=kernel, lipschitz_bound=0.5, grid_size=m, linear=True
+    )
+    space, nodes = vx.fredholm_grid(problem)
+    return space, vx.fredholm_operator(problem), np.cos(nodes)
+
+
 @pytest.mark.parametrize("preset", [eq75, halpern_mix, compare_t16])
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_a_run_resumed_from_its_report_is_the_uninterrupted_run_bitwise(tmp_path, scheme, preset):
     # split after k steps, then continue from n_final and final_point with
     # the rest of the budget: converged and max_iters runs alike, on Picard's
-    # steps (the hand-built T) and on exact starts (the built, declared one)
+    # steps (the hand-built T) and on exact starts (the built T, declared
+    # diagonal, and a factored Fredholm T)
     sp, hand_built, const = _plane()
-    f = None if scheme in vx.solver.IDENTITY_SCHEMES else const
     x1, cfg = np.array([0.0, 5.0]), SolverConfig(outer_tol=1e-2, max_outer=1000)
-    for T in (hand_built, _built_plane(tmp_path).T):
+    fredholm, factored, g = _factored()
+    for sp, T, f, x1 in (
+        (sp, hand_built, const, x1),
+        (sp, _built_plane(tmp_path).T, const, x1),
+        (fredholm, factored, QUARTER, g),
+    ):
+        f = None if scheme in vx.solver.IDENTITY_SCHEMES else f
         whole = run(sp, scheme, f, T, preset(), x1, cfg)
         k = len(whole.trace) // 2
         head = run(sp, scheme, f, T, preset(), x1, dataclasses.replace(cfg, max_outer=k))
@@ -453,12 +472,17 @@ def test_inner_solve_is_the_new_implicit_step_bitwise(tmp_path):
     sp, hand_built, const = _plane()
     cfg = SolverConfig(max_outer=1)
     x = np.array([0.7, -2.5])
-    # the built T declares its form, so both start at the exact root
-    for T in (hand_built, _built_plane(tmp_path).T):
+    # the built T declares its diagonal form and the Fredholm ones their
+    # factors (rank 1 and 10), so both start at the exact root
+    cases = [(sp, hand_built, const, x), (sp, _built_plane(tmp_path).T, const, x)]
+    for kernel in (separable_linear_kernel, _gaussian):
+        fredholm, factored, g = _factored(kernel)
+        cases.append((fredholm, factored, QUARTER, g + 0.1))
+    for sp, T, f, x in cases:
         for n in (1, 2, 10, 1000):
             a1, a2, a3, d = schedule_eval(halpern_mix(), n)
-            u, iters = inner_implicit_solve(sp, const, T, x, (a1, a2, a3), d, cfg)
-            report = run(sp, SchemeKind.NEW_IMPLICIT, const, T, halpern_mix(start_index=n), x, cfg)
+            u, iters = inner_implicit_solve(sp, f, T, x, (a1, a2, a3), d, cfg)
+            report = run(sp, SchemeKind.NEW_IMPLICIT, f, T, halpern_mix(start_index=n), x, cfg)
             assert report.n_final == n + 1
             assert u.tobytes() == report.final_point.tobytes()
             assert [row.inner_iters for row in report.trace] == [iters]
@@ -643,9 +667,38 @@ def test_declared_forms_agree_with_their_evaluators(tmp_path, problem, theta_k):
 
 def test_a_declared_form_survives_replacing_the_evaluator(tmp_path):
     # perfbench's traced runs wrap T this way; a function attribute would be lost
-    T = _built_plane(tmp_path).T
-    wrapped = dataclasses.replace(T, evaluator=lambda x: T.evaluator(x))
-    assert wrapped._diagonal is T._diagonal
+    diagonal, factored = _built_plane(tmp_path).T, _factored()[1]
+    assert diagonal._diagonal is not None and factored._factors is not None
+    for T in (diagonal, factored):
+        wrapped = dataclasses.replace(T, evaluator=lambda x, T=T: T.evaluator(x))
+        assert wrapped._diagonal is T._diagonal and wrapped._factors is T._factors
+
+
+def test_a_fresh_and_a_used_factored_T_start_alike():
+    # the form reads the factors itself, so the first step's start does not
+    # depend on whether T has been called before
+    space, fresh, g = _factored()
+    _, used, _ = _factored()
+    used(g)
+    cfg = SolverConfig()
+    steps = [inner_implicit_solve(space, QUARTER, T, g, (0.25, 0.25, 0.5), 0.5, cfg)
+             for T in (fresh, used)]
+    assert steps[0][0].tobytes() == steps[1][0].tobytes()
+    assert steps[0][1] == steps[1][1] == 1
+
+
+@pytest.mark.parametrize("m", [256, 1024])
+@pytest.mark.parametrize("kernel", [separable_linear_kernel, _gaussian], ids=["rank-1", "rank-10"])
+@pytest.mark.parametrize("scheme", sorted(set(SchemeKind) - {SchemeKind.EXPLICIT}))
+def test_every_implicit_step_on_a_factored_T_takes_one_application(scheme, kernel, m):
+    space, T, g = _factored(kernel, m)
+    assert len(T._factors()[2]) == (1 if kernel is separable_linear_kernel else 10)
+    f = None if scheme in vx.solver.IDENTITY_SCHEMES else QUARTER
+    cfg = SolverConfig(outer_tol=1e-10, max_outer=40)
+    report = run(space, scheme, f, T, halpern_mix(), g, cfg)
+    assert report.termination in (Termination.CONVERGED, Termination.MAX_ITERS)
+    assert len(report.trace) > 10
+    assert {row.inner_iters for row in report.trace} == {1}
 
 
 @pytest.mark.parametrize("form", [(0.0, 0.25), (0.1, 0.5), (0.0, -1.0)], ids=str)
@@ -667,33 +720,63 @@ def test_a_form_that_lies_costs_applications_not_accuracy(form):
     assert steps["honest"] == 1 < steps["liar"]
 
 
+def _half_factored(L, R):
+    return NonexpansiveMap(HALF.evaluator, _factors=lambda: (np.zeros(1), L, R))
+
+
+# T = x / 2 declared as c + d x, and as g + L (R x) with rank 1 and rank 2
+# (R of mixed signs, so an infinite x gives R x = (inf, -inf)); then T = x / 2
+# declaring nothing
+_HALF_FORMS = [
+    NonexpansiveMap(HALF.evaluator, _diagonal=(0.0, 0.5)),
+    _half_factored(np.ones((1, 1)), np.full((1, 1), 0.5)),
+    _half_factored(np.ones((1, 2)), np.array([[0.75], [-0.25]])),
+]
+_HALVES, _HALF_IDS = [*_HALF_FORMS, HALF], ["diagonal", "rank-1", "rank-2", "none"]
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_a_non_finite_step_keeps_the_undeclared_outcome(value):
     # f is not finite at x_1: the exact start would not be either, so the step
     # starts at x_n with T(x_n), as for a map without a form, and no numpy
     # warning (an error here) is raised on the way to the typed failure
-    declared = NonexpansiveMap(HALF.evaluator, _diagonal=(0.0, 0.5))
     f = GeneralizedContraction(lambda x: np.full(1, value), linear_modulus(0.0))
     cfg = SolverConfig(max_outer=10)
     reports = [run(SP1, SchemeKind.NEW_IMPLICIT, f, T, eq75(), np.array([1.0]), cfg)
-               for T in (declared, HALF)]
+               for T in _HALVES]
     for report in reports:
         assert report.termination is Termination.INNER_SOLVE_FAILED
         assert report.message.startswith(f"inner solve gap is {abs(value)!r} at application 1")
         assert report.message == reports[0].message and report.n_final == reports[0].n_final
-    for T in (declared, HALF):
+    for T in _HALVES:
         with pytest.raises(InnerSolveError, match="at application 1"):
             inner_implicit_solve(SP1, f, T, np.array([1.0]), (0.25, 0.25, 0.5), 1.0 / 3.0, cfg)
 
 
+@pytest.mark.parametrize("T", _HALVES, ids=_HALF_IDS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_inner_solve_from_a_non_finite_x_n_is_a_typed_error(T, value):
+    # Picard would start from x_n and meet inf - inf; numpy's warning (an
+    # error here) no longer comes first
+    with pytest.raises(InnerSolveError) as caught:
+        inner_implicit_solve(
+            euclidean(2), QUARTER, T, np.array([1.0, value]), (0.25, 0.25, 0.5), 1.0 / 3.0,
+            SolverConfig(),
+        )
+    assert str(caught.value) == f"x_n[1] is {value!r}: the inner solve needs a finite x_n"
+
+
 # The same counters for the four seed-0 fredholm-grid solves of perfbench
 # (mann_implicit, halpern-mix, outer_tol 1e-10; its seed-0 start is the
-# x1 of build_problem).  Sums: 191 steps, 592 inner applications, 596 T calls,
-# 4 repeats, no f calls.
+# x1 of build_problem).  Sums: 191 steps, 418 inner applications, 512 T calls,
+# 6 repeats, no f calls.  At m = 256 and 1024 the kernel is factored, so each
+# step starts at its exact root and takes one application: two T calls, the
+# certifying one and the residual's.  At n = 1 (alpha3 = 0) both have x_1 as
+# argument, hence two repeats.  m = 64 keeps its dense table and Picard.
 FREDHOLM_GRID_COUNTERS = {
     ("separable-linear", 64): (45, 132, 3, 133, 1, 0),
-    ("separable-linear", 256): (45, 132, 3, 133, 1, 0),
-    ("separable-linear", 1024): (45, 132, 3, 133, 1, 0),
+    ("separable-linear", 256): (45, 45, 1, 91, 2, 0),
+    ("separable-linear", 1024): (45, 45, 1, 91, 2, 0),
     ("sine", 256): (56, 196, 5, 197, 1, 0),
 }
 
